@@ -8,7 +8,8 @@ Four subcommands:
   verify       check a stored combination, or sweep composition identities
 
 Exit codes: 0 success, 2 parse error, 3 precondition failure (bad shape,
-cap exceeded, invalid relation data), 4 verification failure.
+cap exceeded, invalid relation data), 4 verification failure, 5 an
+invariant of the straightening engine failed (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, StraighteningError
 from .combinat import (
     Composition,
     enumerate_semistandard,
@@ -236,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except StraighteningError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError
 
@@ -164,8 +165,15 @@ class Multiset:
                     raise ValueError(f"multiset values must be >= 1, got {v}")
                 counts[v] = counts.get(v, 0) + 1
         self._counts = counts
-        self._elements = tuple(sorted(itertools.chain.from_iterable(
-            itertools.repeat(v, m) for v, m in counts.items())))
+        self._elements = _sorted_elements(counts)
+
+    @classmethod
+    def _raw(cls, counts: dict[int, int]) -> "Multiset":
+        # internal: trusted counts, values >= 1 with positive multiplicities
+        ms = object.__new__(cls)
+        ms._counts = counts
+        ms._elements = _sorted_elements(counts)
+        return ms
 
     @property
     def size(self) -> int:
@@ -201,7 +209,7 @@ class Multiset:
         acc = dict(self._counts)
         for v, m in other._counts.items():
             acc[v] = acc.get(v, 0) + m
-        return Multiset(acc)
+        return Multiset._raw(acc)
 
     def __sub__(self, other: "Multiset") -> "Multiset":
         if not isinstance(other, Multiset):
@@ -211,8 +219,11 @@ class Multiset:
             have = acc.get(v, 0)
             if have < m:
                 raise ValueError(f"cannot remove {m} copies of {v}: only {have} present")
-            acc[v] = have - m
-        return Multiset(acc)
+            if have == m:
+                del acc[v]
+            else:
+                acc[v] = have - m
+        return Multiset._raw(acc)
 
     def contains_submultiset(self, other: "Multiset") -> bool:
         return all(self.count(v) >= m for v, m in other._counts.items())
@@ -231,7 +242,7 @@ class Multiset:
 
         def rec(idx: int, remaining: int, chosen: list[tuple[int, int]]) -> Iterator[Multiset]:
             if remaining == 0:
-                yield Multiset(dict(chosen))
+                yield Multiset._raw(dict(chosen))
                 return
             if idx == len(items):
                 return
@@ -259,6 +270,11 @@ class Multiset:
 
     def __repr__(self) -> str:
         return f"Multiset({list(self._elements)})"
+
+
+def _sorted_elements(counts: dict[int, int]) -> tuple[int, ...]:
+    return tuple(sorted(itertools.chain.from_iterable(
+        itertools.repeat(v, m) for v, m in counts.items())))
 
 
 def iter_multisets(size: int, max_value: int) -> Iterator[Multiset]:
@@ -301,7 +317,7 @@ class Tableau:
     like (0, 2).
     """
 
-    __slots__ = ("_shape", "_rows", "_type", "_row_lists")
+    __slots__ = ("_shape", "_rows", "_type", "_row_lists", "_hash")
 
     def __init__(self, shape: IntoComposition, rows: Iterable[Iterable[int] | Multiset]):
         shape = as_composition(shape)
@@ -321,6 +337,20 @@ class Tableau:
         self._rows = row_ms
         self._type: Composition | None = None
         self._row_lists: tuple[tuple[int, ...], ...] | None = None
+        self._hash: int | None = None
+
+    @classmethod
+    def _raw(cls, shape: Composition, rows: tuple[Multiset, ...],
+             type_: Composition) -> "Tableau":
+        # internal: trusted rows that fill the already-stripped shape, and
+        # the type of their content
+        tab = object.__new__(cls)
+        tab._shape = shape
+        tab._rows = rows
+        tab._type = type_
+        tab._row_lists = None
+        tab._hash = None
+        return tab
 
     @property
     def shape(self) -> Composition:
@@ -362,10 +392,12 @@ class Tableau:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tableau):
             return NotImplemented
-        return self._shape == other._shape and self._rows == other._rows
+        return self._shape == other._shape and self.row_lists() == other.row_lists()
 
     def __hash__(self) -> int:
-        return hash((self._shape, self.row_lists()))
+        if self._hash is None:
+            self._hash = hash((self._shape, self.row_lists()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Tableau({list(self._shape.stripped)}, {[list(r.elements()) for r in self._rows]})"

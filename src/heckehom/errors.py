@@ -11,3 +11,8 @@ class OracleCapError(ValueError):
 
 class TabloidMembershipError(ValueError):
     """An algebra element does not lie in the span of the tabloid basis."""
+
+
+class StraighteningError(RuntimeError):
+    """An invariant of the rewriting engine failed: a rewrite did not
+    increase the weight, or an identity split's coefficient was not 1."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
-from .errors import ParseError
+from .errors import ParseError, StraighteningError
 from .combinat import (
     Composition,
     IntoComposition,
@@ -75,6 +75,16 @@ class LinComb:
         self._terms = acc
 
     @classmethod
+    def _raw(cls, shape: Composition, type_: Composition,
+             terms: dict[Tableau, LaurentPoly]) -> "LinComb":
+        # internal: trusted nonzero terms of the given shape and type
+        comb = object.__new__(cls)
+        comb._shape = shape
+        comb._type = type_
+        comb._terms = terms
+        return comb
+
+    @classmethod
     def zero(cls, shape: IntoComposition, type_: IntoComposition) -> "LinComb":
         return cls(shape, type_, {})
 
@@ -119,8 +129,13 @@ class LinComb:
         self._compatible(other)
         acc = dict(self._terms)
         for tab, poly in other._terms.items():
-            acc[tab] = acc.get(tab, LaurentPoly.zero()) + poly
-        return LinComb(self._shape, self._type, acc)
+            if tab in acc:
+                poly = acc[tab] + poly
+                if not poly:
+                    del acc[tab]
+                    continue
+            acc[tab] = poly
+        return LinComb._raw(self._shape, self._type, acc)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
@@ -132,8 +147,10 @@ class LinComb:
 
     def scale(self, factor: Coeffish) -> "LinComb":
         poly = _as_poly(factor)
-        return LinComb(self._shape, self._type,
-                       {tab: c * poly for tab, c in self._terms.items()})
+        if not poly:
+            return LinComb._raw(self._shape, self._type, {})
+        return LinComb._raw(self._shape, self._type,
+                            {tab: c * poly for tab, c in self._terms.items()})
 
     def add_term(self, tab: Tableau, coeff: Coeffish) -> "LinComb":
         return self + LinComb.single(tab, coeff)
@@ -309,17 +326,15 @@ def split_coefficient(datum: GarnirDatum, split: Split) -> LaurentPoly:
 def garnir_relation(datum: GarnirDatum) -> LinComb:
     """The full relation: a combination that vanishes on the Specht submodule.
 
-    The sum runs over every split.  Coefficients of coinciding tableaux
-    would accumulate, though in fact distinct splits always give distinct
-    tableaux: the top row determines the split by multiset subtraction.
+    The sum runs over every split.  Distinct splits give distinct
+    tableaux, since the top row determines the split by multiset
+    subtraction, and no coefficient vanishes, since each is a product of
+    quantum binomials and a power of q.
     """
     content = datum.fixed_top + datum.pool + datum.fixed_bottom
-    out: dict[Tableau, LaurentPoly] = {}
-    for split in enumerate_splits(datum):
-        tab = build_tableau(datum, split)
-        coeff = split_coefficient(datum, split)
-        out[tab] = out.get(tab, LaurentPoly.zero()) + coeff
-    return LinComb(datum.shape, type_composition(content), out)
+    terms = {build_tableau(datum, split): split_coefficient(datum, split)
+             for split in enumerate_splits(datum)}
+    return LinComb._raw(datum.shape, type_composition(content), terms)
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
@@ -384,17 +399,13 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
     """Rewrite one non-semistandard two-row tableau via its relation.
 
     Returns the combination equal to the given tableau's homomorphism on the
-    Specht submodule.  The split reproducing the input always carries
-    coefficient exactly 1, so no division is ever needed.
+    Specht submodule: the relation of its datum with the input's own term
+    dropped and every other term negated.  The split reproducing the input
+    always carries coefficient exactly 1, so no division is ever needed;
+    StraighteningError is raised if it does not.
     """
-    datum = straightening_datum(tab, column_rule)
-    identity = split_from_tableau(datum, tab)
-    if split_coefficient(datum, identity) != 1:
-        raise RuntimeError(f"identity split coefficient is not 1 for {tab!r}")
-    out = LinComb.zero(tab.shape, tab.type())
-    for split in enumerate_splits(datum):
-        if split == identity:
-            continue
-        other = build_tableau(datum, split)
-        out = out.add_term(other, -split_coefficient(datum, split))
-    return out
+    rel = garnir_relation(straightening_datum(tab, column_rule))
+    terms = dict(rel._terms)
+    if terms.pop(tab, None) != 1:
+        raise StraighteningError(f"identity split coefficient is not 1 for {tab!r}")
+    return LinComb._raw(rel.shape, rel.type, {t: -c for t, c in terms.items()})

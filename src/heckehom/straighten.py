@@ -6,14 +6,29 @@ pair of rows rewrites the homomorphism as a combination of tableaux that
 are strictly later in a monotone weight order.  Iterating terminates with a
 combination of semistandard tableaux, the canonical form.
 
+One traversal does the iterating.  A worklist holds each tableau still to
+be rewritten with its pending coefficient and hands out the lightest first.
+A tableau it hands out is either emitted, being semistandard, or rewritten
+once, its coefficient times the rewrite being added onto its children.
+Every child is heavier than its parent, so a tableau is handed out only
+after every contribution to it has arrived: children shared by several
+parents are merged, and a coefficient that cancels to zero prunes the whole
+subtree below it.  Rewrites are memoized on the two-row window they act on,
+for the length of one call.
+
 Two knobs choose which violation to attack first; every choice yields the
 same canonical form, which the test suite checks by comparing strategies.
 """
 
 from __future__ import annotations
 
-from .combinat import Composition, Tableau, is_semistandard
+import heapq
+from typing import Iterable
+
+from .combinat import Composition, Tableau, type_composition
+from .errors import StraighteningError
 from .garnir import LinComb, two_row_straighten_step
+from .qcoeff import LaurentPoly
 
 PAIR_RULES = ("topmost", "bottommost")
 COLUMN_RULES = ("leftmost", "rightmost")
@@ -57,62 +72,74 @@ def embed_two_row(tab: Tableau, upper_row: int, rel: LinComb) -> LinComb:
     if not 1 <= l < tab.nrows:
         raise ValueError(f"row {l} is not the upper row of an adjacent pair")
     window_shape = Composition((tab.shape.part(l - 1), tab.shape.part(l)))
-    window_type = Tableau(window_shape, [tab.rows[l - 1], tab.rows[l]]).type()
+    window_type = type_composition(tab.rows[l - 1] + tab.rows[l])
     if rel.shape != window_shape or rel.type != window_type:
         raise ValueError(
             f"combination on shape {rel.shape} type {rel.type} does not fit "
             f"window shape {window_shape} type {window_type}")
-    out = LinComb.zero(tab.shape, tab.type())
-    for window_tab, coeff in rel.items():
-        rows = (tab.rows[: l - 1] + window_tab.rows + tab.rows[l + 1:])
-        out = out.add_term(Tableau(tab.shape, rows), coeff)
-    return out
+    # Distinct window tableaux give distinct children: the other rows are fixed.
+    shape, type_ = tab.shape, tab.type()
+    before, after = tab.rows[: l - 1], tab.rows[l + 1:]
+    return LinComb._raw(shape, type_, {
+        Tableau._raw(shape, before + window_tab.rows + after, type_): coeff
+        for window_tab, coeff in rel._terms.items()})
 
 
-def _expand_once(tab: Tableau, pair_rule: str, column_rule: str) -> LinComb | None:
-    """One embedded rewrite, or None if the tableau is semistandard."""
-    l = find_violating_window(tab, pair_rule)
-    if l is None:
-        return None
-    window = Tableau(Composition((tab.shape.part(l - 1), tab.shape.part(l))),
-                     [tab.rows[l - 1], tab.rows[l]])
-    return embed_two_row(tab, l, two_row_straighten_step(window, column_rule))
+def _check_rules(shape: Composition, pair_rule: str, column_rule: str) -> None:
+    if not shape.is_partition:
+        raise ValueError(f"straightening needs a partition shape, got {shape}")
+    if pair_rule not in PAIR_RULES:
+        raise ValueError(f"unknown pair rule {pair_rule!r}")
+    if column_rule not in COLUMN_RULES:
+        raise ValueError(f"unknown column rule {column_rule!r}")
 
 
-def _straighten_into(tab: Tableau, pair_rule: str, column_rule: str,
-                     memo: dict[Tableau, LinComb]) -> LinComb:
-    """Full canonical form of one tableau, reusing and filling memo."""
-    if tab in memo:
-        return memo[tab]
-    expansions: dict[Tableau, LinComb] = {}
-    stack = [tab]
-    while stack:
-        cur = stack[-1]
-        if cur in memo:
-            stack.pop()
+def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition,
+                type_: Composition, pair_rule: str, column_rule: str) -> LinComb:
+    """Canonical form of a combination given as nonzero (tableau, coefficient)
+    pairs with distinct tableaux, all of one shape and type."""
+    pending: dict[Tableau, LaurentPoly] = {}
+    # Tableaux of one shape have distinct sort keys, so entries never
+    # compare their third items.
+    heap: list[tuple[int, tuple, Tableau]] = []
+    for tab, coeff in terms:
+        pending[tab] = coeff
+        heap.append((weight(tab), tab.sort_key(), tab))
+    heapq.heapify(heap)
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], LinComb] = {}
+    out: dict[Tableau, LaurentPoly] = {}
+    while heap:
+        tab_weight, _, tab = heapq.heappop(heap)
+        coeff = pending.pop(tab)
+        if not coeff:
             continue
-        step = expansions.get(cur)
+        # Called through module globals so that perfbench/tracer.py can wrap them.
+        l = find_violating_window(tab, pair_rule)
+        if l is None:
+            out[tab] = coeff
+            continue
+        rows = tab.row_lists()
+        key = (rows[l - 1], rows[l])
+        step = steps.get(key)
         if step is None:
-            step = _expand_once(cur, pair_rule, column_rule)
-            if step is None:
-                memo[cur] = LinComb.single(cur)
-                stack.pop()
-                continue
-            for child in step.support():
-                if weight(child) <= weight(cur):
-                    raise RuntimeError(
-                        f"rewrite failed to increase weight at {cur!r}")
-            expansions[cur] = step
-        pending = [child for child in step.support() if child not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        total = LinComb.zero(tab.shape, tab.type())
-        for child, coeff in step.items():
-            total = total + memo[child].scale(coeff)
-        memo[cur] = total
-        stack.pop()
-    return memo[tab]
+            window = Tableau(Composition((len(key[0]), len(key[1]))),
+                             tab.rows[l - 1: l + 1])
+            step = steps[key] = two_row_straighten_step(window, column_rule)
+        for child, child_coeff in embed_two_row(tab, l, step)._terms.items():
+            # This check is also what makes the heap order sound: nothing
+            # can add to a tableau once it has been popped.
+            child_weight = weight(child)
+            if child_weight <= tab_weight:
+                raise StraighteningError(
+                    f"rewrite failed to increase weight at {tab!r}")
+            contribution = coeff * child_coeff
+            earlier = pending.get(child)
+            if earlier is None:
+                pending[child] = contribution
+                heapq.heappush(heap, (child_weight, child.sort_key(), child))
+            else:
+                pending[child] = earlier + contribution
+    return LinComb._raw(shape, type_, out)
 
 
 def semistandardize(tab: Tableau, pair_rule: str = "topmost",
@@ -122,22 +149,18 @@ def semistandardize(tab: Tableau, pair_rule: str = "topmost",
     The input must have partition shape.  A semistandard input returns
     itself with coefficient 1.
     """
-    if not tab.shape.is_partition:
-        raise ValueError(f"straightening needs a partition shape, got {tab.shape}")
-    if pair_rule not in PAIR_RULES:
-        raise ValueError(f"unknown pair rule {pair_rule!r}")
-    if column_rule not in COLUMN_RULES:
-        raise ValueError(f"unknown column rule {column_rule!r}")
-    return _straighten_into(tab, pair_rule, column_rule, {})
+    _check_rules(tab.shape, pair_rule, column_rule)
+    return _straighten([(tab, LaurentPoly.one())], tab.shape, tab.type(),
+                       pair_rule, column_rule)
 
 
 def semistandardize_lincomb(comb: LinComb, pair_rule: str = "topmost",
                             column_rule: str = "leftmost") -> LinComb:
-    """Canonical form of a combination, term by term with shared caching."""
-    if not comb.shape.is_partition:
-        raise ValueError(f"straightening needs a partition shape, got {comb.shape}")
-    memo: dict[Tableau, LinComb] = {}
-    out = LinComb.zero(comb.shape, comb.type)
-    for tab, coeff in comb.items():
-        out = out + _straighten_into(tab, pair_rule, column_rule, memo).scale(coeff)
-    return out
+    """Canonical form of a combination, straightened in one traversal.
+
+    All input terms enter the worklist together, so a tableau reached from
+    several terms is rewritten once, on its summed coefficient.
+    """
+    _check_rules(comb.shape, pair_rule, column_rule)
+    return _straighten(comb._terms.items(), comb.shape, comb.type,
+                       pair_rule, column_rule)

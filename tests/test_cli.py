@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import heckehom.straighten
 from heckehom import LinComb, parse_tableau, semistandardize
 from heckehom.cli import main
 
@@ -84,6 +85,14 @@ class TestStraighten:
         code, out, err = run(capsys, "straighten", "-")
         assert code == 0
         assert out.strip() == "(-1) * 1 / 2"
+
+    def test_engine_invariant_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(heckehom.straighten, "embed_two_row",
+                            lambda tab, upper_row, rel: LinComb.single(tab))
+        code, out, err = run(capsys, "straighten", "2 / 1")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_strategy_flags(self, capsys):
         code_a, out_a, _ = run(capsys, "straighten", WORKED,

@@ -1,14 +1,19 @@
 """The full semistandardisation loop over arbitrary partition shapes."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
+import heckehom.garnir
+import heckehom.straighten
 from heckehom import (
     Composition,
     LaurentPoly,
     LinComb,
     Multiset,
     Partition,
+    StraighteningError,
     Tableau,
     embed_two_row,
     enumerate_semistandard,
@@ -24,6 +29,28 @@ from heckehom import (
 )
 
 from .strategies import tableaux
+
+RULES = list(itertools.product(("topmost", "bottommost"), ("leftmost", "rightmost")))
+
+
+def memo_of_expansions(tab, pair_rule, column_rule, memo):
+    """Reference traversal: the full expansion of every tableau, memoized,
+    each built from its children's expansions."""
+    if tab in memo:
+        return memo[tab]
+    l = find_violating_window(tab, pair_rule)
+    if l is None:
+        total = LinComb.single(tab)
+    else:
+        window = Tableau(Composition((tab.shape.part(l - 1), tab.shape.part(l))),
+                         tab.rows[l - 1: l + 1])
+        step = embed_two_row(tab, l, two_row_straighten_step(window, column_rule))
+        total = LinComb.zero(tab.shape, tab.type())
+        for child, coeff in step.items():
+            total = total + memo_of_expansions(
+                child, pair_rule, column_rule, memo).scale(coeff)
+    memo[tab] = total
+    return total
 
 
 class TestWeight:
@@ -130,6 +157,29 @@ class TestSemistandardize:
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValueError):
             semistandardize(parse_tableau("1 1 / 2 2"), pair_rule="sideways")
+        with pytest.raises(ValueError):
+            semistandardize_lincomb(LinComb.single(parse_tableau("2 / 1")),
+                                    column_rule="middle")
+
+    @pytest.mark.parametrize("pair_rule,column_rule", RULES)
+    @given(tableaux(max_n=7, max_value=4))
+    @settings(deadline=None)
+    def test_matches_memo_of_expansions(self, pair_rule, column_rule, tab):
+        want = memo_of_expansions(tab, pair_rule, column_rule, {})
+        assert semistandardize(tab, pair_rule, column_rule) == want
+
+    def test_weight_not_increasing_raises(self, monkeypatch):
+        monkeypatch.setattr(heckehom.straighten, "embed_two_row",
+                            lambda tab, upper_row, rel: LinComb.single(tab))
+        with pytest.raises(StraighteningError):
+            semistandardize(parse_tableau("2 / 1"))
+
+    def test_identity_coefficient_not_one_raises(self, monkeypatch):
+        relation = heckehom.garnir.garnir_relation
+        monkeypatch.setattr(heckehom.garnir, "garnir_relation",
+                            lambda datum: relation(datum).scale(2))
+        with pytest.raises(StraighteningError):
+            semistandardize(parse_tableau("2 / 1"))
 
 
 class TestSemistandardizeLincomb:
@@ -155,3 +205,23 @@ class TestSemistandardizeLincomb:
                         parse_tableau("1 / 2"): LaurentPoly.one()})
         result = semistandardize_lincomb(comb)
         assert result.is_zero
+
+    def test_input_minus_expansion_cancels(self):
+        tab = parse_tableau("2 3 4 / 1 2 4 / 1 3")
+        expansion = semistandardize(tab)
+        assert len(expansion) > 1
+        assert semistandardize_lincomb(LinComb.single(tab) - expansion).is_zero
+
+    def test_shared_children_merge(self):
+        # The second tableau is also a child of the first one's rewrite, so
+        # the traversal merges their contributions before rewriting it.
+        first = parse_tableau("1 2 2 3 4 / 1 3 3 3")
+        l = find_violating_window(first)
+        window = Tableau(Composition((first.shape.part(l - 1), first.shape.part(l))),
+                         first.rows[l - 1: l + 1])
+        children = embed_two_row(first, l, two_row_straighten_step(window)).support()
+        second = next(c for c in children if not is_semistandard(c))
+        comb = LinComb.single(first) + LinComb.single(second, LaurentPoly.parse("q - 2"))
+        want = (semistandardize(first)
+                + semistandardize(second).scale(LaurentPoly.parse("q - 2")))
+        assert semistandardize_lincomb(comb) == want
