@@ -1,11 +1,22 @@
-"""Brute-force exact model of the Hecke algebra at small degree.
+"""Exact model of the Hecke algebra at small degree.
 
-Everything here works with explicit basis expansions: an algebra element is
-a sparse map from permutations to Laurent polynomials, multiplication is
-repeated application of the generator rule, and module membership is
-checked by explicit reconstruction.  Nothing is clever; that is the point.
-The fast combinatorial straightening in the other modules is verified
-against this model at small sizes.
+Two representations, both with exact Laurent-polynomial coefficients:
+
+* ``HeckeElem``: an algebra element as a sparse map from permutations to
+  coefficients in the standard basis; multiplication is repeated
+  application of the generator rule.  Images of tableau maps
+  (``image_h3``), the composition-identity sweeps and the reference
+  checks in the tests use it.
+* ``TabloidVector``: an element of the permutation module of a
+  composition, written in its tabloid basis (the composition's x element
+  times the basis element of a minimal coset representative d), with the
+  right action of each generator (Dipper and James, Proc. LMS 52, 1986).
+  ``specht_check`` works here, on n!/|Young subgroup| coordinates instead
+  of n!.
+
+Nothing is clever; that is the point.  The fast combinatorial
+straightening in the other modules is verified against this model at
+small sizes.
 
 A degree cap (default 8, overridable through the HECKEHOM_ORACLE_CAP
 environment variable) guards against accidentally asking for a basis with
@@ -30,6 +41,7 @@ from .combinat import (
     Partition,
     Perm,
     Tableau,
+    _perm_of_filling,
     as_composition,
     column_reading_composition,
     cross_pairs,
@@ -63,9 +75,12 @@ def oracle_cap() -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {raw!r}")
+    return cap
 
 
 def _require_within_cap(n: int) -> None:
@@ -88,6 +103,16 @@ def _as_poly(value: Coeffish) -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     return LaurentPoly.monomial(0, int(value))
+
+
+def _add_into(acc: dict[Perm, LaurentPoly], w: Perm, poly: LaurentPoly) -> None:
+    """Add poly to the coefficient at w, dropping the entry if it cancels."""
+    total = acc.get(w)
+    total = poly if total is None else total + poly
+    if total:
+        acc[w] = total
+    else:
+        acc.pop(w, None)
 
 
 class HeckeElem:
@@ -156,12 +181,7 @@ class HeckeElem:
         self._check_degree(other)
         acc = dict(self._terms)
         for w, poly in other._terms.items():
-            total = acc.get(w)
-            total = poly if total is None else total + poly
-            if total:
-                acc[w] = total
-            else:
-                acc.pop(w, None)
+            _add_into(acc, w, poly)
         return HeckeElem._raw(self._n, acc)
 
     def __sub__(self, other: "HeckeElem") -> "HeckeElem":
@@ -197,15 +217,6 @@ class HeckeElem:
         if not 1 <= i <= self._n - 1:
             raise ValueError(f"generator index {i} out of range 1..{self._n - 1}")
         acc: dict[Perm, LaurentPoly] = {}
-
-        def put(w: Perm, poly: LaurentPoly) -> None:
-            total = acc.get(w)
-            total = poly if total is None else total + poly
-            if total:
-                acc[w] = total
-            else:
-                acc.pop(w, None)
-
         for w, coeff in self._terms.items():
             pos_lo = w.index(i)
             pos_hi = w.index(i + 1)
@@ -213,10 +224,10 @@ class HeckeElem:
             swapped[pos_lo], swapped[pos_hi] = i + 1, i
             ws = tuple(swapped)
             if pos_lo < pos_hi:
-                put(ws, coeff)
+                _add_into(acc, ws, coeff)
             else:
-                put(w, coeff * _Q_MINUS_1)
-                put(ws, coeff.shift(1))
+                _add_into(acc, w, coeff * _Q_MINUS_1)
+                _add_into(acc, ws, coeff.shift(1))
         return HeckeElem._raw(self._n, acc)
 
     def mul_t(self, w: Perm) -> "HeckeElem":
@@ -457,22 +468,18 @@ def image_h3(tab: Tableau) -> HeckeElem:
     return _image_h3_cached(tab)
 
 
-@lru_cache(maxsize=None)
+# Images reach tens of thousands of terms at degree 8; the composition
+# sweeps reuse a few merge and split tableaux many times over.
+_IMAGE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
 def _image_h3_cached(tab: Tableau) -> HeckeElem:
-    type_ = tab.type()
-    base = x_elem_padded(type_, tab.n).mul_t(perm_1A(tab))
+    base = x_elem(tab.type()).mul_t(perm_1A(tab))
     total = HeckeElem.zero(tab.n)
     for d in coset_reps(row_reading_composition(tab), tab.shape):
         total = total + base.mul_t(d)
     return total
-
-
-def x_elem_padded(comp: IntoComposition, n: int) -> HeckeElem:
-    """x element of a composition viewed inside degree n (size must agree)."""
-    comp = as_composition(comp)
-    if comp.n != n:
-        raise ValueError(f"composition of {comp.n} cannot live in degree {n}")
-    return x_elem(comp)
 
 
 def image_h2(tab: Tableau) -> HeckeElem:
@@ -484,21 +491,14 @@ def image_h2(tab: Tableau) -> HeckeElem:
     """
     _require_within_cap(tab.n)
     type_len = len(tab.type().stripped)
-    x = x_elem_padded(tab.type(), tab.n)
+    x = x_elem(tab.type())
     row_orders = [sorted(set(itertools.permutations(row.elements())))
                   for row in tab.rows]
     total = HeckeElem.zero(tab.n)
     for arrangement in itertools.product(*row_orders):
         cells = [v for row in arrangement for v in row]
-        total = total + x.mul_t(_filling_perm(cells, type_len))
+        total = total + x.mul_t(_perm_of_filling(cells, type_len))
     return total
-
-
-def _filling_perm(cell_values: list[int], type_len: int) -> Perm:
-    cells_by_value: list[list[int]] = [[] for _ in range(type_len)]
-    for p, v in enumerate(cell_values, start=1):
-        cells_by_value[v - 1].append(p)
-    return tuple(itertools.chain.from_iterable(cells_by_value))
 
 
 def image_h4(tab: Tableau) -> HeckeElem:
@@ -527,7 +527,8 @@ class TabloidVector:
 
     coords maps each minimal coset representative to its coefficient; the
     basis element at d is the composition's x element times the basis
-    element of d.
+    element of d.  Right multiplication by the algebra acts on these
+    coordinates directly (mul_right_gen, mul_t).
     """
 
     composition: Composition
@@ -538,6 +539,66 @@ class TabloidVector:
             return NotImplemented
         return (self.composition == other.composition
                 and self.coords == other.coords)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coords
+
+    def __add__(self, other: "TabloidVector") -> "TabloidVector":
+        if not isinstance(other, TabloidVector):
+            return NotImplemented
+        if self.composition != other.composition:
+            raise ValueError(f"composition mismatch: {self.composition} vs "
+                             f"{other.composition}")
+        acc = dict(self.coords)
+        for d, poly in other.coords.items():
+            _add_into(acc, d, poly)
+        return TabloidVector(self.composition, acc)
+
+    def scale(self, factor: Coeffish) -> "TabloidVector":
+        poly = _as_poly(factor)
+        if not poly:
+            return TabloidVector(self.composition, {})
+        return TabloidVector(
+            self.composition, {d: c * poly for d, c in self.coords.items()})
+
+    def mul_right_gen(self, i: int) -> "TabloidVector":
+        """Right multiplication by the i-th generator, 1 <= i <= n-1.
+
+        For the basis vector at d: if the values i and i+1 sit in one block
+        of positions of d, the generator passes through d into the Young
+        subgroup and the x element absorbs it as q.  Otherwise swapping them
+        gives the minimal representative d s, and the algebra's rule
+        applies: the vector moves to d s when i comes before i+1 in d, and
+        otherwise becomes (q-1) times itself plus q times the vector at d s.
+        """
+        comp = self.composition
+        if not 1 <= i <= comp.n - 1:
+            raise ValueError(f"generator index {i} out of range 1..{comp.n - 1}")
+        block_of = [b for b, size in enumerate(comp.parts) for _ in range(size)]
+        acc: dict[Perm, LaurentPoly] = {}
+        for d, coeff in self.coords.items():
+            pos_lo = d.index(i)
+            pos_hi = d.index(i + 1)
+            if block_of[pos_lo] == block_of[pos_hi]:
+                _add_into(acc, d, coeff.shift(1))
+                continue
+            swapped = list(d)
+            swapped[pos_lo], swapped[pos_hi] = i + 1, i
+            ds = tuple(swapped)
+            if pos_lo < pos_hi:
+                _add_into(acc, ds, coeff)
+            else:
+                _add_into(acc, d, coeff * _Q_MINUS_1)
+                _add_into(acc, ds, coeff.shift(1))
+        return TabloidVector(comp, acc)
+
+    def mul_t(self, w: Perm) -> "TabloidVector":
+        """Right multiplication by the standard basis element of w."""
+        vec = self
+        for i in reduced_word(tuple(w)):
+            vec = vec.mul_right_gen(i)
+        return vec
 
 
 def tabloid_coords(h: HeckeElem, comp: IntoComposition) -> TabloidVector:
@@ -593,6 +654,18 @@ def apply_lincomb(comb: LinComb, vec: TabloidVector) -> HeckeElem:
 # ---------------------------------------------------------------------------
 
 
+def _image_vector(tab: Tableau) -> TabloidVector:
+    """image_h3 of a tableau in tabloid coordinates of its type's module."""
+    _require_within_cap(tab.n)
+    type_ = tab.type()
+    unit = TabloidVector(type_, {identity_perm(tab.n): LaurentPoly.one()})
+    base = unit.mul_t(perm_1A(tab))
+    total = TabloidVector(type_, {})
+    for d in coset_reps(row_reading_composition(tab), tab.shape):
+        total = total + base.mul_t(d)
+    return total
+
+
 def specht_check(comb: LinComb) -> bool:
     """Whether a combination of tableau maps vanishes on the Specht module.
 
@@ -600,7 +673,8 @@ def specht_check(comb: LinComb) -> bool:
     one element, so the combination vanishes exactly when the weighted sum
     of images, multiplied by the basis element of the shape's column-reading
     permutation and then by the alternating element of the conjugate shape,
-    is zero.
+    is zero.  The images all lie in the permutation module of the common
+    type, so the whole computation runs there, in tabloid coordinates.
     """
     shape = comb.shape
     if not shape.is_partition:
@@ -609,9 +683,9 @@ def specht_check(comb: LinComb) -> bool:
     _require_within_cap(n)
     if n == 0:
         return True
-    total = HeckeElem.zero(n)
+    total = TabloidVector(comb.type, {})
     for tab, coeff in comb.items():
-        total = total + image_h3(tab).scale(coeff)
+        total = total + _image_vector(tab).scale(coeff)
     if total.is_zero:
         return True
     total = total.mul_t(w_mu(shape))
@@ -830,8 +904,7 @@ def verify_composition_props(n_cap: int, value_cap: int = 4,
     seeded uniform sample of that many instances per identity.  jobs > 1
     distributes the checks over worker processes.
     """
-    if n_cap > DEFAULT_CAP:
-        raise ValueError(f"composition sweeps support n_cap <= {DEFAULT_CAP}")
+    _require_within_cap(n_cap)
     report = PropsReport()
     work: list[Instance] = []
     for kind in PROP_KINDS:

@@ -16,6 +16,7 @@ from heckehom import (
     OracleCapError,
     Partition,
     TabloidMembershipError,
+    TabloidVector,
     apply_hom,
     coset_reps,
     embed_two_row,
@@ -25,6 +26,7 @@ from heckehom import (
     image_h4,
     inversions,
     is_semistandard,
+    iter_compositions,
     iter_fillings,
     iter_partitions,
     iter_valid_data,
@@ -41,12 +43,16 @@ from heckehom import (
     tabloid_coords,
     two_row_straighten_step,
     verify_composition_props,
+    w_mu,
     x_elem,
     y_elem,
     young_subgroup,
 )
+from heckehom.cli import main as cli_main
 from heckehom.combinat import Tableau, identity_perm
-from heckehom.hecke_oracle import _mul_x_blocks, _mul_y_blocks
+from heckehom.hecke_oracle import _image_vector, _mul_x_blocks, _mul_y_blocks
+
+from .strategies import tableaux
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.monomial(1)
@@ -205,7 +211,7 @@ class TestImages:
         with pytest.raises(OracleCapError):
             image_h3(tab)
 
-    def test_cap_env_override(self, monkeypatch):
+    def test_cap_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("HECKEHOM_ORACLE_CAP", "3")
         assert oracle_cap() == 3
         with pytest.raises(OracleCapError):
@@ -213,6 +219,12 @@ class TestImages:
         monkeypatch.setenv("HECKEHOM_ORACLE_CAP", "not a number")
         with pytest.raises(ValueError):
             oracle_cap()
+        for raw in ("0", "-2"):
+            monkeypatch.setenv("HECKEHOM_ORACLE_CAP", raw)
+            with pytest.raises(ValueError, match="HECKEHOM_ORACLE_CAP"):
+                oracle_cap()
+            assert cli_main(["verify", "--props", "2"]) == 3
+            assert "HECKEHOM_ORACLE_CAP" in capsys.readouterr().err
 
 
 class TestTabloidCoords:
@@ -253,6 +265,36 @@ class TestTabloidCoords:
             apply_hom(vec, tab)
 
 
+class TestTabloidAction:
+    def test_generator_rule_matches_algebra_up_to_degree_5(self):
+        # x_comp T_d T_i, read off in tabloid coordinates, against the rule
+        cases = 0
+        for n in range(1, 6):
+            for length in range(1, 4):
+                for parts in iter_compositions(n, length):
+                    comp = Composition(parts)
+                    for d in coset_reps(comp, (n,)):
+                        basis = x_elem(comp).mul_t(d)
+                        vec = TabloidVector(comp, {d: ONE})
+                        for i in range(1, n):
+                            expect = tabloid_coords(basis.mul_right_gen(i), comp)
+                            assert vec.mul_right_gen(i) == expect, (comp, d, i)
+                            cases += 1
+        assert cases == 1484
+
+    def test_linear_operations(self):
+        comp = Composition((1, 2))
+        a = TabloidVector(comp, {(1, 2, 3): ONE, (2, 1, 3): Q})
+        b = TabloidVector(comp, {(2, 1, 3): -Q})
+        assert (a + b).coords == {(1, 2, 3): ONE}
+        assert a.scale(0).is_zero and not a.is_zero
+        assert a.scale(Q).coords == {(1, 2, 3): Q, (2, 1, 3): Q * Q}
+        with pytest.raises(ValueError):
+            a + TabloidVector(Composition((2, 1)), {})
+        with pytest.raises(ValueError):
+            a.mul_right_gen(3)
+
+
 class TestAnnihilation:
     def test_wide_middle_block_kills_conjugate_y(self):
         # over two-row shapes, a middle block wider than the top row is fatal
@@ -267,7 +309,61 @@ class TestAnnihilation:
                             assert elem.is_zero, (comp, d, m)
 
 
+def _specht_check_in_algebra(comb):
+    """The Specht test run on standard-basis expansions over the whole
+    algebra: the reference the tabloid-coordinate test is compared with."""
+    shape = comb.shape
+    if shape.n == 0:
+        return True
+    total = HeckeElem.zero(shape.n)
+    for tab, coeff in comb.items():
+        total = total + image_h3(tab).scale(coeff)
+    if total.is_zero:
+        return True
+    total = total.mul_t(w_mu(shape))
+    conj = Partition(shape.stripped).conjugate()
+    return _mul_y_blocks(total, conj).is_zero
+
+
+GARNIR_DATA_6 = list(iter_valid_data(6, 4))
+
+
+@st.composite
+def specht_combinations(draw):
+    """Relations, single maps and straightening differences at degree <= 6,
+    values <= 4, optionally with one coefficient times a power of q."""
+    kind = draw(st.sampled_from(("relation", "single", "straightened")))
+    if kind == "relation":
+        comb = garnir_relation(draw(st.sampled_from(GARNIR_DATA_6)))
+    else:
+        tab = draw(tableaux(max_n=6, max_value=4))
+        comb = LinComb.single(tab)
+        if kind == "straightened":
+            comb = comb - semistandardize(tab)
+    if comb.is_zero or not draw(st.booleans()):
+        return comb
+    tab, coeff = draw(st.sampled_from(comb.items()))
+    power = draw(st.sampled_from((-2, -1, 1, 2)))
+    return comb.add_term(tab, coeff.shift(power) - coeff)
+
+
 class TestSpechtCheck:
+    def test_tabloid_check_matches_algebra(self):
+        verdicts = set()
+
+        @given(specht_combinations())
+        @settings(max_examples=100, deadline=None)
+        def agree(comb):
+            for tab in comb.support():
+                expect = tabloid_coords(image_h3(tab), tab.type())
+                assert _image_vector(tab) == expect, tab
+            verdict = specht_check(comb)
+            assert verdict == _specht_check_in_algebra(comb), comb.to_text()
+            verdicts.add(verdict)
+
+        agree()
+        assert verdicts == {True, False}
+
     def test_small_relation_vanishes(self):
         datum = GarnirDatum(Multiset(()), Multiset((1, 1, 2)), Multiset((2,)), 2)
         assert specht_check(garnir_relation(datum)) is True
@@ -346,3 +442,12 @@ class TestCompositionProps:
     def test_cap_rejected(self):
         with pytest.raises(ValueError):
             verify_composition_props(9)
+
+    def test_cap_follows_environment(self, monkeypatch):
+        monkeypatch.setenv("HECKEHOM_ORACLE_CAP", "3")
+        with pytest.raises(OracleCapError):
+            verify_composition_props(4, value_cap=1)
+        assert verify_composition_props(3, value_cap=1).ok
+        monkeypatch.setenv("HECKEHOM_ORACLE_CAP", "9")
+        report = verify_composition_props(9, value_cap=1, samples=0)
+        assert report.ok and set(report.checked.values()) == {0}
