@@ -2,21 +2,33 @@
 """Check every two-row relation against the brute-force model.
 
 Enumerates all valid relation data up to a degree and value cap, runs
-specht_check on each, and reports progress and any counterexamples.
+specht_check on each, and reports progress and any counterexamples.  With
+--reference each relation is also compared, term by term, with the
+per-split reference construction kept in tests/garnir_reference.py.
+
+    PYTHONPATH=src python3 scripts/sweep_garnir.py --degree 8 --values 4 --reference
 """
 
 import argparse
+import functools
 import multiprocessing
 import sys
 import time
+from pathlib import Path
 
 from heckehom import GarnirDatum, Multiset, garnir_relation, iter_valid_data, specht_check
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.garnir_reference import reference_relation  # noqa: E402
 
-def check_one(packed: tuple) -> tuple[tuple, bool]:
+
+def check_one(packed: tuple, reference: bool = False) -> tuple[tuple, bool]:
     top, pool, bottom, top_len = packed
     datum = GarnirDatum(Multiset(top), Multiset(pool), Multiset(bottom), top_len)
-    return packed, specht_check(garnir_relation(datum))
+    rel = garnir_relation(datum)
+    if reference and rel.items() != reference_relation(datum).items():
+        return packed, False
+    return packed, specht_check(rel)
 
 
 def pack(datum: GarnirDatum) -> tuple:
@@ -31,11 +43,15 @@ def main() -> int:
     parser.add_argument("--values", type=int, default=4,
                         help="largest entry value (default 4)")
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--reference", action="store_true",
+                        help="also compare each relation with the per-split reference")
     args = parser.parse_args()
+    check = functools.partial(check_one, reference=args.reference)
 
     work = [pack(d) for d in iter_valid_data(args.degree, args.values)]
     print(f"checking {len(work)} relation data "
-          f"(degree <= {args.degree}, values <= {args.values})")
+          f"(degree <= {args.degree}, values <= {args.values}"
+          f"{', against the per-split reference' if args.reference else ''})")
     started = time.monotonic()
     failures = []
     done = 0
@@ -53,11 +69,11 @@ def main() -> int:
 
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            for result in pool.imap_unordered(check_one, work, chunksize=8):
+            for result in pool.imap_unordered(check, work, chunksize=8):
                 consume(result)
     else:
         for packed in work:
-            consume(check_one(packed))
+            consume(check(packed))
 
     elapsed = time.monotonic() - started
     print(f"done: {len(work) - len(failures)}/{len(work)} passed "

@@ -175,6 +175,15 @@ class Multiset:
         ms._elements = _sorted_elements(counts)
         return ms
 
+    @classmethod
+    def _from_counts(cls, vector: Sequence[int]) -> "Multiset":
+        # internal: trusted count vector, vector[v - 1] copies of the value v
+        ms = object.__new__(cls)
+        ms._counts = {v: m for v, m in enumerate(vector, start=1) if m}
+        ms._elements = tuple(itertools.chain.from_iterable(
+            itertools.repeat(v, m) for v, m in ms._counts.items()))
+        return ms
+
     @property
     def size(self) -> int:
         return len(self._elements)

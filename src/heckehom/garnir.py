@@ -10,12 +10,23 @@ submodule.  Solving that identity for the term that reproduces a given
 tableau (whose coefficient is always exactly 1) rewrites one homomorphism
 as a combination of strictly smaller ones; iterating is what the
 straightening module does.
+
+A relation is built from multiplicity vectors alone.  Write a_v, p_v and
+b_v for the number of copies of the value v in the fixed top part, the
+pool and the fixed bottom part.  A split sends x_v of the pooled v's to the
+top row, and its coefficient factorises over values: the quantum binomials
+[a_v + x_v choose a_v] and [b_v + p_v - x_v choose b_v], times q to the sum
+over v of x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over
+u < v).  One recursion over the pooled values, from the largest take down,
+carries that product and that exponent, so every term costs one step per
+pooled value and no multiset arithmetic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
 from .errors import ParseError, StraighteningError
 from .combinat import (
@@ -24,23 +35,11 @@ from .combinat import (
     Multiset,
     Tableau,
     as_composition,
-    cross_pairs,
     format_tableau_inline,
     iter_multisets,
     tableau_from_json,
-    type_composition,
 )
-from .qcoeff import LaurentPoly, quantum_binomial
-
-Coeffish = Union[LaurentPoly, int]
-
-
-def _as_poly(value: Coeffish) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, int):
-        return LaurentPoly.monomial(0, value)
-    raise TypeError(f"expected a Laurent polynomial or int, got {type(value).__name__}")
+from .qcoeff import IntoPoly, LaurentPoly, _as_poly, quantum_binomial
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ class LinComb:
     __slots__ = ("_shape", "_type", "_terms")
 
     def __init__(self, shape: IntoComposition, type_: IntoComposition,
-                 terms: Mapping[Tableau, Coeffish] = ()):
+                 terms: Mapping[Tableau, IntoPoly] = ()):
         self._shape = as_composition(shape)
         self._type = as_composition(type_)
         acc: dict[Tableau, LaurentPoly] = {}
@@ -89,7 +88,7 @@ class LinComb:
         return cls(shape, type_, {})
 
     @classmethod
-    def single(cls, tab: Tableau, coeff: Coeffish = 1) -> "LinComb":
+    def single(cls, tab: Tableau, coeff: IntoPoly = 1) -> "LinComb":
         return cls(tab.shape, tab.type(), {tab: coeff})
 
     @property
@@ -145,14 +144,14 @@ class LinComb:
     def __neg__(self) -> "LinComb":
         return self.scale(-1)
 
-    def scale(self, factor: Coeffish) -> "LinComb":
+    def scale(self, factor: IntoPoly) -> "LinComb":
         poly = _as_poly(factor)
         if not poly:
             return LinComb._raw(self._shape, self._type, {})
         return LinComb._raw(self._shape, self._type,
                             {tab: c * poly for tab, c in self._terms.items()})
 
-    def add_term(self, tab: Tableau, coeff: Coeffish) -> "LinComb":
+    def add_term(self, tab: Tableau, coeff: IntoPoly) -> "LinComb":
         return self + LinComb.single(tab, coeff)
 
     def __eq__(self, other: object) -> bool:
@@ -207,7 +206,7 @@ class LinComb:
 
 
 # ---------------------------------------------------------------------------
-# relation data and splits
+# relation data and the relation
 # ---------------------------------------------------------------------------
 
 
@@ -260,81 +259,56 @@ class GarnirDatum:
         return Composition((self.top_len, self.bottom_len))
 
 
-@dataclass(frozen=True)
-class Split:
-    """One division of a datum's pool: ``to_top`` joins the top row,
-    ``to_bottom`` the bottom row."""
-
-    to_top: Multiset
-    to_bottom: Multiset
-
-
-def enumerate_splits(datum: GarnirDatum) -> Iterator[Split]:
-    """All splits of the datum's pool, in deterministic order.
-
-    Order follows Multiset.sub_multisets on the top part: ascending
-    lexicographic in the sorted elements sent to the top row.
-    """
-    for to_top in datum.pool.sub_multisets(datum.take_size):
-        yield Split(to_top, datum.pool - to_top)
-
-
-def build_tableau(datum: GarnirDatum, split: Split) -> Tableau:
-    """The two-row tableau a split produces."""
-    return Tableau(datum.shape,
-                   [datum.fixed_top + split.to_top,
-                    datum.fixed_bottom + split.to_bottom])
-
-
-def split_from_tableau(datum: GarnirDatum, tab: Tableau) -> Split:
-    """Inverse of build_tableau; raises ValueError if tab does not arise."""
-    if tab.shape != datum.shape:
-        raise ValueError(f"tableau shape {tab.shape} != datum shape {datum.shape}")
-    to_top = tab.rows[0] - datum.fixed_top
-    to_bottom = tab.rows[1] - datum.fixed_bottom
-    if to_top + to_bottom != datum.pool:
-        raise ValueError("tableau rows do not split the datum's pool")
-    return Split(to_top, to_bottom)
-
-
-def split_coefficient(datum: GarnirDatum, split: Split) -> LaurentPoly:
-    """The coefficient the relation attaches to one split.
-
-    A product over values v of the quantum binomials counting how the v's
-    interleave into each row, times q to a power counting how pool elements
-    sent to opposite rows cross the fixed parts:
-
-    >>> from .combinat import Multiset
-    >>> d = GarnirDatum(Multiset(), Multiset([1, 1, 2, 2, 3, 4]), Multiset([3, 3, 3]), 5)
-    >>> s = Split(Multiset([1, 1, 2, 2, 3]), Multiset([4]))
-    >>> str(split_coefficient(d, s))
-    'q^3'
-    """
-    coeff = LaurentPoly.one()
-    for v in datum.fixed_top.support():
-        coeff = coeff * quantum_binomial(
-            datum.fixed_top.count(v) + split.to_top.count(v), datum.fixed_top.count(v))
-    for v in datum.fixed_bottom.support():
-        coeff = coeff * quantum_binomial(
-            datum.fixed_bottom.count(v) + split.to_bottom.count(v),
-            datum.fixed_bottom.count(v))
-    exponent = (cross_pairs(datum.fixed_top, split.to_top)
-                + cross_pairs(split.to_bottom, datum.fixed_bottom))
-    return coeff.shift(exponent)
-
-
 def garnir_relation(datum: GarnirDatum) -> LinComb:
     """The full relation: a combination that vanishes on the Specht submodule.
 
-    The sum runs over every split.  Distinct splits give distinct
-    tableaux, since the top row determines the split by multiset
-    subtraction, and no coefficient vanishes, since each is a product of
-    quantum binomials and a power of q.
+    The sum runs over every split of the pool, in ascending lexicographic
+    order of the sorted elements sent to the top row.  Distinct splits give
+    distinct tableaux, since the top row determines the split, and no
+    coefficient vanishes, since each is a product of quantum binomials and
+    a power of q.
     """
-    content = datum.fixed_top + datum.pool + datum.fixed_bottom
-    terms = {build_tableau(datum, split): split_coefficient(datum, split)
-             for split in enumerate_splits(datum)}
-    return LinComb._raw(datum.shape, type_composition(content), terms)
+    top = max(datum.fixed_top.max_value(), datum.pool.max_value(),
+              datum.fixed_bottom.max_value())
+    # Count vectors: entry i counts the copies of the value i + 1.
+    a, p, b = ([ms.count(v) for v in range(1, top + 1)]
+               for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
+    shape = datum.shape
+    type_ = Composition([a[i] + p[i] + b[i] for i in range(top)])
+    # above[i]: fixed top entries larger than the value i + 1; below[i]:
+    # fixed bottom entries smaller than it.
+    above, below = [0] * top, [0] * top
+    for i in range(top - 2, -1, -1):
+        above[i] = above[i + 1] + a[i + 1]
+    for i in range(1, top):
+        below[i] = below[i - 1] + b[i - 1]
+    pooled = [i for i in range(top) if p[i]]
+    room = [0] * (len(pooled) + 1)  # pool entries at or after each pooled value
+    for k in range(len(pooled) - 1, -1, -1):
+        room[k] = room[k + 1] + p[pooled[k]]
+    # Row counts of the current split; each level writes its own value's.
+    upper, lower = list(a), list(b)
+    terms: dict[Tableau, LaurentPoly] = {}
+
+    def rec(k: int, remaining: int, coeff: LaurentPoly, exponent: int) -> None:
+        if k == len(pooled):
+            rows = (Multiset._from_counts(upper), Multiset._from_counts(lower))
+            terms[Tableau._raw(shape, rows, type_)] = coeff.shift(exponent)
+            return
+        i = pooled[k]
+        a_i, p_i, b_i = a[i], p[i], b[i]
+        for take in range(min(p_i, remaining), max(0, remaining - room[k + 1]) - 1, -1):
+            term = coeff
+            if a_i and take:
+                term = term * quantum_binomial(a_i + take, a_i)
+            if b_i and take < p_i:
+                term = term * quantum_binomial(b_i + p_i - take, b_i)
+            upper[i], lower[i] = a_i + take, b_i + p_i - take
+            rec(k + 1, remaining - take, term,
+                exponent + take * above[i] + (p_i - take) * below[i])
+
+    rec(0, datum.take_size, LaurentPoly.one(), 0)
+    return LinComb._raw(shape, type_, terms)
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
@@ -386,13 +360,13 @@ def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDa
         col = columns[-1]
     else:
         raise ValueError(f"unknown column rule {column_rule!r}")
-    pivot = tab.row_lists()[0][col]
-    top, bottom = tab.rows
-    fixed_top = Multiset(a for a in top.elements() if a < pivot)
-    pool = (Multiset(a for a in top.elements() if a >= pivot)
-            + Multiset(a for a in bottom.elements() if a <= pivot))
-    fixed_bottom = Multiset(a for a in bottom.elements() if a > pivot)
-    return GarnirDatum(fixed_top, pool, fixed_bottom, tab.shape.part(0))
+    top, bottom = tab.row_lists()
+    pivot = top[col]
+    # Rows are sorted, so each part is a slice at the pivot.
+    cut_top, cut_bottom = bisect_left(top, pivot), bisect_right(bottom, pivot)
+    return GarnirDatum(Multiset(top[:cut_top]),
+                       Multiset(top[cut_top:] + bottom[:cut_bottom]),
+                       Multiset(bottom[cut_bottom:]), tab.shape.part(0))
 
 
 def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:

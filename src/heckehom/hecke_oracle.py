@@ -31,7 +31,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 from .errors import OracleCapError, TabloidMembershipError
 from .combinat import (
@@ -60,7 +60,7 @@ from .garnir import (
     garnir_relation,
     iter_valid_data,
 )
-from .qcoeff import LaurentPoly, quantum_binomial
+from .qcoeff import IntoPoly, LaurentPoly, _as_poly, quantum_binomial
 
 DEFAULT_CAP = 8
 CAP_ENV_VAR = "HECKEHOM_ORACLE_CAP"
@@ -96,15 +96,6 @@ def _require_within_cap(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-Coeffish = Union[LaurentPoly, int]
-
-
-def _as_poly(value: Coeffish) -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    return LaurentPoly.monomial(0, int(value))
-
-
 def _add_into(acc: dict[Perm, LaurentPoly], w: Perm, poly: LaurentPoly) -> None:
     """Add poly to the coefficient at w, dropping the entry if it cancels."""
     total = acc.get(w)
@@ -124,7 +115,7 @@ class HeckeElem:
 
     __slots__ = ("_n", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[Perm, Coeffish] = ()):
+    def __init__(self, n: int, terms: Mapping[Perm, IntoPoly] = ()):
         self._n = n
         acc: dict[Perm, LaurentPoly] = {}
         for w, coeff in dict(terms).items():
@@ -192,7 +183,7 @@ class HeckeElem:
     def __neg__(self) -> "HeckeElem":
         return self.scale(-1)
 
-    def scale(self, factor: Coeffish) -> "HeckeElem":
+    def scale(self, factor: IntoPoly) -> "HeckeElem":
         poly = _as_poly(factor)
         if not poly:
             return HeckeElem.zero(self._n)
@@ -254,7 +245,9 @@ def mul(a: HeckeElem, b: HeckeElem) -> HeckeElem:
     return a.mul(b)
 
 
-@lru_cache(maxsize=None)
+# The test suite asks for about 1.2k distinct words, one oracle benchmark
+# pass for about 1.1k.
+@lru_cache(maxsize=4096)
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A reduced word for w, found by repeatedly stripping a right descent.
 
@@ -309,7 +302,8 @@ def young_subgroup(comp: IntoComposition) -> tuple[Perm, ...]:
     return _young_subgroup_cached(tuple(p for p in comp.parts if p))
 
 
-@lru_cache(maxsize=None)
+# The test suite asks for under 60 distinct subgroups.
+@lru_cache(maxsize=256)
 def _young_subgroup_cached(parts: tuple[int, ...]) -> tuple[Perm, ...]:
     per_block: list[list[tuple[int, ...]]] = []
     offset = 0
@@ -360,7 +354,9 @@ def coset_reps(fine: IntoComposition, coarse: IntoComposition) -> tuple[Perm, ..
     return _coset_reps_cached(fine.stripped, coarse.stripped)
 
 
-@lru_cache(maxsize=None)
+# The test suite asks for about 4.8k distinct pairs, one oracle benchmark
+# pass for about 120.
+@lru_cache(maxsize=8192)
 def _coset_reps_cached(fine: tuple[int, ...],
                        coarse: tuple[int, ...]) -> tuple[Perm, ...]:
     groups: list[list[int]] = []
@@ -555,7 +551,7 @@ class TabloidVector:
             _add_into(acc, d, poly)
         return TabloidVector(self.composition, acc)
 
-    def scale(self, factor: Coeffish) -> "TabloidVector":
+    def scale(self, factor: IntoPoly) -> "TabloidVector":
         poly = _as_poly(factor)
         if not poly:
             return TabloidVector(self.composition, {})
@@ -902,8 +898,14 @@ def verify_composition_props(n_cap: int, value_cap: int = 4,
 
     With samples=None every instance up to the caps is checked; otherwise a
     seeded uniform sample of that many instances per identity.  jobs > 1
-    distributes the checks over worker processes.
+    distributes the checks over worker processes.  Every count must be at
+    least 1: a sweep that checks nothing raises ValueError instead of
+    reporting success.
     """
+    for name, value in (("n_cap", n_cap), ("value_cap", value_cap),
+                        ("samples", samples), ("jobs", jobs)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     _require_within_cap(n_cap)
     report = PropsReport()
     work: list[Instance] = []

@@ -268,6 +268,14 @@ class LaurentPoly:
         return cls._raw(acc)
 
 
+def _as_poly(value: IntoPoly) -> LaurentPoly:
+    """A coefficient given as a Laurent polynomial or an int, as a polynomial."""
+    poly = LaurentPoly._coerce(value)
+    if poly is NotImplemented:
+        raise TypeError(f"expected a Laurent polynomial or int, got {type(value).__name__}")
+    return poly
+
+
 def quantum_int(n: int) -> LaurentPoly:
     """The quantum integer [n] = 1 + q + ... + q^(n-1); [0] = 0.
 

@@ -201,6 +201,25 @@ class TestVerify:
                              "--samples", "10", "--seed", "5", "--jobs", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("argv,name", [
+        (["--props", "-1"], "n_cap"),
+        (["--props", "2", "--values", "0"], "value_cap"),
+        (["--props", "2", "--samples", "-3"], "samples"),
+        (["--props", "2", "--jobs", "0"], "jobs"),
+    ])
+    def test_props_sweep_that_checks_nothing_is_rejected(self, capsys, argv, name):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
+    def test_props_degree_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--props", "1")
+        assert code == 0
+        counts = [int(line.split(": ")[1].split()[0]) for line in out.splitlines()]
+        assert sum(counts) == 40
+
 
 def test_console_entry_point():
     proc = subprocess.run(

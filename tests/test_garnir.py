@@ -1,9 +1,13 @@
-"""Two-row relation data, splits, coefficients, and linear combinations."""
+"""Two-row relation data, splits, coefficients, and linear combinations.
+
+Split-level properties are checked on the per-split reference in
+``garnir_reference``, and ``garnir_relation`` is checked against it.
+"""
 
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heckehom import (
     Composition,
@@ -12,22 +16,38 @@ from heckehom import (
     LinComb,
     Multiset,
     ParseError,
-    build_tableau,
-    enumerate_splits,
     garnir_relation,
     iter_valid_data,
     parse_tableau,
-    split_coefficient,
-    split_from_tableau,
     straightening_datum,
     two_row_straighten_step,
 )
 
+from .garnir_reference import (
+    Split,
+    build_tableau,
+    enumerate_splits,
+    reference_relation,
+    split_coefficient,
+    split_from_tableau,
+)
 from .strategies import multisets
 
 
 def small_data():
     return st.sampled_from(list(iter_valid_data(6, 4)))
+
+
+@st.composite
+def large_data(draw, max_n: int = 16, max_value: int = 6) -> GarnirDatum:
+    """Valid data up to degree max_n: any sizes iter_valid_data would visit."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    top_len = draw(st.integers(min_value=(n + 1) // 2, max_value=n - 1))
+    r_size = draw(st.integers(min_value=0, max_value=min(top_len, n - top_len - 1)))
+    s_size = draw(st.integers(min_value=top_len + 1, max_value=n - r_size))
+    parts = [draw(multisets(max_size=k, min_size=k, max_value=max_value))
+             for k in (r_size, s_size, n - r_size - s_size)]
+    return GarnirDatum(*parts, top_len)
 
 
 class TestDatumValidation:
@@ -74,6 +94,11 @@ class TestSplits:
             assert coeff.min_exponent() >= 0
             assert all(c > 0 for _, c in coeff.items())
 
+    def test_split_coefficient_worked_example(self):
+        d = GarnirDatum(Multiset(), Multiset([1, 1, 2, 2, 3, 4]), Multiset([3, 3, 3]), 5)
+        s = Split(Multiset([1, 1, 2, 2, 3]), Multiset([4]))
+        assert str(split_coefficient(d, s)) == "q^3"
+
 
 class TestRelation:
     def test_worked_small_example(self):
@@ -89,6 +114,23 @@ class TestRelation:
     def test_one_term_per_split(self, datum):
         rel = garnir_relation(datum)
         assert len(rel) == len(list(enumerate_splits(datum)))
+
+    @staticmethod
+    def _assert_matches_reference(datum):
+        rel, ref = garnir_relation(datum), reference_relation(datum)
+        assert (rel.shape, rel.type) == (ref.shape, ref.type), datum
+        assert rel.items() == ref.items(), datum
+
+    def test_relation_matches_per_split_reference(self):
+        data = list(iter_valid_data(7, 4))
+        assert len(data) == 6780
+        for datum in data:
+            self._assert_matches_reference(datum)
+
+    @given(large_data())
+    @settings(deadline=None)
+    def test_relation_matches_per_split_reference_up_to_degree_16(self, datum):
+        self._assert_matches_reference(datum)
 
     def test_relation_never_empty(self):
         datum = GarnirDatum(Multiset(()), Multiset((1, 2)), Multiset(()), 1)

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from heckehom import LaurentPoly, quantum_binomial, quantum_factorial, quantum_int
+from heckehom import (
+    HeckeElem,
+    LaurentPoly,
+    LinComb,
+    parse_tableau,
+    quantum_binomial,
+    quantum_factorial,
+    quantum_int,
+)
 
 from .strategies import laurent_polys
 
@@ -106,3 +114,11 @@ class TestQuantumNumbers:
             for r in range(0, n + 1):
                 value = quantum_binomial(n, r).specialize(Fraction(1))
                 assert value == comb(n, r)
+
+
+def test_coefficients_must_be_polynomials_or_ints():
+    message = "expected a Laurent polynomial or int, got str"
+    with pytest.raises(TypeError, match=message):
+        LinComb.single(parse_tableau("1"), "q")
+    with pytest.raises(TypeError, match=message):
+        HeckeElem(1, {(1,): "q"})
