@@ -7,8 +7,9 @@ Conventions used throughout the package:
   form as tuples: ``w[k-1]`` is the image of k.  Products compose left to
   right, so ``perm_mul(v, w)`` sends k to w(v(k)).
 * A tableau of shape mu and type lam holds lam_i copies of the value i,
-  with row r holding exactly mu_r entries.  Rows are multisets; written out,
-  each row is read in weakly increasing order.
+  with row r holding exactly mu_r entries.  Rows are multisets, stored as
+  tuples of their entries in weakly increasing order; the ``Multiset`` view
+  of each row is built only when asked for.
 * The row-reading filling of a shape places 1..n left to right along
   successive rows; the column-reading filling (partitions only) places 1..n
   down successive columns.
@@ -175,15 +176,6 @@ class Multiset:
         ms._elements = _sorted_elements(counts)
         return ms
 
-    @classmethod
-    def _from_counts(cls, vector: Sequence[int]) -> "Multiset":
-        # internal: trusted count vector, vector[v - 1] copies of the value v
-        ms = object.__new__(cls)
-        ms._counts = {v: m for v, m in enumerate(vector, start=1) if m}
-        ms._elements = tuple(itertools.chain.from_iterable(
-            itertools.repeat(v, m) for v, m in ms._counts.items()))
-        return ms
-
     @property
     def size(self) -> int:
         return len(self._elements)
@@ -205,9 +197,6 @@ class Multiset:
 
     def max_value(self) -> int:
         return max(self._counts) if self._counts else 0
-
-    def element_sum(self) -> int:
-        return sum(self._elements)
 
     def __contains__(self, value: int) -> bool:
         return value in self._counts
@@ -323,10 +312,11 @@ class Tableau:
     The shape is normalized by stripping trailing zero parts (together with
     the corresponding empty rows), so equality and hashing see only the
     meaningful rows.  Internal zero parts are kept: they matter for shapes
-    like (0, 2).
+    like (0, 2).  Rows are held as sorted tuples of entries; the stripped
+    shape is their tuple of lengths, so the rows alone decide equality.
     """
 
-    __slots__ = ("_shape", "_rows", "_type", "_row_lists", "_hash")
+    __slots__ = ("_shape", "_row_tuples", "_rows", "_type", "_hash")
 
     def __init__(self, shape: IntoComposition, rows: Iterable[Iterable[int] | Multiset]):
         shape = as_composition(shape)
@@ -343,21 +333,22 @@ class Tableau:
                 raise ValueError(
                     f"row {i + 1} has {row.size} entries but shape part is {width}")
         self._shape = Composition(parts)
-        self._rows = row_ms
+        self._row_tuples = tuple(r.elements() for r in row_ms)
+        self._rows: tuple[Multiset, ...] | None = row_ms
         self._type: Composition | None = None
-        self._row_lists: tuple[tuple[int, ...], ...] | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _raw(cls, shape: Composition, rows: tuple[Multiset, ...],
-             type_: Composition) -> "Tableau":
-        # internal: trusted rows that fill the already-stripped shape, and
-        # the type of their content
+    def _raw(cls, shape: Composition, rows: tuple[tuple[int, ...], ...],
+             type_: Composition | None) -> "Tableau":
+        # internal: trusted sorted rows of positive entries that fill the
+        # already-stripped shape, and the type of their content (None: work
+        # it out when first asked)
         tab = object.__new__(cls)
         tab._shape = shape
-        tab._rows = rows
+        tab._row_tuples = rows
+        tab._rows = None
         tab._type = type_
-        tab._row_lists = None
         tab._hash = None
         return tab
 
@@ -367,21 +358,20 @@ class Tableau:
 
     @property
     def rows(self) -> tuple[Multiset, ...]:
+        if self._rows is None:
+            self._rows = tuple(Multiset(r) for r in self._row_tuples)
         return self._rows
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self._row_tuples)
 
     @property
     def n(self) -> int:
         return self._shape.n
 
     def content(self) -> Multiset:
-        acc = Multiset()
-        for row in self._rows:
-            acc = acc + row
-        return acc
+        return Multiset(itertools.chain.from_iterable(self._row_tuples))
 
     def type(self) -> Composition:
         if self._type is None:
@@ -390,26 +380,24 @@ class Tableau:
 
     def row_lists(self) -> tuple[tuple[int, ...], ...]:
         """Rows written out in weakly increasing order."""
-        if self._row_lists is None:
-            self._row_lists = tuple(r.elements() for r in self._rows)
-        return self._row_lists
+        return self._row_tuples
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """Deterministic ordering key: the tuple of sorted rows."""
-        return self.row_lists()
+        return self._row_tuples
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tableau):
             return NotImplemented
-        return self._shape == other._shape and self.row_lists() == other.row_lists()
+        return self._row_tuples == other._row_tuples
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._shape, self.row_lists()))
+            self._hash = hash(self._row_tuples)
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Tableau({list(self._shape.stripped)}, {[list(r.elements()) for r in self._rows]})"
+        return f"Tableau({list(self._shape.stripped)}, {[list(r) for r in self._row_tuples]})"
 
 
 def is_semistandard(tab: Tableau) -> bool:
@@ -553,8 +541,21 @@ def enumerate_row_standard(shape: IntoComposition, type_: IntoComposition) -> li
     sub-multisets in ascending order of sorted element tuples; the overall
     order is lexicographic in the resulting row sequences.
     """
+    return _enumerate(as_composition(shape), as_composition(type_), column_strict=False)
+
+
+def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> list[Tableau]:
+    """The semistandard subsequence of enumerate_row_standard."""
     shape = as_composition(shape)
-    type_ = as_composition(type_)
+    if not shape.is_partition:
+        raise ValueError(f"semistandard enumeration needs a partition shape, got {shape}")
+    return _enumerate(shape, as_composition(type_), column_strict=True)
+
+
+def _enumerate(shape: Composition, type_: Composition, column_strict: bool) -> list[Tableau]:
+    # With column_strict, a row choice that breaks a column with the row
+    # above is skipped together with every completion of it, which leaves
+    # exactly the semistandard tableaux, in the same order.
     if shape.n != type_.n:
         return []
     pool = Multiset({v: m for v, m in enumerate(type_.parts, start=1) if m})
@@ -566,20 +567,16 @@ def enumerate_row_standard(shape: IntoComposition, type_: IntoComposition) -> li
             out.append(Tableau(shape, list(rows)))
             return
         for choice in remaining.sub_multisets(parts[idx]):
+            if column_strict and rows and any(
+                    lower <= upper for upper, lower
+                    in zip(rows[-1].elements(), choice.elements())):
+                continue
             rows.append(choice)
             rec(idx + 1, remaining - choice, rows)
             rows.pop()
 
     rec(0, pool, [])
     return out
-
-
-def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> list[Tableau]:
-    """The semistandard subsequence of enumerate_row_standard."""
-    shape = as_composition(shape)
-    if not shape.is_partition:
-        raise ValueError(f"semistandard enumeration needs a partition shape, got {shape}")
-    return [t for t in enumerate_row_standard(shape, type_) if is_semistandard(t)]
 
 
 def iter_fillings(shape: IntoComposition, max_value: int) -> Iterator[Tableau]:

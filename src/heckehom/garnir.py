@@ -19,13 +19,15 @@ top row, and its coefficient factorises over values: the quantum binomials
 over v of x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over
 u < v).  One recursion over the pooled values, from the largest take down,
 carries that product and that exponent, so every term costs one step per
-pooled value and no multiset arithmetic.
+pooled value and no multiset arithmetic; each term's two rows are written
+out as sorted tuples straight from the count vectors.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator, Mapping
 
 from .errors import ParseError, StraighteningError
@@ -288,11 +290,13 @@ def garnir_relation(datum: GarnirDatum) -> LinComb:
         room[k] = room[k + 1] + p[pooled[k]]
     # Row counts of the current split; each level writes its own value's.
     upper, lower = list(a), list(b)
+    values = range(1, top + 1)
     terms: dict[Tableau, LaurentPoly] = {}
 
     def rec(k: int, remaining: int, coeff: LaurentPoly, exponent: int) -> None:
         if k == len(pooled):
-            rows = (Multiset._from_counts(upper), Multiset._from_counts(lower))
+            rows = (tuple(chain.from_iterable(map(repeat, values, upper))),
+                    tuple(chain.from_iterable(map(repeat, values, lower))))
             terms[Tableau._raw(shape, rows, type_)] = coeff.shift(exponent)
             return
         i = pooled[k]

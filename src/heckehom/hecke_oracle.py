@@ -237,14 +237,6 @@ class HeckeElem:
         return total
 
 
-def mul_right_gen(h: HeckeElem, i: int) -> HeckeElem:
-    return h.mul_right_gen(i)
-
-
-def mul(a: HeckeElem, b: HeckeElem) -> HeckeElem:
-    return a.mul(b)
-
-
 # The test suite asks for about 1.2k distinct words, one oracle benchmark
 # pass for about 1.1k.
 @lru_cache(maxsize=4096)

@@ -16,6 +16,10 @@ parents are merged, and a coefficient that cancels to zero prunes the whole
 subtree below it.  Rewrites are memoized on the two-row window they act on,
 for the length of one call.
 
+Inside the traversal a tableau is its rows, a tuple of sorted int tuples: a
+child is its parent's rows with one window swapped, and its weight is the
+parent's plus a change read off the window once.
+
 Two knobs choose which violation to attack first; every choice yields the
 same canonical form, which the test suite checks by comparing strategies.
 """
@@ -25,10 +29,12 @@ from __future__ import annotations
 import heapq
 from typing import Iterable
 
-from .combinat import Composition, Tableau, type_composition
+from .combinat import Composition, Tableau
 from .errors import StraighteningError
 from .garnir import LinComb, two_row_straighten_step
 from .qcoeff import LaurentPoly
+
+Rows = tuple[tuple[int, ...], ...]
 
 PAIR_RULES = ("topmost", "bottommost")
 COLUMN_RULES = ("leftmost", "rightmost")
@@ -41,7 +47,7 @@ def weight(tab: Tableau) -> int:
     strictly increases; it is bounded on the finitely many tableaux of a
     given shape and content, which forces termination.
     """
-    return sum(r * row.element_sum() for r, row in enumerate(tab.rows, start=1))
+    return sum(r * sum(row) for r, row in enumerate(tab.row_lists(), start=1))
 
 
 def _pair_violates(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
@@ -71,17 +77,17 @@ def embed_two_row(tab: Tableau, upper_row: int, rel: LinComb) -> LinComb:
     l = upper_row
     if not 1 <= l < tab.nrows:
         raise ValueError(f"row {l} is not the upper row of an adjacent pair")
-    window_shape = Composition((tab.shape.part(l - 1), tab.shape.part(l)))
-    window_type = type_composition(tab.rows[l - 1] + tab.rows[l])
-    if rel.shape != window_shape or rel.type != window_type:
+    rows = tab.row_lists()
+    window = Tableau((tab.shape.part(l - 1), tab.shape.part(l)), rows[l - 1: l + 1])
+    if rel.shape != window.shape or rel.type != window.type():
         raise ValueError(
             f"combination on shape {rel.shape} type {rel.type} does not fit "
-            f"window shape {window_shape} type {window_type}")
+            f"window shape {window.shape} type {window.type()}")
     # Distinct window tableaux give distinct children: the other rows are fixed.
     shape, type_ = tab.shape, tab.type()
-    before, after = tab.rows[: l - 1], tab.rows[l + 1:]
+    before, after = rows[: l - 1], rows[l + 1:]
     return LinComb._raw(shape, type_, {
-        Tableau._raw(shape, before + window_tab.rows + after, type_): coeff
+        Tableau._raw(shape, before + window_tab.row_lists() + after, type_): coeff
         for window_tab, coeff in rel._terms.items()})
 
 
@@ -98,45 +104,50 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
                 type_: Composition, pair_rule: str, column_rule: str) -> LinComb:
     """Canonical form of a combination given as nonzero (tableau, coefficient)
     pairs with distinct tableaux, all of one shape and type."""
-    pending: dict[Tableau, LaurentPoly] = {}
-    # Tableaux of one shape have distinct sort keys, so entries never
-    # compare their third items.
-    heap: list[tuple[int, tuple, Tableau]] = []
+    pending: dict[Rows, LaurentPoly] = {}
+    heap: list[tuple[int, Rows]] = []
     for tab, coeff in terms:
-        pending[tab] = coeff
-        heap.append((weight(tab), tab.sort_key(), tab))
+        pending[tab.row_lists()] = coeff
+        heap.append((weight(tab), tab.row_lists()))
     heapq.heapify(heap)
-    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], LinComb] = {}
+    # Per window: (new window rows, weight change, coefficient) per term of
+    # its rewrite.
+    moves: dict[Rows, list[tuple[Rows, int, LaurentPoly]]] = {}
     out: dict[Tableau, LaurentPoly] = {}
     while heap:
-        tab_weight, _, tab = heapq.heappop(heap)
-        coeff = pending.pop(tab)
+        tab_weight, rows = heapq.heappop(heap)
+        coeff = pending.pop(rows)
         if not coeff:
             continue
+        tab = Tableau._raw(shape, rows, type_)
         # Called through module globals so that perfbench/tracer.py can wrap them.
         l = find_violating_window(tab, pair_rule)
         if l is None:
             out[tab] = coeff
             continue
-        rows = tab.row_lists()
-        key = (rows[l - 1], rows[l])
-        step = steps.get(key)
-        if step is None:
-            window = Tableau(Composition((len(key[0]), len(key[1]))),
-                             tab.rows[l - 1: l + 1])
-            step = steps[key] = two_row_straighten_step(window, column_rule)
-        for child, child_coeff in embed_two_row(tab, l, step)._terms.items():
+        key = rows[l - 1: l + 1]
+        window_moves = moves.get(key)
+        if window_moves is None:
+            window = Tableau._raw(Composition((len(key[0]), len(key[1]))), key, None)
+            upper_sum = sum(key[0])
+            window_moves = moves[key] = [
+                (pair.row_lists(), upper_sum - sum(pair.row_lists()[0]), step_coeff)
+                for pair, step_coeff
+                in two_row_straighten_step(window, column_rule)._terms.items()]
+        before, after = rows[: l - 1], rows[l + 1:]
+        for pair, change, step_coeff in window_moves:
+            child = before + pair + after
             # This check is also what makes the heap order sound: nothing
             # can add to a tableau once it has been popped.
-            child_weight = weight(child)
+            child_weight = tab_weight + change
             if child_weight <= tab_weight:
                 raise StraighteningError(
                     f"rewrite failed to increase weight at {tab!r}")
-            contribution = coeff * child_coeff
+            contribution = coeff * step_coeff
             earlier = pending.get(child)
             if earlier is None:
                 pending[child] = contribution
-                heapq.heappush(heap, (child_weight, child.sort_key(), child))
+                heapq.heappush(heap, (child_weight, child))
             else:
                 pending[child] = earlier + contribution
     return LinComb._raw(shape, type_, out)

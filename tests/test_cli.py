@@ -87,8 +87,8 @@ class TestStraighten:
         assert out.strip() == "(-1) * 1 / 2"
 
     def test_engine_invariant_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(heckehom.straighten, "embed_two_row",
-                            lambda tab, upper_row, rel: LinComb.single(tab))
+        monkeypatch.setattr(heckehom.straighten, "two_row_straighten_step",
+                            lambda window, column_rule: LinComb.single(window))
         code, out, err = run(capsys, "straighten", "2 / 1")
         assert code == 5
         assert out == ""

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from heckehom import (
     Composition,
@@ -137,6 +137,23 @@ class TestTableau:
             return
         assert parse_tableau(format_tableau_inline(tab)) == tab
 
+    @given(tableaux(max_n=7, partition_shape=False))
+    @example(Tableau((0, 2), [[], [1, 2]]))
+    @example(Tableau((2, 0, 1, 0), [[1, 3], [], [2]]))
+    def test_trusted_constructor_matches_public(self, tab):
+        raw = Tableau._raw(tab.shape, tab.row_lists(), None)
+        assert raw == tab and tab == raw
+        assert hash(raw) == hash(tab)
+        assert raw.rows == tab.rows
+        assert raw.type() == tab.type() == type_composition(tab.content())
+        assert raw.content() == tab.content()
+        assert raw.sort_key() == tab.sort_key()
+        assert repr(raw) == repr(tab)
+
+    def test_shape_zero_parts_and_equality(self):
+        assert Tableau((2, 1), [[1, 1], [2]]) == Tableau((2, 1, 0), [[1, 1], [2], []])
+        assert Tableau((2,), [[1, 2]]) != Tableau((0, 2), [[], [1, 2]])
+
     def test_parse_auto_sorts(self):
         assert parse_tableau("2 1 / 3") == parse_tableau("1 2 / 3")
         with pytest.raises(ParseError):
@@ -208,6 +225,14 @@ class TestEnumeration:
         assert [format_tableau_inline(t) for t in ssyt] == ["1 1 / 2"]
         none = enumerate_semistandard(Partition((1, 1)), Composition((2,)))
         assert none == []
+
+    def test_semistandard_matches_filtered_row_standard(self):
+        for n in range(7):
+            for parts in iter_partitions(n):
+                for type_ in iter_compositions(n, 4):
+                    want = [t for t in enumerate_row_standard(parts, type_)
+                            if is_semistandard(t)]
+                    assert enumerate_semistandard(parts, type_) == want, (parts, type_)
 
     def test_fillings_cover_all_types(self):
         shape = Composition((2, 1))
