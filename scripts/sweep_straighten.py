@@ -5,7 +5,9 @@ Enumerates every filling of every partition shape up to a degree and value
 cap; for each, verifies that the input map minus its semistandard expansion
 vanishes on the module and that every output tableau is semistandard.  With
 --reference each expansion is also compared with the memo-of-expansions
-traversal kept in tests/straighten_reference.py.
+traversal kept in tests/straighten_reference.py.  That comparison is a
+cross-strategy check too: the expansion uses the default rules (bottommost
+pair, leftmost column), the reference the topmost pair and leftmost column.
 
     PYTHONPATH=src python3 scripts/sweep_straighten.py --degree 7 --values 4 --reference
 """

@@ -32,6 +32,7 @@ from .combinat import (
 from .garnir import GarnirDatum, LinComb, garnir_relation
 from .straighten import (
     COLUMN_RULES,
+    DEFAULT_PAIR_RULE,
     PAIR_RULES,
     semistandardize,
 )
@@ -174,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="expand a tableau map into semistandard ones")
     p.add_argument("tableau",
                    help="rows separated by '/' (or '-' to read from stdin)")
-    p.add_argument("--pair-rule", choices=PAIR_RULES, default="topmost",
-                   help="which violating row pair to fix first")
+    p.add_argument("--pair-rule", choices=PAIR_RULES, default=DEFAULT_PAIR_RULE,
+                   help="which violating row pair to fix first (default: %(default)s)")
     p.add_argument("--column-rule", choices=COLUMN_RULES, default="leftmost",
                    help="which violating column to pivot on")
     p.add_argument("--q", type=_parse_q, default=None, metavar="RATIONAL",

@@ -169,11 +169,13 @@ class Multiset:
         self._elements = _sorted_elements(counts)
 
     @classmethod
-    def _raw(cls, counts: dict[int, int]) -> "Multiset":
-        # internal: trusted counts, values >= 1 with positive multiplicities
+    def _raw(cls, counts: dict[int, int],
+             elements: tuple[int, ...] | None = None) -> "Multiset":
+        # internal: trusted counts, values >= 1 with positive multiplicities,
+        # and their elements in ascending order if the caller has them
         ms = object.__new__(cls)
         ms._counts = counts
-        ms._elements = _sorted_elements(counts)
+        ms._elements = _sorted_elements(counts) if elements is None else elements
         return ms
 
     @property
@@ -238,9 +240,12 @@ class Multiset:
         for i in range(len(items) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + items[i][1]
 
-        def rec(idx: int, remaining: int, chosen: list[tuple[int, int]]) -> Iterator[Multiset]:
+        # Values are visited in ascending order, so the chosen elements
+        # grow already sorted.
+        def rec(idx: int, remaining: int, chosen: list[tuple[int, int]],
+                elements: tuple[int, ...]) -> Iterator[Multiset]:
             if remaining == 0:
-                yield Multiset._raw(dict(chosen))
+                yield Multiset._raw(dict(chosen), elements)
                 return
             if idx == len(items):
                 return
@@ -250,13 +255,14 @@ class Multiset:
             for take in range(hi, lo - 1, -1):
                 if take:
                     chosen.append((value, take))
-                yield from rec(idx + 1, remaining - take, chosen)
+                yield from rec(idx + 1, remaining - take, chosen,
+                               elements + (value,) * take)
                 if take:
                     chosen.pop()
 
         if not 0 <= size <= self.size:
             return iter(())
-        return rec(0, size, [])
+        return rec(0, size, [], ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multiset):

@@ -20,7 +20,9 @@ over v of x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over
 u < v).  One recursion over the pooled values, from the largest take down,
 carries that product and that exponent, so every term costs one step per
 pooled value and no multiset arithmetic; each term's two rows are written
-out as sorted tuples straight from the count vectors.
+out as sorted tuples straight from the count vectors.  The straightening
+step feeds that recursion directly: it cuts a tableau's two sorted rows at
+the pivot and counts the slices, with no datum in between.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, StraighteningError
 from .combinat import (
@@ -272,10 +274,27 @@ def garnir_relation(datum: GarnirDatum) -> LinComb:
     """
     top = max(datum.fixed_top.max_value(), datum.pool.max_value(),
               datum.fixed_bottom.max_value())
-    # Count vectors: entry i counts the copies of the value i + 1.
-    a, p, b = ([ms.count(v) for v in range(1, top + 1)]
-               for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
-    shape = datum.shape
+    return _relation_from_counts(
+        *(_count_vector(ms.elements(), top)
+          for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom)),
+        datum.top_len)
+
+
+def _count_vector(values: Iterable[int], top: int) -> list[int]:
+    # Entry i counts the copies of the value i + 1.
+    counts = [0] * top
+    for v in values:
+        counts[v - 1] += 1
+    return counts
+
+
+def _relation_from_counts(a: list[int], p: list[int], b: list[int],
+                          top_len: int, sign: int = 1) -> LinComb:
+    """sign times the relation of the datum whose fixed top part, pool and
+    fixed bottom part have the count vectors a, p and b; trusted to be
+    valid."""
+    top = len(a)
+    shape = Composition((top_len, sum(a) + sum(p) + sum(b) - top_len))
     type_ = Composition([a[i] + p[i] + b[i] for i in range(top)])
     # above[i]: fixed top entries larger than the value i + 1; below[i]:
     # fixed bottom entries smaller than it.
@@ -311,7 +330,7 @@ def garnir_relation(datum: GarnirDatum) -> LinComb:
             rec(k + 1, remaining - take, term,
                 exponent + take * above[i] + (p_i - take) * below[i])
 
-    rec(0, datum.take_size, LaurentPoly.one(), 0)
+    rec(0, top_len - sum(a), LaurentPoly.monomial(0, sign), 0)
     return LinComb._raw(shape, type_, terms)
 
 
@@ -337,9 +356,28 @@ def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
 # ---------------------------------------------------------------------------
 
 
-def _violating_columns(tab: Tableau) -> list[int]:
+def _pivot_cuts(tab: Tableau,
+                column_rule: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """The rows of a non-semistandard two-row tableau, and where the pivot
+    cuts each: entries of the top row before the first cut and of the bottom
+    row from the second cut on stay put; everything between is pooled."""
+    if tab.nrows != 2:
+        raise ValueError(f"need exactly two rows, got {tab.nrows}")
+    if not tab.shape.is_partition:
+        raise ValueError(f"top row must be at least as long: shape {tab.shape}")
     top, bottom = tab.row_lists()
-    return [c for c in range(len(bottom)) if bottom[c] <= top[c]]
+    if column_rule == "leftmost":
+        columns = range(len(bottom))
+    elif column_rule == "rightmost":
+        columns = range(len(bottom) - 1, -1, -1)
+    else:
+        raise ValueError(f"unknown column rule {column_rule!r}")
+    col = next((c for c in columns if bottom[c] <= top[c]), None)
+    if col is None:
+        raise ValueError("tableau is already semistandard; nothing to rewrite")
+    pivot = top[col]
+    # Rows are sorted, so each part is a slice at the pivot.
+    return top, bottom, bisect_left(top, pivot), bisect_right(bottom, pivot)
 
 
 def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDatum:
@@ -351,39 +389,29 @@ def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDa
     the top row, entries strictly above it stay in the bottom row, and
     everything else is pooled.
     """
-    if tab.nrows != 2:
-        raise ValueError(f"need exactly two rows, got {tab.nrows}")
-    if not tab.shape.is_partition:
-        raise ValueError(f"top row must be at least as long: shape {tab.shape}")
-    columns = _violating_columns(tab)
-    if not columns:
-        raise ValueError("tableau is already semistandard; nothing to rewrite")
-    if column_rule == "leftmost":
-        col = columns[0]
-    elif column_rule == "rightmost":
-        col = columns[-1]
-    else:
-        raise ValueError(f"unknown column rule {column_rule!r}")
-    top, bottom = tab.row_lists()
-    pivot = top[col]
-    # Rows are sorted, so each part is a slice at the pivot.
-    cut_top, cut_bottom = bisect_left(top, pivot), bisect_right(bottom, pivot)
+    top, bottom, cut_top, cut_bottom = _pivot_cuts(tab, column_rule)
     return GarnirDatum(Multiset(top[:cut_top]),
                        Multiset(top[cut_top:] + bottom[:cut_bottom]),
-                       Multiset(bottom[cut_bottom:]), tab.shape.part(0))
+                       Multiset(bottom[cut_bottom:]), len(top))
 
 
 def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:
     """Rewrite one non-semistandard two-row tableau via its relation.
 
     Returns the combination equal to the given tableau's homomorphism on the
-    Specht submodule: the relation of its datum with the input's own term
-    dropped and every other term negated.  The split reproducing the input
-    always carries coefficient exactly 1, so no division is ever needed;
-    StraighteningError is raised if it does not.
+    Specht submodule: the relation of its ``straightening_datum`` with the
+    input's own term dropped and every other term negated.  The relation is
+    built straight from the row tuples cut at the pivot, without the datum.
+    The split reproducing the input always carries coefficient exactly 1, so
+    no division is ever needed; StraighteningError is raised if it does not.
     """
-    rel = garnir_relation(straightening_datum(tab, column_rule))
-    terms = dict(rel._terms)
-    if terms.pop(tab, None) != 1:
+    top, bottom, cut_top, cut_bottom = _pivot_cuts(tab, column_rule)
+    largest = max(top[-1], bottom[-1])
+    # Built negated: dropping the input's own term, -1, leaves the rewrite.
+    rel = _relation_from_counts(
+        _count_vector(top[:cut_top], largest),
+        _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
+        _count_vector(bottom[cut_bottom:], largest), len(top), -1)
+    if rel._terms.pop(tab, None) != -1:
         raise StraighteningError(f"identity split coefficient is not 1 for {tab!r}")
-    return LinComb._raw(rel.shape, rel.type, {t: -c for t, c in terms.items()})
+    return rel

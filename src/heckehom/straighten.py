@@ -22,6 +22,11 @@ parent's plus a change read off the window once.
 
 Two knobs choose which violation to attack first; every choice yields the
 same canonical form, which the test suite checks by comparing strategies.
+The pair rule picks the adjacent pair of rows and defaults to
+``DEFAULT_PAIR_RULE``, ``"bottommost"``: on multi-row inputs it rewrites
+far fewer tableaux than ``"topmost"`` (README gives the counts).  The
+column rule picks the pivot column inside that pair and defaults to
+``"leftmost"``.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 PAIR_RULES = ("topmost", "bottommost")
 COLUMN_RULES = ("leftmost", "rightmost")
+DEFAULT_PAIR_RULE = "bottommost"
 
 
 def weight(tab: Tableau) -> int:
@@ -54,17 +60,21 @@ def _pair_violates(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     return any(lower[c] <= upper[c] for c in range(len(lower)))
 
 
-def find_violating_window(tab: Tableau, pair_rule: str = "topmost") -> int | None:
+def find_violating_window(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE) -> int | None:
     """1-based index of the upper row of an adjacent pair breaking
-    column-strictness, or None when the tableau is semistandard."""
-    if pair_rule not in PAIR_RULES:
+    column-strictness, or None when the tableau is semistandard.
+
+    The pairs are scanned from the end the pair rule names, and the scan
+    stops at the first that breaks.
+    """
+    if pair_rule == "topmost":
+        uppers = range(1, tab.nrows)
+    elif pair_rule == "bottommost":
+        uppers = range(tab.nrows - 1, 0, -1)
+    else:
         raise ValueError(f"unknown pair rule {pair_rule!r}")
     rows = tab.row_lists()
-    hits = [l for l in range(1, tab.nrows)
-            if _pair_violates(rows[l - 1], rows[l])]
-    if not hits:
-        return None
-    return hits[0] if pair_rule == "topmost" else hits[-1]
+    return next((l for l in uppers if _pair_violates(rows[l - 1], rows[l])), None)
 
 
 def embed_two_row(tab: Tableau, upper_row: int, rel: LinComb) -> LinComb:
@@ -153,7 +163,7 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
     return LinComb._raw(shape, type_, out)
 
 
-def semistandardize(tab: Tableau, pair_rule: str = "topmost",
+def semistandardize(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE,
                     column_rule: str = "leftmost") -> LinComb:
     """Canonical form: the equal combination of semistandard tableaux.
 
@@ -165,7 +175,7 @@ def semistandardize(tab: Tableau, pair_rule: str = "topmost",
                        pair_rule, column_rule)
 
 
-def semistandardize_lincomb(comb: LinComb, pair_rule: str = "topmost",
+def semistandardize_lincomb(comb: LinComb, pair_rule: str = DEFAULT_PAIR_RULE,
                             column_rule: str = "leftmost") -> LinComb:
     """Canonical form of a combination, straightened in one traversal.
 

@@ -1,10 +1,18 @@
-"""The two-row relation built one split at a time, as a reference.
+"""The two-row relation built one split at a time, and the two-row step
+built through its relation datum, as references.
 
-This is the construction ``garnir_relation`` replaced: enumerate the
-sub-multisets of the pool, and for each one add and subtract multisets to
-get the rows and compute the coefficient from the multisets directly.  It
-shares no code with the count-vector recursion in the library, so the
-tests (and ``scripts/sweep_garnir.py --reference``) compare the two.
+``reference_relation`` is the construction ``garnir_relation`` replaced:
+enumerate the sub-multisets of the pool, and for each one add and subtract
+multisets to get the rows and compute the coefficient from the multisets
+directly.  It shares no code with the count-vector recursion in the
+library, so the tests (and ``scripts/sweep_garnir.py --reference``) compare
+the two.
+
+``reference_step`` is the path ``two_row_straighten_step`` replaced: build
+the validated ``straightening_datum`` and its full ``garnir_relation``, then
+drop the input's own term and negate the rest.  The library step now goes
+from the row tuples straight to count vectors, and the tests compare it
+with this one.
 """
 
 from dataclasses import dataclass
@@ -15,9 +23,12 @@ from heckehom import (
     LaurentPoly,
     LinComb,
     Multiset,
+    StraighteningError,
     Tableau,
     cross_pairs,
+    garnir_relation,
     quantum_binomial,
+    straightening_datum,
     type_composition,
 )
 
@@ -85,3 +96,12 @@ def reference_relation(datum: GarnirDatum) -> LinComb:
     return LinComb(datum.shape, type_composition(content),
                    {build_tableau(datum, split): split_coefficient(datum, split)
                     for split in enumerate_splits(datum)})
+
+
+def reference_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:
+    """The step through the datum: the relation minus the input's own term,
+    negated."""
+    rel = garnir_relation(straightening_datum(tab, column_rule))
+    if rel.coefficient(tab) != 1:
+        raise StraighteningError(f"identity split coefficient is not 1 for {tab!r}")
+    return LinComb.single(tab) - rel

@@ -16,7 +16,11 @@ from heckehom import (
     LinComb,
     Multiset,
     ParseError,
+    Partition,
+    Tableau,
     garnir_relation,
+    is_semistandard,
+    iter_fillings,
     iter_valid_data,
     parse_tableau,
     straightening_datum,
@@ -28,6 +32,7 @@ from .garnir_reference import (
     build_tableau,
     enumerate_splits,
     reference_relation,
+    reference_step,
     split_coefficient,
     split_from_tableau,
 )
@@ -177,7 +182,40 @@ class TestStraighteningDatum:
             assert split_coefficient(datum, split) == LaurentPoly.one()
 
 
+@st.composite
+def two_row_tableaux(draw, max_n: int = 16, max_value: int = 6) -> Tableau:
+    """Two-row tableaux of partition shape up to degree max_n."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    top_len = draw(st.integers(min_value=(n + 1) // 2, max_value=n - 1))
+    rows = [draw(st.lists(st.integers(min_value=1, max_value=max_value),
+                          min_size=k, max_size=k))
+            for k in (top_len, n - top_len)]
+    return Tableau((top_len, n - top_len), rows)
+
+
 class TestTwoRowStep:
+    @staticmethod
+    def _assert_matches_reference(tab, column_rule):
+        step, ref = two_row_straighten_step(tab, column_rule), reference_step(tab, column_rule)
+        assert (step.shape, step.type) == (ref.shape, ref.type), (tab, column_rule)
+        assert step.items() == ref.items(), (tab, column_rule)
+
+    def test_matches_datum_reference(self):
+        tabs = [tab for n in range(2, 9) for top_len in range((n + 1) // 2, n)
+                for tab in iter_fillings(Partition((top_len, n - top_len)), 4)
+                if not is_semistandard(tab)]
+        assert len(tabs) == 4620
+        for tab in tabs:
+            for rule in ("leftmost", "rightmost"):
+                self._assert_matches_reference(tab, rule)
+
+    @given(two_row_tableaux(), st.sampled_from(("leftmost", "rightmost")))
+    @settings(deadline=None)
+    def test_matches_datum_reference_up_to_degree_16(self, tab, column_rule):
+        if is_semistandard(tab):
+            return
+        self._assert_matches_reference(tab, column_rule)
+
     def test_worked_example_first_step(self):
         tab = parse_tableau("1 2 2 3 4 / 1 3 3 3")
         step = two_row_straighten_step(tab)

@@ -1,5 +1,6 @@
 """The full semistandardisation loop over arbitrary partition shapes."""
 
+import inspect
 import itertools
 
 import pytest
@@ -27,6 +28,9 @@ from heckehom import (
     two_row_straighten_step,
     weight,
 )
+
+from heckehom.cli import build_parser
+from perfbench.workloads import w18_base
 
 from .straighten_reference import memo_of_expansions
 from .strategies import tableaux
@@ -149,6 +153,23 @@ class TestSemistandardize:
         want = memo_of_expansions(tab, pair_rule, column_rule, {})
         assert semistandardize(tab, pair_rule, column_rule) == want
 
+    def test_default_pair_rule_is_shared(self):
+        default = heckehom.straighten.DEFAULT_PAIR_RULE
+        assert default == "bottommost"
+        for fn in (find_violating_window, semistandardize, semistandardize_lincomb):
+            assert inspect.signature(fn).parameters["pair_rule"].default == default
+        assert build_parser().parse_args(["straighten", "2 / 1"]).pair_rule == default
+
+    def test_default_matches_topmost_on_w18(self):
+        for rows in w18_base():
+            tab = Tableau([len(row) for row in rows], rows)
+            assert semistandardize(tab) == semistandardize(tab, "topmost", "leftmost")
+
+    @given(tableaux(max_n=7, max_value=4))
+    @settings(deadline=None)
+    def test_default_matches_topmost(self, tab):
+        assert semistandardize(tab) == semistandardize(tab, "topmost", "leftmost")
+
     def test_weight_not_increasing_raises(self, monkeypatch):
         # A rewrite that gives the window back makes a child equal to its parent.
         monkeypatch.setattr(heckehom.straighten, "two_row_straighten_step",
@@ -157,9 +178,11 @@ class TestSemistandardize:
             semistandardize(parse_tableau("2 / 1"))
 
     def test_identity_coefficient_not_one_raises(self, monkeypatch):
-        relation = heckehom.garnir.garnir_relation
-        monkeypatch.setattr(heckehom.garnir, "garnir_relation",
-                            lambda datum: relation(datum).scale(2))
+        # The step builds its relation with the count-vector core that
+        # garnir_relation also uses; doubling it breaks the identity term.
+        relation = heckehom.garnir._relation_from_counts
+        monkeypatch.setattr(heckehom.garnir, "_relation_from_counts",
+                            lambda *args: relation(*args).scale(2))
         with pytest.raises(StraighteningError):
             semistandardize(parse_tableau("2 / 1"))
 
