@@ -4,10 +4,12 @@
 Enumerates every filling of every partition shape up to a degree and value
 cap; for each, verifies that the input map minus its semistandard expansion
 vanishes on the module and that every output tableau is semistandard.  With
---reference each expansion is also compared with the memo-of-expansions
-traversal kept in tests/straighten_reference.py.  That comparison is a
-cross-strategy check too: the expansion uses the default rules (bottommost
-pair, leftmost column), the reference the topmost pair and leftmost column.
+--reference each expansion is also compared with the two traversals kept in
+tests/straighten_reference.py: the memo of expansions, which is a
+cross-strategy check too (the expansion uses the default rules, bottommost
+pair and leftmost column, the reference the topmost pair and leftmost
+column), and the worklist with LaurentPoly coefficients, on the default
+rules.
 
     PYTHONPATH=src python3 scripts/sweep_straighten.py --degree 7 --values 4 --reference
 """
@@ -33,14 +35,16 @@ from heckehom import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.straighten_reference import memo_of_expansions  # noqa: E402
+from tests.straighten_reference import laurent_worklist, memo_of_expansions  # noqa: E402
 
 
 def check_one(packed: tuple, reference: bool = False) -> tuple[tuple, bool]:
     shape, rows = packed
     tab = Tableau(Composition(shape), [Multiset(r) for r in rows])
     result = semistandardize(tab)
-    if reference and result != memo_of_expansions(tab, "topmost", "leftmost", {}):
+    if reference and (result != memo_of_expansions(tab, "topmost", "leftmost", {})
+                      or result != laurent_worklist(LinComb.single(tab),
+                                                    "bottommost", "leftmost")):
         return packed, False
     ok = all(is_semistandard(t) for t, _ in result.items())
     ok = ok and specht_check(LinComb.single(tab) - result)
@@ -55,7 +59,7 @@ def main() -> int:
                         help="largest entry value (default 4)")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--reference", action="store_true",
-                        help="also compare each expansion with the memo-of-expansions reference")
+                        help="also compare each expansion with the reference traversals")
     args = parser.parse_args()
     check = functools.partial(check_one, reference=args.reference)
 
@@ -66,7 +70,7 @@ def main() -> int:
                 work.append((tab.shape.stripped, tab.row_lists()))
     print(f"checking {len(work)} fillings "
           f"(degree <= {args.degree}, values <= {args.values}"
-          f"{', against the memo-of-expansions reference' if args.reference else ''})")
+          f"{', against the reference traversals' if args.reference else ''})")
     started = time.monotonic()
     failures = []
     done = 0

@@ -23,6 +23,14 @@ pooled value and no multiset arithmetic; each term's two rows are written
 out as sorted tuples straight from the count vectors.  The straightening
 step feeds that recursion directly: it cuts a tableau's two sorted rows at
 the pivot and counts the slices, with no datum in between.
+
+The recursion carries each coefficient packed as one int, its value at
+q = 2**bits (see ``qcoeff``), multiplying by the packed quantum binomials
+and shifting by bits times the exponent, and alongside it the coefficient's
+L1 norm, the same product at q = 1.  The traversal in ``straighten`` takes
+the packed terms as they are; ``garnir_relation`` and
+``two_row_straighten_step`` unpack them into ``LaurentPoly`` at a width of
+the degree plus 2, where every relation coefficient is exact.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, StraighteningError
@@ -43,7 +52,9 @@ from .combinat import (
     iter_multisets,
     tableau_from_json,
 )
-from .qcoeff import IntoPoly, LaurentPoly, _as_poly, quantum_binomial
+from .qcoeff import IntoPoly, LaurentPoly, _as_poly, _packed_binomial, _unpack
+
+Rows = tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +285,21 @@ def garnir_relation(datum: GarnirDatum) -> LinComb:
     """
     top = max(datum.fixed_top.max_value(), datum.pool.max_value(),
               datum.fixed_bottom.max_value())
-    return _relation_from_counts(
-        *(_count_vector(ms.elements(), top)
-          for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom)),
-        datum.top_len)
+    a, p, b = (_count_vector(ms.elements(), top)
+               for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
+    shape = datum.shape
+    type_ = Composition([a[i] + p[i] + b[i] for i in range(top)])
+    bits = _edge_bits(datum.n)
+    return LinComb._raw(shape, type_, {
+        Tableau._raw(shape, rows, type_): _unpack(coeff, bits)
+        for rows, (coeff, _) in _relation_from_counts(a, p, b, datum.top_len, bits).items()})
+
+
+def _edge_bits(n: int) -> int:
+    # Every relation coefficient of degree n is a product of quantum
+    # binomials whose top entries sum to n, so its L1 norm is below 2**n
+    # and it unpacks exactly at this width.
+    return n + 2
 
 
 def _count_vector(values: Iterable[int], top: int) -> list[int]:
@@ -288,14 +310,13 @@ def _count_vector(values: Iterable[int], top: int) -> list[int]:
     return counts
 
 
-def _relation_from_counts(a: list[int], p: list[int], b: list[int],
-                          top_len: int, sign: int = 1) -> LinComb:
+def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int,
+                          bits: int, sign: int = 1) -> dict[Rows, tuple[int, int]]:
     """sign times the relation of the datum whose fixed top part, pool and
     fixed bottom part have the count vectors a, p and b; trusted to be
-    valid."""
+    valid.  Maps each term's two rows to its coefficient packed at
+    q = 2**bits and that coefficient's L1 norm."""
     top = len(a)
-    shape = Composition((top_len, sum(a) + sum(p) + sum(b) - top_len))
-    type_ = Composition([a[i] + p[i] + b[i] for i in range(top)])
     # above[i]: fixed top entries larger than the value i + 1; below[i]:
     # fixed bottom entries smaller than it.
     above, below = [0] * top, [0] * top
@@ -310,28 +331,32 @@ def _relation_from_counts(a: list[int], p: list[int], b: list[int],
     # Row counts of the current split; each level writes its own value's.
     upper, lower = list(a), list(b)
     values = range(1, top + 1)
-    terms: dict[Tableau, LaurentPoly] = {}
+    terms: dict[Rows, tuple[int, int]] = {}
 
-    def rec(k: int, remaining: int, coeff: LaurentPoly, exponent: int) -> None:
+    def rec(k: int, remaining: int, coeff: int, norm: int, exponent: int) -> None:
         if k == len(pooled):
             rows = (tuple(chain.from_iterable(map(repeat, values, upper))),
                     tuple(chain.from_iterable(map(repeat, values, lower))))
-            terms[Tableau._raw(shape, rows, type_)] = coeff.shift(exponent)
+            terms[rows] = (coeff << bits * exponent, norm)
             return
         i = pooled[k]
         a_i, p_i, b_i = a[i], p[i], b[i]
         for take in range(min(p_i, remaining), max(0, remaining - room[k + 1]) - 1, -1):
-            term = coeff
+            term, term_norm = coeff, norm
+            # Binomials have nonnegative coefficients: the norm is the
+            # value at q = 1.
             if a_i and take:
-                term = term * quantum_binomial(a_i + take, a_i)
+                term *= _packed_binomial(a_i + take, a_i, bits)
+                term_norm *= comb(a_i + take, a_i)
             if b_i and take < p_i:
-                term = term * quantum_binomial(b_i + p_i - take, b_i)
+                term *= _packed_binomial(b_i + p_i - take, b_i, bits)
+                term_norm *= comb(b_i + p_i - take, b_i)
             upper[i], lower[i] = a_i + take, b_i + p_i - take
-            rec(k + 1, remaining - take, term,
+            rec(k + 1, remaining - take, term, term_norm,
                 exponent + take * above[i] + (p_i - take) * below[i])
 
-    rec(0, top_len - sum(a), LaurentPoly.monomial(0, sign), 0)
-    return LinComb._raw(shape, type_, terms)
+    rec(0, top_len - sum(a), sign, 1, 0)
+    return terms
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
@@ -356,16 +381,20 @@ def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_cuts(tab: Tableau,
-                column_rule: str) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """The rows of a non-semistandard two-row tableau, and where the pivot
-    cuts each: entries of the top row before the first cut and of the bottom
-    row from the second cut on stay put; everything between is pooled."""
+def _two_rows(tab: Tableau) -> Rows:
+    """The rows of a tableau, checked to be two rows of partition shape."""
     if tab.nrows != 2:
         raise ValueError(f"need exactly two rows, got {tab.nrows}")
     if not tab.shape.is_partition:
         raise ValueError(f"top row must be at least as long: shape {tab.shape}")
-    top, bottom = tab.row_lists()
+    return tab.row_lists()
+
+
+def _pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
+                column_rule: str) -> tuple[int, int]:
+    """Where the pivot cuts the sorted rows of a non-semistandard two-row
+    tableau: entries of the top row before the first cut and of the bottom
+    row from the second cut on stay put; everything between is pooled."""
     if column_rule == "leftmost":
         columns = range(len(bottom))
     elif column_rule == "rightmost":
@@ -377,7 +406,7 @@ def _pivot_cuts(tab: Tableau,
         raise ValueError("tableau is already semistandard; nothing to rewrite")
     pivot = top[col]
     # Rows are sorted, so each part is a slice at the pivot.
-    return top, bottom, bisect_left(top, pivot), bisect_right(bottom, pivot)
+    return bisect_left(top, pivot), bisect_right(bottom, pivot)
 
 
 def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDatum:
@@ -389,10 +418,33 @@ def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDa
     the top row, entries strictly above it stay in the bottom row, and
     everything else is pooled.
     """
-    top, bottom, cut_top, cut_bottom = _pivot_cuts(tab, column_rule)
+    top, bottom = _two_rows(tab)
+    cut_top, cut_bottom = _pivot_cuts(top, bottom, column_rule)
     return GarnirDatum(Multiset(top[:cut_top]),
                        Multiset(top[cut_top:] + bottom[:cut_bottom]),
                        Multiset(bottom[cut_bottom:]), len(top))
+
+
+def _packed_step(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str,
+                 bits: int) -> list[tuple[Rows, int, int, int]]:
+    """The rewrite of the two-row window with sorted rows top and bottom,
+    trusted to be of partition shape, packed at q = 2**bits: per term, the
+    new window rows, the weight change, the packed coefficient and its L1
+    norm.  The input's own term is dropped."""
+    cut_top, cut_bottom = _pivot_cuts(top, bottom, column_rule)
+    largest = max(top[-1], bottom[-1])
+    # Built negated: dropping the input's own term, -1, leaves the rewrite.
+    terms = _relation_from_counts(
+        _count_vector(top[:cut_top], largest),
+        _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
+        _count_vector(bottom[cut_bottom:], largest), len(top), bits, -1)
+    # Norm 1 and value -1 pin the polynomial to -1 at any width.
+    if terms.pop((top, bottom), None) != (-1, 1):
+        window = Tableau._raw(Composition((len(top), len(bottom))), (top, bottom), None)
+        raise StraighteningError(f"identity split coefficient is not 1 for {window!r}")
+    upper_sum = sum(top)
+    return [(rows, upper_sum - sum(rows[0]), coeff, norm)
+            for rows, (coeff, norm) in terms.items()]
 
 
 def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:
@@ -405,13 +457,9 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
     The split reproducing the input always carries coefficient exactly 1, so
     no division is ever needed; StraighteningError is raised if it does not.
     """
-    top, bottom, cut_top, cut_bottom = _pivot_cuts(tab, column_rule)
-    largest = max(top[-1], bottom[-1])
-    # Built negated: dropping the input's own term, -1, leaves the rewrite.
-    rel = _relation_from_counts(
-        _count_vector(top[:cut_top], largest),
-        _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
-        _count_vector(bottom[cut_bottom:], largest), len(top), -1)
-    if rel._terms.pop(tab, None) != -1:
-        raise StraighteningError(f"identity split coefficient is not 1 for {tab!r}")
-    return rel
+    top, bottom = _two_rows(tab)
+    shape, type_ = Composition((len(top), len(bottom))), tab.type()
+    bits = _edge_bits(len(top) + len(bottom))
+    return LinComb._raw(shape, type_, {
+        Tableau._raw(shape, rows, type_): _unpack(coeff, bits)
+        for rows, _, coeff, _ in _packed_step(top, bottom, column_rule, bits)})

@@ -4,6 +4,15 @@ Everything in this module is integer-exact: coefficients are arbitrary
 precision Python ints, exponents may be negative, and no operation ever
 divides.  Quantum binomial coefficients are produced by the Pascal-type
 recurrence, so they stay polynomial by construction.
+
+Inside the straightening engine a coefficient is packed into one int, its
+value at q = 2**bits (Kronecker substitution): evaluation is a ring map, so
+products and sums of packed ints are exact, and they run as single C
+big-int operations.  A polynomial with no negative exponents is read back
+from its packed value by balanced base-2**bits digits, which is exact as
+long as every coefficient lies below 2**(bits - 1) in absolute value; the
+engine keeps an upper bound on each coefficient's L1 norm to know that.
+``LaurentPoly`` is built only at the engine's edges.
 """
 
 from __future__ import annotations
@@ -181,7 +190,11 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
+        # A constant equals its int, so it must hash like it; zero is 0.
+        terms = self._terms
+        if not terms.keys() - {0}:
+            return hash(terms.get(0, 0))
+        return hash(tuple(sorted(terms.items())))
 
     # -- specialization -----------------------------------------------------
 
@@ -276,6 +289,14 @@ def _as_poly(value: IntoPoly) -> LaurentPoly:
     return poly
 
 
+# Cache limits.  A whole tier-1 test run leaves 11, 144 and 230 entries in
+# the three caches; the limits leave room for far larger inputs (every
+# binomial up to n = 62, say) while keeping memory bounded.
+_FACTORIAL_CACHE_SIZE = 64
+_BINOMIAL_CACHE_SIZE = 2048
+_PACKED_BINOMIAL_CACHE_SIZE = 4096
+
+
 def quantum_int(n: int) -> LaurentPoly:
     """The quantum integer [n] = 1 + q + ... + q^(n-1); [0] = 0.
 
@@ -287,7 +308,7 @@ def quantum_int(n: int) -> LaurentPoly:
     return LaurentPoly._raw({i: 1 for i in range(n)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACTORIAL_CACHE_SIZE)
 def quantum_factorial(n: int) -> LaurentPoly:
     """The quantum factorial [n]! = [1][2]...[n]; [0]! = 1."""
     if n < 0:
@@ -297,7 +318,7 @@ def quantum_factorial(n: int) -> LaurentPoly:
     return quantum_factorial(n - 1) * quantum_int(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BINOMIAL_CACHE_SIZE)
 def quantum_binomial(n: int, r: int) -> LaurentPoly:
     """The quantum binomial coefficient, computed without division.
 
@@ -315,3 +336,36 @@ def quantum_binomial(n: int, r: int) -> LaurentPoly:
     if r == 0 or r == n:
         return LaurentPoly.one()
     return quantum_binomial(n - 1, r - 1) + quantum_binomial(n - 1, r).shift(r)
+
+
+# ---------------------------------------------------------------------------
+# packed coefficients: values at q = 2**bits
+# ---------------------------------------------------------------------------
+
+
+def _pack(poly: LaurentPoly, bits: int) -> int:
+    """poly at q = 2**bits; poly must have no negative exponents."""
+    return sum(coeff << bits * exp for exp, coeff in poly._terms.items())
+
+
+def _unpack(value: int, bits: int) -> LaurentPoly:
+    """The polynomial whose value at q = 2**bits is value and whose
+    coefficients all lie below 2**(bits - 1) in absolute value."""
+    terms: dict[int, int] = {}
+    width, half, mask = 1 << bits, 1 << (bits - 1), (1 << bits) - 1
+    exp = 0
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= width
+        if digit:
+            terms[exp] = digit
+        value = (value - digit) >> bits
+        exp += 1
+    return LaurentPoly._raw(terms)
+
+
+@lru_cache(maxsize=_PACKED_BINOMIAL_CACHE_SIZE)
+def _packed_binomial(n: int, r: int, bits: int) -> int:
+    """quantum_binomial(n, r) at q = 2**bits."""
+    return _pack(quantum_binomial(n, r), bits)

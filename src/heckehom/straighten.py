@@ -18,7 +18,13 @@ for the length of one call.
 
 Inside the traversal a tableau is its rows, a tuple of sorted int tuples: a
 child is its parent's rows with one window swapped, and its weight is the
-parent's plus a change read off the window once.
+parent's plus a change read off the window once.  A coefficient is one int,
+its value at q = 2**bits after the inputs are shifted by their smallest
+exponent, carried with an upper bound on its L1 norm: children get the
+product of the parent's coefficient and the step's, and the product of the
+bounds, and merging adds both.  While a bound stays below 2**(bits - 1),
+the zero test and the final unpacking into ``LaurentPoly`` are exact; a
+tableau popped with a larger bound restarts the call at a wider width.
 
 Two knobs choose which violation to attack first; every choice yields the
 same canonical form, which the test suite checks by comparing strategies.
@@ -36,14 +42,17 @@ from typing import Iterable
 
 from .combinat import Composition, Tableau
 from .errors import StraighteningError
-from .garnir import LinComb, two_row_straighten_step
-from .qcoeff import LaurentPoly
-
-Rows = tuple[tuple[int, ...], ...]
+# two_row_straighten_step is not called here; it is imported so that code
+# that looks it up in this module (perfbench/tracer.py) finds it.
+from .garnir import LinComb, Rows, _packed_step, two_row_straighten_step  # noqa: F401
+from .qcoeff import LaurentPoly, _pack, _unpack
 
 PAIR_RULES = ("topmost", "bottommost")
 COLUMN_RULES = ("leftmost", "rightmost")
 DEFAULT_PAIR_RULE = "bottommost"
+# Packing width the traversal starts at; a call restarts wider when a
+# coefficient's norm bound outgrows it.
+_START_BITS = 64
 
 
 def weight(tab: Tableau) -> int:
@@ -65,8 +74,11 @@ def find_violating_window(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE) -> i
     column-strictness, or None when the tableau is semistandard.
 
     The pairs are scanned from the end the pair rule names, and the scan
-    stops at the first that breaks.
+    stops at the first that breaks.  A shape that is not a partition raises
+    ValueError, as in ``is_semistandard``.
     """
+    if not tab.shape.is_partition:
+        raise ValueError(f"semistandardness needs a partition shape, got {tab.shape}")
     if pair_rule == "topmost":
         uppers = range(1, tab.nrows)
     elif pair_rule == "bottommost":
@@ -114,38 +126,66 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
                 type_: Composition, pair_rule: str, column_rule: str) -> LinComb:
     """Canonical form of a combination given as nonzero (tableau, coefficient)
     pairs with distinct tableaux, all of one shape and type."""
-    pending: dict[Rows, LaurentPoly] = {}
+    terms = list(terms)
+    if not terms:
+        return LinComb._raw(shape, type_, {})
+    # Shifted by the smallest exponent, every coefficient is a polynomial,
+    # which packs.
+    low = min(coeff.min_exponent() for _, coeff in terms)
+    bits = _START_BITS
+    while True:
+        out = _traverse([(tab, _pack(coeff.shift(-low), bits),
+                          sum(abs(c) for _, c in coeff.items()))
+                         for tab, coeff in terms],
+                        shape, type_, pair_rule, column_rule, bits)
+        if isinstance(out, dict):
+            break
+        bits = out
+    return LinComb._raw(shape, type_, {
+        Tableau._raw(shape, rows, type_): _unpack(coeff, bits).shift(low)
+        for rows, coeff in out.items()})
+
+
+def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
+              type_: Composition, pair_rule: str, column_rule: str,
+              bits: int) -> dict[Rows, int] | int:
+    """The worklist on (tableau, packed coefficient, norm bound) inputs, at
+    q = 2**bits: the packed output, or, when some bound reaches half the
+    width, the wider width to restart at (at least double, so that a call
+    restarts only a few times)."""
+    limit = 1 << (bits - 1)
+    # Per row tuple: (packed coefficient, bound on its L1 norm).
+    pending: dict[Rows, tuple[int, int]] = {}
     heap: list[tuple[int, Rows]] = []
-    for tab, coeff in terms:
-        pending[tab.row_lists()] = coeff
+    for tab, coeff, bound in terms:
+        pending[tab.row_lists()] = (coeff, bound)
         heap.append((weight(tab), tab.row_lists()))
     heapq.heapify(heap)
-    # Per window: (new window rows, weight change, coefficient) per term of
-    # its rewrite.
-    moves: dict[Rows, list[tuple[Rows, int, LaurentPoly]]] = {}
-    out: dict[Tableau, LaurentPoly] = {}
+    # Per window: (new window rows, weight change, packed coefficient, norm)
+    # per term of its rewrite.
+    moves: dict[Rows, list[tuple[Rows, int, int, int]]] = {}
+    out: dict[Rows, int] = {}
     while heap:
         tab_weight, rows = heapq.heappop(heap)
-        coeff = pending.pop(rows)
+        coeff, bound = pending.pop(rows)
+        # Below the limit, the zero test and the final unpacking are exact.
+        if bound >= limit:
+            return max(2 * bits, bound.bit_length() + 2)
         if not coeff:
             continue
         tab = Tableau._raw(shape, rows, type_)
-        # Called through module globals so that perfbench/tracer.py can wrap them.
+        # Called through module globals so that perfbench/tracer.py and the
+        # tests can wrap them.
         l = find_violating_window(tab, pair_rule)
         if l is None:
-            out[tab] = coeff
+            out[rows] = coeff
             continue
         key = rows[l - 1: l + 1]
         window_moves = moves.get(key)
         if window_moves is None:
-            window = Tableau._raw(Composition((len(key[0]), len(key[1]))), key, None)
-            upper_sum = sum(key[0])
-            window_moves = moves[key] = [
-                (pair.row_lists(), upper_sum - sum(pair.row_lists()[0]), step_coeff)
-                for pair, step_coeff
-                in two_row_straighten_step(window, column_rule)._terms.items()]
+            window_moves = moves[key] = _packed_step(key[0], key[1], column_rule, bits)
         before, after = rows[: l - 1], rows[l + 1:]
-        for pair, change, step_coeff in window_moves:
+        for pair, change, step_coeff, norm in window_moves:
             child = before + pair + after
             # This check is also what makes the heap order sound: nothing
             # can add to a tableau once it has been popped.
@@ -153,14 +193,14 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
             if child_weight <= tab_weight:
                 raise StraighteningError(
                     f"rewrite failed to increase weight at {tab!r}")
-            contribution = coeff * step_coeff
             earlier = pending.get(child)
             if earlier is None:
-                pending[child] = contribution
+                pending[child] = (coeff * step_coeff, bound * norm)
                 heapq.heappush(heap, (child_weight, child))
             else:
-                pending[child] = earlier + contribution
-    return LinComb._raw(shape, type_, out)
+                pending[child] = (earlier[0] + coeff * step_coeff,
+                                  earlier[1] + bound * norm)
+    return out
 
 
 def semistandardize(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE,

@@ -27,11 +27,14 @@ from heckehom import (
     two_row_straighten_step,
 )
 
+from heckehom.garnir import _relation_from_counts
+
 from .garnir_reference import (
     Split,
     build_tableau,
     enumerate_splits,
     reference_relation,
+    reference_relation_from_counts,
     reference_step,
     split_coefficient,
     split_from_tableau,
@@ -147,6 +150,46 @@ class TestRelation:
         assert all(d.n <= 4 for d in data)
         assert all(d.pool.size > d.top_len for d in data)
         assert len(data) == len(set(data))
+
+
+class TestPackedCore:
+    """The packed relation core against the LaurentPoly recursion it replaced:
+    each coefficient packed at q = 2**bits, each norm its value at q = 1."""
+
+    @staticmethod
+    def _assert_matches_reference(datum):
+        top = max(ms.max_value() for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
+        a, p, b = ([ms.count(v) for v in range(1, top + 1)]
+                   for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
+        for sign in (1, -1):
+            ref = reference_relation_from_counts(a, p, b, datum.top_len, sign)
+            for bits in (datum.n + 2, 64):
+                core = _relation_from_counts(a, p, b, datum.top_len, bits, sign)
+                assert list(core) == [tab.row_lists() for tab in ref._terms], datum
+                for tab, coeff in ref._terms.items():
+                    packed, norm = core[tab.row_lists()]
+                    assert packed == coeff.specialize(2 ** bits), (datum, bits)
+                    assert norm == sign * coeff.specialize(1), datum
+
+    def test_matches_laurent_reference(self):
+        for datum in iter_valid_data(7, 4):
+            self._assert_matches_reference(datum)
+
+    @given(large_data())
+    @settings(deadline=None)
+    def test_matches_laurent_reference_up_to_degree_16(self, datum):
+        self._assert_matches_reference(datum)
+
+    def test_edge_width_unpacks_large_coefficients(self):
+        # Coefficients of 26 and 32 bits at degrees 36 and 42: far wider
+        # than half the degree, so the width must grow with the degree.
+        for k in (8, 10):
+            datum = GarnirDatum(Multiset([1] * k), Multiset([1] * (k + 2) + [2] * (k + 2)),
+                                Multiset([2] * k), 2 * k + 2)
+            ref = reference_relation_from_counts([k, 0], [k + 2, k + 2], [0, k],
+                                                 datum.top_len)
+            assert garnir_relation(datum).items() == ref.items()
+            assert max(abs(c) for _, coeff in ref.items() for _, c in coeff.items()) > 2 ** 25
 
 
 class TestStraighteningDatum:

@@ -1,6 +1,8 @@
 """The brute-force algebra model and everything verified against it."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -228,12 +230,23 @@ class TestImages:
             assert "HECKEHOM_ORACLE_CAP" in capsys.readouterr().err
 
     def test_every_cache_is_bounded(self):
-        module = heckehom.hecke_oracle
-        caches = {name: obj for name, obj in vars(module).items()
-                  if hasattr(obj, "cache_parameters")
-                  and obj.__module__ == module.__name__}
-        assert {"reduced_word", "_young_subgroup_cached", "_coset_reps_cached",
-                "_image_h3_cached"} <= set(caches)
+        # Every lru_cache defined in any module of the package.
+        caches = {}
+        for info in pkgutil.iter_modules(heckehom.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"heckehom.{info.name}")
+            caches.update({f"{module.__name__}.{name}": obj
+                           for name, obj in vars(module).items()
+                           if hasattr(obj, "cache_parameters")
+                           and obj.__module__ == module.__name__})
+        assert {"heckehom.hecke_oracle.reduced_word",
+                "heckehom.hecke_oracle._young_subgroup_cached",
+                "heckehom.hecke_oracle._coset_reps_cached",
+                "heckehom.hecke_oracle._image_h3_cached",
+                "heckehom.qcoeff.quantum_factorial",
+                "heckehom.qcoeff.quantum_binomial",
+                "heckehom.qcoeff._packed_binomial"} <= set(caches)
         for name, cached in caches.items():
             assert cached.cache_parameters()["maxsize"] is not None, name
 

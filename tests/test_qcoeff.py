@@ -39,6 +39,14 @@ class TestArithmetic:
         assert p.min_exponent() == -2
         assert p.max_exponent() == 0
 
+    def test_constants_hash_like_ints(self):
+        assert {1: "a"}.get(LaurentPoly.one()) == "a"
+        assert {LaurentPoly.zero(): "z"}[0] == "z"
+        for value in (-7, 0, 1, 10**30):
+            assert hash(LaurentPoly.monomial(0, value)) == hash(value)
+            assert LaurentPoly.monomial(0, value) == value
+        assert len({LaurentPoly.parse("q"), LaurentPoly.parse("q"), 1, LaurentPoly.one()}) == 2
+
     def test_shift(self):
         assert poly("1 + q").shift(2) == poly("q^2 + q^3")
         assert poly("q^2").shift(-2) == LaurentPoly.one()

@@ -4,7 +4,7 @@ import inspect
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import heckehom.garnir
 import heckehom.straighten
@@ -30,9 +30,9 @@ from heckehom import (
 )
 
 from heckehom.cli import build_parser
-from perfbench.workloads import w18_base
+from perfbench.workloads import two_row_base, w18_base
 
-from .straighten_reference import memo_of_expansions
+from .straighten_reference import laurent_worklist, memo_of_expansions
 from .strategies import tableaux
 
 RULES = list(itertools.product(("topmost", "bottommost"), ("leftmost", "rightmost")))
@@ -70,6 +70,14 @@ class TestViolatingWindow:
 
     def test_single_row_never_violates(self):
         assert find_violating_window(parse_tableau("3 3 3"), "topmost") is None
+
+    def test_rejects_non_partition_shape(self):
+        tab = Tableau((1, 2), [[1], [2, 3]])
+        with pytest.raises(ValueError, match="needs a partition shape"):
+            is_semistandard(tab)
+        for rule in ("topmost", "bottommost"):
+            with pytest.raises(ValueError, match="needs a partition shape"):
+                find_violating_window(tab, rule)
 
 
 class TestEmbed:
@@ -172,19 +180,99 @@ class TestSemistandardize:
 
     def test_weight_not_increasing_raises(self, monkeypatch):
         # A rewrite that gives the window back makes a child equal to its parent.
-        monkeypatch.setattr(heckehom.straighten, "two_row_straighten_step",
-                            lambda window, column_rule: LinComb.single(window))
+        monkeypatch.setattr(heckehom.straighten, "_packed_step",
+                            lambda top, bottom, column_rule, bits: [((top, bottom), 0, 1, 1)])
         with pytest.raises(StraighteningError):
             semistandardize(parse_tableau("2 / 1"))
 
     def test_identity_coefficient_not_one_raises(self, monkeypatch):
         # The step builds its relation with the count-vector core that
-        # garnir_relation also uses; doubling it breaks the identity term.
+        # garnir_relation also uses; doubling the input's own term there
+        # breaks the identity coefficient.
         relation = heckehom.garnir._relation_from_counts
-        monkeypatch.setattr(heckehom.garnir, "_relation_from_counts",
-                            lambda *args: relation(*args).scale(2))
+
+        def doubled(*args):
+            terms = relation(*args)
+            coeff, norm = terms[(2,), (1,)]
+            terms[(2,), (1,)] = (2 * coeff, 2 * norm)
+            return terms
+
+        monkeypatch.setattr(heckehom.garnir, "_relation_from_counts", doubled)
         with pytest.raises(StraighteningError):
             semistandardize(parse_tableau("2 / 1"))
+
+
+@st.composite
+def laurent_combinations(draw, max_n: int = 7, max_value: int = 4) -> LinComb:
+    """Combinations of tableaux of one shape and content, with random-sign
+    Laurent coefficients (negative exponents, magnitudes up to 10**30), and
+    sometimes a term and the expansion of another that cancel."""
+    tab = draw(tableaux(max_n=max_n, max_value=max_value))
+    coefficient = st.dictionaries(
+        st.integers(-5, 5), st.integers(-9, 9) | st.integers(-10**30, 10**30),
+        min_size=1, max_size=3).map(LaurentPoly)
+    others = draw(st.lists(st.permutations(tab.content().elements()), max_size=3))
+    comb = LinComb.single(tab, draw(coefficient))
+    for values in others:
+        rows, start = [], 0
+        for part in tab.shape.stripped:
+            rows.append(Multiset(values[start: start + part]))
+            start += part
+        other, coeff = Tableau(tab.shape, rows), draw(coefficient)
+        comb = comb + LinComb.single(other, coeff)
+        if draw(st.booleans()):
+            # Straightens to zero together with the term just added.
+            comb = comb - semistandardize(other).scale(coeff)
+    return comb
+
+
+class TestPackedWorklist:
+    """The packed worklist against the LaurentPoly worklist it replaced."""
+
+    @given(laurent_combinations())
+    @settings(deadline=None)
+    def test_lincomb_matches_laurent_worklist(self, comb):
+        assert semistandardize_lincomb(comb) == laurent_worklist(
+            comb, heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
+
+    @pytest.mark.parametrize("base", [w18_base, two_row_base])
+    def test_matches_laurent_worklist_on_benchmark_batches(self, base):
+        for rows in base():
+            tab = Tableau([len(row) for row in rows], rows)
+            assert semistandardize(tab) == laurent_worklist(
+                LinComb.single(tab), heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The packing width of every traversal run while the test runs."""
+        widths = []
+        traverse = heckehom.straighten._traverse
+
+        def recorded(*args):
+            widths.append(args[-1])
+            return traverse(*args)
+
+        monkeypatch.setattr(heckehom.straighten, "_traverse", recorded)
+        return widths
+
+    def test_narrow_start_restarts_with_identical_answers(self, monkeypatch, widths):
+        tabs = [Tableau([len(row) for row in rows], rows) for rows in w18_base()]
+        comb = LinComb.single(tabs[0], LaurentPoly.parse("3q^-2 - 5"))
+        want = [semistandardize(tab) for tab in tabs] + [semistandardize_lincomb(comb)]
+        widths.clear()
+        monkeypatch.setattr(heckehom.straighten, "_START_BITS", 2)
+        got = [semistandardize(tab) for tab in tabs] + [semistandardize_lincomb(comb)]
+        assert got == want
+        assert widths[0] == 2 and len(widths) > len(got)
+
+    def test_huge_coefficient_restarts(self, widths):
+        tab = parse_tableau("2 3 4 / 1 2 4 / 1 3")
+        coeff = LaurentPoly.monomial(-3, 10**30)
+        want = semistandardize(tab).scale(coeff)
+        widths.clear()
+        assert semistandardize_lincomb(LinComb.single(tab, coeff)) == want
+        assert widths[0] == heckehom.straighten._START_BITS and len(widths) > 1
+        assert 10**30 < 2 ** (widths[-1] - 1)
 
 
 class TestSemistandardizeLincomb:
