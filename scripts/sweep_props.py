@@ -22,7 +22,8 @@ def main() -> int:
                         help="check this many seeded instances per identity "
                              "instead of all of them")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (at most one per instance and per CPU)")
     args = parser.parse_args()
 
     started = time.monotonic()

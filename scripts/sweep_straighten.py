@@ -9,7 +9,8 @@ tests/straighten_reference.py: the memo of expansions, which is a
 cross-strategy check too (the expansion uses the default rules, bottommost
 pair and leftmost column, the reference the topmost pair and leftmost
 column), and the worklist with LaurentPoly coefficients, on the default
-rules.
+rules; and each verdict is compared with the reference Specht test on
+LaurentPoly tabloid coordinates kept in tests/hecke_reference.py.
 
     PYTHONPATH=src python3 scripts/sweep_straighten.py --degree 7 --values 4 --reference
 """
@@ -33,8 +34,10 @@ from heckehom import (
     semistandardize,
     specht_check,
 )
+from heckehom.hecke_oracle import _pool_size
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.hecke_reference import specht_check_tabloid  # noqa: E402
 from tests.straighten_reference import laurent_worklist, memo_of_expansions  # noqa: E402
 
 
@@ -47,8 +50,11 @@ def check_one(packed: tuple, reference: bool = False) -> tuple[tuple, bool]:
                                                     "bottommost", "leftmost")):
         return packed, False
     ok = all(is_semistandard(t) for t, _ in result.items())
-    ok = ok and specht_check(LinComb.single(tab) - result)
-    return packed, ok
+    diff = LinComb.single(tab) - result
+    verdict = specht_check(diff)
+    if reference and verdict != specht_check_tabloid(diff):
+        return packed, False
+    return packed, ok and verdict
 
 
 def main() -> int:
@@ -57,9 +63,11 @@ def main() -> int:
                         help="largest total size to sweep (default 7)")
     parser.add_argument("--values", type=int, default=4,
                         help="largest entry value (default 4)")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (at most one per filling and per CPU)")
     parser.add_argument("--reference", action="store_true",
-                        help="also compare each expansion with the reference traversals")
+                        help="also compare each expansion with the reference traversals "
+                             "and each verdict with the reference Specht test")
     args = parser.parse_args()
     check = functools.partial(check_one, reference=args.reference)
 
@@ -70,7 +78,7 @@ def main() -> int:
                 work.append((tab.shape.stripped, tab.row_lists()))
     print(f"checking {len(work)} fillings "
           f"(degree <= {args.degree}, values <= {args.values}"
-          f"{', against the reference traversals' if args.reference else ''})")
+          f"{', against the reference traversals and Specht test' if args.reference else ''})")
     started = time.monotonic()
     failures = []
     done = 0
@@ -86,8 +94,9 @@ def main() -> int:
             rate = done / (time.monotonic() - started)
             print(f"  {done}/{len(work)} ({rate:.0f}/s)")
 
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    workers = _pool_size(args.jobs, len(work))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             for result in pool.imap_unordered(check, work, chunksize=32):
                 consume(result)
     else:

@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check a seeded sample instead of every instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="worker processes for the --props sweep")
+                   help="worker processes for the --props sweep (at most "
+                        "one per instance and per CPU)")
     p.set_defaults(func=_cmd_verify)
     return parser
 

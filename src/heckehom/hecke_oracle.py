@@ -1,20 +1,23 @@
 """Exact model of the Hecke algebra at small degree.
 
-Two representations, both with exact Laurent-polynomial coefficients:
+Two representations:
 
 * ``HeckeElem``: an algebra element as a sparse map from permutations to
-  coefficients in the standard basis; multiplication is repeated
-  application of the generator rule.  Images of tableau maps
-  (``image_h3``), the composition-identity sweeps and the reference
-  checks in the tests use it.
-* ``TabloidVector``: an element of the permutation module of a
-  composition, written in its tabloid basis (the composition's x element
-  times the basis element of a minimal coset representative d), with the
-  right action of each generator (Dipper and James, Proc. LMS 52, 1986).
-  ``specht_check`` works here, on n!/|Young subgroup| coordinates instead
-  of n!.
+  exact Laurent-polynomial coefficients in the standard basis;
+  multiplication is repeated application of the generator rule.  Images
+  of tableau maps (``image_h3``), the composition-identity sweeps and the
+  reference checks in the tests use it.  ``TabloidVector`` holds the same
+  kind of coefficients in the tabloid basis of a permutation module (the
+  composition's x element times the basis element of a minimal coset
+  representative d); ``tabloid_coords`` and ``apply_hom`` use it.
+* The Specht test (``specht_check``) runs in that tabloid basis too, on
+  n!/|Young subgroup| coordinates instead of n!, with the right action of
+  each generator (Dipper and James, Proc. LMS 52, 1986).  There a tabloid
+  is keyed by its block-label word, and a coefficient is one int, its
+  value at q = 2**bits, carried with a bound on its L1 norm, as in the
+  straightening engine (see ``qcoeff``).
 
-Nothing is clever; that is the point.  The fast combinatorial
+Nothing is clever beyond that; that is the point.  The fast combinatorial
 straightening in the other modules is verified against this model at
 small sizes.
 
@@ -60,12 +63,19 @@ from .garnir import (
     garnir_relation,
     iter_valid_data,
 )
-from .qcoeff import IntoPoly, LaurentPoly, _as_poly, quantum_binomial
+from .qcoeff import (
+    _START_BITS,
+    IntoPoly,
+    LaurentPoly,
+    _as_poly,
+    _pack,
+    _wider,
+    quantum_binomial,
+)
 
 DEFAULT_CAP = 8
 CAP_ENV_VAR = "HECKEHOM_ORACLE_CAP"
 
-_Q = LaurentPoly.monomial(1)
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
 
 
@@ -237,8 +247,9 @@ class HeckeElem:
         return total
 
 
-# The test suite asks for about 1.2k distinct words, one oracle benchmark
-# pass for about 1.1k.
+# One oracle benchmark pass asks for about 1.1k distinct words.  The test
+# of the images of all 71715 tableaux to degree 7 asks for more than the
+# limit, which then only caps memory.
 @lru_cache(maxsize=4096)
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A reduced word for w, found by repeatedly stripping a right descent.
@@ -346,8 +357,9 @@ def coset_reps(fine: IntoComposition, coarse: IntoComposition) -> tuple[Perm, ..
     return _coset_reps_cached(fine.stripped, coarse.stripped)
 
 
-# The test suite asks for about 4.8k distinct pairs, one oracle benchmark
-# pass for about 120.
+# One oracle benchmark pass asks for about 120 distinct pairs.  A sweep
+# over tableaux asks for one pair per tableau (71715 to degree 7), which
+# the limit only caps memory for.
 @lru_cache(maxsize=8192)
 def _coset_reps_cached(fine: tuple[int, ...],
                        coarse: tuple[int, ...]) -> tuple[Perm, ...]:
@@ -372,16 +384,30 @@ def _coset_reps_cached(fine: tuple[int, ...],
     per_block: list[list[tuple[int, ...]]] = []
     offset = 0
     for target, group in zip(coarse, groups):
-        sub = Composition(group)
-        block_values = range(offset + 1, offset + target + 1)
-        reps = [p for p in itertools.permutations(block_values)
-                if is_min_coset_rep(p, sub)]
-        per_block.append(reps)
+        per_block.append(
+            _increasing_arrangements(tuple(range(offset + 1, offset + target + 1)),
+                                     tuple(group)))
         offset += target
     out = []
     for combo in itertools.product(*per_block):
         out.append(tuple(itertools.chain.from_iterable(combo)))
     return tuple(out)
+
+
+def _increasing_arrangements(values: tuple[int, ...],
+                             parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every ordering of the increasing values that increases along each
+    block of positions of parts, in lexicographic order: the orderings that
+    is_min_coset_rep keeps, built directly.  The first block takes each
+    choice of its values in turn, increasing; the rest recurse on what is
+    left."""
+    if not parts:
+        return [()]
+    out = []
+    for chosen in itertools.combinations(values, parts[0]):
+        rest = tuple(v for v in values if v not in chosen)
+        out.extend(chosen + tail for tail in _increasing_arrangements(rest, parts[1:]))
+    return out
 
 
 def x_elem(comp: IntoComposition) -> HeckeElem:
@@ -417,24 +443,6 @@ def _mul_x_blocks(elem: HeckeElem, comp: Composition) -> HeckeElem:
             for gen in range(offset + m - 1, offset, -1):
                 cur = cur.mul_right_gen(gen)
                 total = total + cur
-            elem = total
-        offset += size
-    return elem
-
-
-def _mul_y_blocks(elem: HeckeElem, comp: Composition) -> HeckeElem:
-    """Right multiplication by the y element, by the same factorisation."""
-    offset = 0
-    for size in comp.parts:
-        for m in range(2, size + 1):
-            total = elem
-            cur = elem
-            sign_power = 0
-            for gen in range(offset + m - 1, offset, -1):
-                cur = cur.mul_right_gen(gen)
-                sign_power += 1
-                total = total + cur.scale(
-                    LaurentPoly.monomial(-sign_power, (-1) ** sign_power))
             elem = total
         offset += size
     return elem
@@ -515,8 +523,8 @@ class TabloidVector:
 
     coords maps each minimal coset representative to its coefficient; the
     basis element at d is the composition's x element times the basis
-    element of d.  Right multiplication by the algebra acts on these
-    coordinates directly (mul_right_gen, mul_t).
+    element of d.  ``tabloid_coords`` returns one and ``apply_hom`` reads
+    one.
     """
 
     composition: Composition
@@ -531,62 +539,6 @@ class TabloidVector:
     @property
     def is_zero(self) -> bool:
         return not self.coords
-
-    def __add__(self, other: "TabloidVector") -> "TabloidVector":
-        if not isinstance(other, TabloidVector):
-            return NotImplemented
-        if self.composition != other.composition:
-            raise ValueError(f"composition mismatch: {self.composition} vs "
-                             f"{other.composition}")
-        acc = dict(self.coords)
-        for d, poly in other.coords.items():
-            _add_into(acc, d, poly)
-        return TabloidVector(self.composition, acc)
-
-    def scale(self, factor: IntoPoly) -> "TabloidVector":
-        poly = _as_poly(factor)
-        if not poly:
-            return TabloidVector(self.composition, {})
-        return TabloidVector(
-            self.composition, {d: c * poly for d, c in self.coords.items()})
-
-    def mul_right_gen(self, i: int) -> "TabloidVector":
-        """Right multiplication by the i-th generator, 1 <= i <= n-1.
-
-        For the basis vector at d: if the values i and i+1 sit in one block
-        of positions of d, the generator passes through d into the Young
-        subgroup and the x element absorbs it as q.  Otherwise swapping them
-        gives the minimal representative d s, and the algebra's rule
-        applies: the vector moves to d s when i comes before i+1 in d, and
-        otherwise becomes (q-1) times itself plus q times the vector at d s.
-        """
-        comp = self.composition
-        if not 1 <= i <= comp.n - 1:
-            raise ValueError(f"generator index {i} out of range 1..{comp.n - 1}")
-        block_of = [b for b, size in enumerate(comp.parts) for _ in range(size)]
-        acc: dict[Perm, LaurentPoly] = {}
-        for d, coeff in self.coords.items():
-            pos_lo = d.index(i)
-            pos_hi = d.index(i + 1)
-            if block_of[pos_lo] == block_of[pos_hi]:
-                _add_into(acc, d, coeff.shift(1))
-                continue
-            swapped = list(d)
-            swapped[pos_lo], swapped[pos_hi] = i + 1, i
-            ds = tuple(swapped)
-            if pos_lo < pos_hi:
-                _add_into(acc, ds, coeff)
-            else:
-                _add_into(acc, d, coeff * _Q_MINUS_1)
-                _add_into(acc, ds, coeff.shift(1))
-        return TabloidVector(comp, acc)
-
-    def mul_t(self, w: Perm) -> "TabloidVector":
-        """Right multiplication by the standard basis element of w."""
-        vec = self
-        for i in reduced_word(tuple(w)):
-            vec = vec.mul_right_gen(i)
-        return vec
 
 
 def tabloid_coords(h: HeckeElem, comp: IntoComposition) -> TabloidVector:
@@ -642,16 +594,169 @@ def apply_lincomb(comb: LinComb, vec: TabloidVector) -> HeckeElem:
 # ---------------------------------------------------------------------------
 
 
-def _image_vector(tab: Tableau) -> TabloidVector:
-    """image_h3 of a tableau in tabloid coordinates of its type's module."""
-    _require_within_cap(tab.n)
-    type_ = tab.type()
-    unit = TabloidVector(type_, {identity_perm(tab.n): LaurentPoly.one()})
-    base = unit.mul_t(perm_1A(tab))
-    total = TabloidVector(type_, {})
+# A tabloid, the basis element x T_d of the permutation module of a
+# composition, is keyed by its block-label word: entry v - 1 is the index of
+# the block of positions of d that holds the value v.  Words and minimal
+# coset representatives determine each other, because d increases along
+# each block.
+Word = tuple[int, ...]
+# Per word: (coefficient packed at q = 2**bits, bound on its L1 norm).  No
+# coefficient stored is 0.
+Packed = dict[Word, tuple[int, int]]
+
+
+class _Widen(Exception):
+    """A coefficient cancelled to 0 at a width too narrow to prove the
+    polynomial zero; bits is the width to restart at."""
+
+    def __init__(self, bits: int):
+        super().__init__(bits)
+        self.bits = bits
+
+
+def _add_term(vec: Packed, word: Word, coeff: int, bound: int, bits: int) -> None:
+    """Add a packed term at word, dropping the coordinate if it cancels.
+
+    A packed 0 proves the polynomial zero only while the norm bound stays
+    below 2**(bits - 1): then every coefficient lies in the range that the
+    balanced base-2**bits digits of 0 pin to 0.  A larger bound raises
+    _Widen.
+    """
+    prev = vec.get(word)
+    if prev is not None:
+        coeff += prev[0]
+        bound += prev[1]
+    if coeff:
+        vec[word] = (coeff, bound)
+    elif bound >> (bits - 1):
+        raise _Widen(_wider(bits, bound))
+    elif prev is not None:
+        del vec[word]
+
+
+def _mul_gen(vec: Packed, i: int, bits: int) -> Packed:
+    """Right multiplication by the i-th generator, at q = 2**bits.
+
+    T_i reads the labels a and z of the values i and i + 1.  Equal labels
+    put both values in one block of d, where the x element absorbs T_i as
+    q.  With a < z, i comes before i + 1 in d, and the term moves to the
+    swapped word, the one of d s_i.  With a > z, the quadratic relation
+    gives (q - 1) times the term plus q times the term at the swapped word.
+    A word and its swap thus feed only each other, so only the pair's
+    shared coordinate needs adding up.
+    """
+    out: Packed = {}
+    for word, entry in vec.items():
+        a, z = word[i - 1], word[i]
+        if a == z:
+            out[word] = (entry[0] << bits, entry[1])
+            continue
+        swapped = word[:i - 1] + (z, a) + word[i + 1:]
+        other = vec.get(swapped)
+        if a > z:
+            if other is None:
+                coeff, bound = entry
+                out[word] = ((coeff << bits) - coeff, 2 * bound)
+                out[swapped] = (coeff << bits, bound)
+        elif other is None:
+            out[swapped] = entry
+        else:
+            # This word moves onto its swap, which also keeps (q - 1) times
+            # its own term and sends q times it here.
+            coeff, bound = other
+            out[word] = (coeff << bits, bound)
+            _add_term(out, swapped, entry[0] + (coeff << bits) - coeff,
+                      entry[1] + 2 * bound, bits)
+    return out
+
+
+def _walk(word: list[int], letters: Iterable[int]) -> int:
+    """Multiply the term x T_u at word by T_w, letter by letter, in place,
+    where u w is longer than u by the length of w; the q-exponent gained.
+
+    Each letter s then lengthens the product so far, and such a letter
+    never meets labels a > z.  Write the product as u = v d, v in the Young
+    subgroup and d the minimal representative, so l(u) = l(v) + l(d).  Then
+    l(v) + l(d) + 1 = l(u s) <= l(v) + l(d s), so d s is longer than d:
+    either a < z, or equal labels (d s = s' d with s' in the subgroup),
+    but not a > z, which would make d s shorter.  So the term stays a
+    single word times a power of q.
+    """
+    exponent = 0
+    for i in letters:
+        a, z = word[i - 1], word[i]
+        if a == z:
+            exponent += 1
+        elif a < z:
+            word[i - 1], word[i] = z, a
+        else:
+            raise AssertionError(f"letter {i} shortens the product at {word}")
+    return exponent
+
+
+def _image_words(tab: Tableau) -> list[tuple[Word, int]]:
+    """image_h3 of a tableau in the tabloid basis of its type's module, as
+    one (word, e) pair for the term q^e at word per coset representative d.
+
+    The image is the sum over d of x T_1A T_d, with d running over the
+    representatives of the row-reading composition inside the shape's
+    subgroup S.  Each summand is one term: 1A lists the cells of each value
+    in increasing order, so two cells p, p + 1 of one row, whose values
+    satisfy v_p <= v_(p+1), sit in 1A in that order.  Every generator s_p
+    of S therefore lengthens 1A, so 1A is the shortest element of its coset
+    1A S, and l(1A d) = l(1A) + l(d) for every d in S.  So _walk applies:
+    first T_1A from the unit, then T_d.
+    """
+    labels = [b for b, size in enumerate(tab.type().parts) for _ in range(size)]
+    base_exponent = _walk(labels, reduced_word(perm_1A(tab)))
+    out = []
     for d in coset_reps(row_reading_composition(tab), tab.shape):
-        total = total + base.mul_t(d)
-    return total
+        word = labels.copy()
+        exponent = base_exponent + _walk(word, reduced_word(d))
+        out.append((tuple(word), exponent))
+    return out
+
+
+def _mul_y_chains(vec: Packed, comp: Composition, bits: int) -> Packed:
+    """Right multiplication by the y element of a composition, times a
+    power of q.
+
+    The y element factorises into descending generator chains, block by
+    block: for each block and 2 <= m <= its size, the factor sum of
+    (-q)^(-k) T_(g_1) ... T_(g_k) over 0 <= k < m.  Each factor is
+    multiplied by q^(m - 1) to make it polynomial.  The product is a unit
+    times the y element, so it is zero exactly when the y element's is.
+    """
+    offset = 0
+    for size in comp.parts:
+        for m in range(2, size + 1):
+            total: Packed = {}
+            cur = vec
+            for k in range(m):
+                if k:
+                    cur = _mul_gen(cur, offset + m - k, bits)
+                shift = bits * (m - 1 - k)
+                for word, (coeff, bound) in cur.items():
+                    coeff <<= shift
+                    _add_term(total, word, -coeff if k & 1 else coeff, bound, bits)
+            vec = total
+        offset += size
+    return vec
+
+
+def _packed_specht(images: list[tuple[list[tuple[Word, int]], LaurentPoly, int]],
+                   shape: Composition, bits: int) -> bool:
+    """The Specht test at q = 2**bits on (image words, coefficient, norm)
+    triples, each coefficient a polynomial; raises _Widen when a
+    cancellation cannot be certified at this width."""
+    total: Packed = {}
+    for words, coeff, norm in images:
+        packed = _pack(coeff, bits)
+        for word, exponent in words:
+            _add_term(total, word, packed << bits * exponent, norm, bits)
+    for i in reduced_word(w_mu(shape)):
+        total = _mul_gen(total, i, bits)
+    return not _mul_y_chains(total, Partition(shape.stripped).conjugate(), bits)
 
 
 def specht_check(comb: LinComb) -> bool:
@@ -663,22 +768,33 @@ def specht_check(comb: LinComb) -> bool:
     permutation and then by the alternating element of the conjugate shape,
     is zero.  The images all lie in the permutation module of the common
     type, so the whole computation runs there, in tabloid coordinates.
+
+    The coefficients, shifted by their smallest exponent, are packed at
+    q = 2**bits.  Evaluation there is a ring map, so a coordinate left
+    nonzero proves the answer False at any width.  A coordinate is dropped
+    only when it cancels with a norm bound that certifies the cancellation,
+    so an empty result proves True; a cancellation that cannot be certified
+    restarts the test at a wider width.
     """
     shape = comb.shape
     if not shape.is_partition:
         raise ValueError(f"Specht modules need partition shapes, got {shape}")
     n = shape.n
     _require_within_cap(n)
-    if n == 0:
+    if n == 0 or comb.is_zero:
         return True
-    total = TabloidVector(comb.type, {})
-    for tab, coeff in comb.items():
-        total = total + _image_vector(tab).scale(coeff)
-    if total.is_zero:
-        return True
-    total = total.mul_t(w_mu(shape))
-    conj = Partition(shape.stripped).conjugate()
-    return _mul_y_blocks(total, conj).is_zero
+    terms = comb.items()
+    low = min(coeff.min_exponent() for _, coeff in terms)
+    images = [(_image_words(tab), coeff.shift(-low),
+               sum(abs(c) for _, c in coeff.items()))
+              for tab, coeff in terms]
+    bits = _START_BITS
+    while True:
+        try:
+            # Called through the module global so that the tests can wrap it.
+            return _packed_specht(images, shape, bits)
+        except _Widen as exc:
+            bits = exc.bits
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +999,12 @@ def _reservoir(stream: Iterator[Instance], k: int,
     return sample
 
 
+def _pool_size(jobs: int, tasks: int) -> int:
+    """How many worker processes to start for a sweep: the number asked
+    for, but never more than there are tasks or CPUs."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
 def verify_composition_props(n_cap: int, value_cap: int = 4,
                              samples: int | None = None, seed: int = 0,
                              jobs: int = 1) -> PropsReport:
@@ -890,9 +1012,9 @@ def verify_composition_props(n_cap: int, value_cap: int = 4,
 
     With samples=None every instance up to the caps is checked; otherwise a
     seeded uniform sample of that many instances per identity.  jobs > 1
-    distributes the checks over worker processes.  Every count must be at
-    least 1: a sweep that checks nothing raises ValueError instead of
-    reporting success.
+    distributes the checks over worker processes, at most one per task and
+    per CPU.  Every count must be at least 1: a sweep that checks nothing
+    raises ValueError instead of reporting success.
     """
     for name, value in (("n_cap", n_cap), ("value_cap", value_cap),
                         ("samples", samples), ("jobs", jobs)):
@@ -911,8 +1033,9 @@ def verify_composition_props(n_cap: int, value_cap: int = 4,
         report.failures[kind] = []
         work.extend(chosen)
 
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
+    workers = _pool_size(jobs, len(work))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.imap_unordered(_check_instance, work, chunksize=16)
             for kind, failure in results:
                 if failure is not None:

@@ -12,7 +12,10 @@ big-int operations.  A polynomial with no negative exponents is read back
 from its packed value by balanced base-2**bits digits, which is exact as
 long as every coefficient lies below 2**(bits - 1) in absolute value; the
 engine keeps an upper bound on each coefficient's L1 norm to know that.
-``LaurentPoly`` is built only at the engine's edges.
+``LaurentPoly`` is built only at the engine's edges.  The Specht test of
+the brute-force model (``hecke_oracle.specht_check``) packs its
+coefficients the same way, and both start at the same width and widen by
+the same rule (``_START_BITS``, ``_wider``).
 """
 
 from __future__ import annotations
@@ -341,6 +344,20 @@ def quantum_binomial(n: int, r: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # packed coefficients: values at q = 2**bits
 # ---------------------------------------------------------------------------
+
+# Packing width a computation starts at; it restarts wider when a
+# coefficient's norm bound outgrows the width.
+_START_BITS = 64
+
+
+def _wider(bits: int, bound: int) -> int:
+    """The width to restart at once a norm bound has reached 2**(bits - 1).
+
+    At least double the width, so that a computation restarts only a few
+    times: widening to just past the bound restarted one straightening of a
+    coefficient 10**30 q^-3 five times (64, 102, 104, 106, 108 bits).
+    """
+    return max(2 * bits, bound.bit_length() + 2)
 
 
 def _pack(poly: LaurentPoly, bits: int) -> int:

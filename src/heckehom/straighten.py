@@ -45,14 +45,11 @@ from .errors import StraighteningError
 # two_row_straighten_step is not called here; it is imported so that code
 # that looks it up in this module (perfbench/tracer.py) finds it.
 from .garnir import LinComb, Rows, _packed_step, two_row_straighten_step  # noqa: F401
-from .qcoeff import LaurentPoly, _pack, _unpack
+from .qcoeff import _START_BITS, LaurentPoly, _pack, _unpack, _wider
 
 PAIR_RULES = ("topmost", "bottommost")
 COLUMN_RULES = ("leftmost", "rightmost")
 DEFAULT_PAIR_RULE = "bottommost"
-# Packing width the traversal starts at; a call restarts wider when a
-# coefficient's norm bound outgrows it.
-_START_BITS = 64
 
 
 def weight(tab: Tableau) -> int:
@@ -151,8 +148,7 @@ def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
               bits: int) -> dict[Rows, int] | int:
     """The worklist on (tableau, packed coefficient, norm bound) inputs, at
     q = 2**bits: the packed output, or, when some bound reaches half the
-    width, the wider width to restart at (at least double, so that a call
-    restarts only a few times)."""
+    width, the wider width to restart at."""
     limit = 1 << (bits - 1)
     # Per row tuple: (packed coefficient, bound on its L1 norm).
     pending: dict[Rows, tuple[int, int]] = {}
@@ -170,7 +166,7 @@ def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
         coeff, bound = pending.pop(rows)
         # Below the limit, the zero test and the final unpacking are exact.
         if bound >= limit:
-            return max(2 * bits, bound.bit_length() + 2)
+            return _wider(bits, bound)
         if not coeff:
             continue
         tab = Tableau._raw(shape, rows, type_)

@@ -2,8 +2,11 @@
 
 import importlib
 import itertools
+import json
+import os
 import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +22,6 @@ from heckehom import (
     OracleCapError,
     Partition,
     TabloidMembershipError,
-    TabloidVector,
     apply_hom,
     coset_reps,
     embed_two_row,
@@ -52,9 +54,25 @@ from heckehom import (
     young_subgroup,
 )
 from heckehom.cli import main as cli_main
-from heckehom.combinat import Tableau, identity_perm
-from heckehom.hecke_oracle import _image_vector, _mul_x_blocks, _mul_y_blocks
+from heckehom.combinat import Tableau, identity_perm, perm_1A
+from heckehom.hecke_oracle import (
+    _image_words,
+    _mul_gen,
+    _mul_x_blocks,
+    _mul_y_chains,
+    _pool_size,
+    is_min_coset_rep,
+)
+from heckehom.qcoeff import _unpack
 
+from .hecke_reference import (
+    ReferenceTabloidVector,
+    image_vector,
+    mul_y_blocks,
+    specht_check_tabloid,
+    vector_of_packed,
+    word_of,
+)
 from .strategies import tableaux
 
 ONE = LaurentPoly.one()
@@ -132,7 +150,7 @@ class TestSubgroupElements:
             for w in perms(c.n):
                 h = t_of_perm(w)
                 assert _mul_x_blocks(h, c) == h.mul(x_elem(c))
-                assert _mul_y_blocks(h, c) == h.mul(y_elem(c))
+                assert mul_y_blocks(h, c) == h.mul(y_elem(c))
 
     def test_young_subgroup_size(self):
         assert len(young_subgroup((2, 2))) == 4
@@ -160,6 +178,26 @@ class TestCosetReps:
         with pytest.raises(ValueError):
             coset_reps((2, 1), (1, 2))
 
+    def test_matches_filter_definition_up_to_degree_7(self):
+        # Every blockwise refinement with positive parts of every
+        # composition with positive parts, and each again with a zero part
+        # at the front of every group, against filtering all arrangements.
+        pairs = 0
+        for n in range(1, 8):
+            for length in range(1, n + 1):
+                for coarse in iter_compositions(n, length):
+                    if 0 in coarse:
+                        continue
+                    groups = [[g for k in range(1, c + 1)
+                               for g in iter_compositions(c, k) if 0 not in g]
+                              for c in coarse]
+                    for choice in itertools.product(*groups):
+                        for lead in ((), (0,)):
+                            fine = tuple(p for g in choice for p in lead + g)
+                            assert coset_reps(fine, coarse) == _filtered_reps(fine, coarse)
+                            pairs += 1
+        assert pairs == 2 * sum(3 ** (n - 1) for n in range(1, 8))
+
     def test_cosets_partition_the_subgroup(self):
         fine, coarse = Composition((1, 1, 2)), Composition((2, 2))
         reps = coset_reps(fine, coarse)
@@ -170,6 +208,24 @@ class TestCosetReps:
                 assert w not in cosets
                 cosets.add(w)
         assert cosets == set(young_subgroup(coarse))
+
+
+def _filtered_reps(fine, coarse):
+    """Coset representatives by definition: per block of the coarse
+    composition, every arrangement of its values that increases along the
+    blocks of the fine composition inside it, in lexicographic order."""
+    per_block, rest, offset = [], list(fine), 0
+    for target in coarse:
+        group, got = [], 0
+        while got < target or (rest and rest[0] == 0 and not group):
+            got += rest[0]
+            group.append(rest.pop(0))
+        values = range(offset + 1, offset + target + 1)
+        per_block.append([p for p in itertools.permutations(values)
+                          if is_min_coset_rep(p, group)])
+        offset += target
+    return tuple(tuple(itertools.chain.from_iterable(combo))
+                 for combo in itertools.product(*per_block))
 
 
 class TestImages:
@@ -292,6 +348,7 @@ class TestTabloidCoords:
 class TestTabloidAction:
     def test_generator_rule_matches_algebra_up_to_degree_5(self):
         # x_comp T_d T_i, read off in tabloid coordinates, against the rule
+        # on d (the reference) and the rule on words (the library, unpacked)
         cases = 0
         for n in range(1, 6):
             for length in range(1, 4):
@@ -299,24 +356,79 @@ class TestTabloidAction:
                     comp = Composition(parts)
                     for d in coset_reps(comp, (n,)):
                         basis = x_elem(comp).mul_t(d)
-                        vec = TabloidVector(comp, {d: ONE})
+                        vec = ReferenceTabloidVector(comp, {d: ONE})
+                        packed = {word_of(d, comp): (1, 1)}
                         for i in range(1, n):
                             expect = tabloid_coords(basis.mul_right_gen(i), comp)
                             assert vec.mul_right_gen(i) == expect, (comp, d, i)
+                            got = vector_of_packed(_mul_gen(packed, i, 8), comp, 8)
+                            assert got == expect, (comp, d, i)
                             cases += 1
         assert cases == 1484
 
+    def test_bounds_cover_norms_up_to_degree_5(self):
+        # Every coordinate's bound is at least its L1 norm, along generator
+        # runs from each tabloid that go up and back down, so that words
+        # and their swaps meet, and along the y chains after them.
+        def check(vec):
+            for coeff, bound in vec.values():
+                assert sum(abs(c) for _, c in _unpack(coeff, 64).items()) <= bound
+            return len(vec)
+
+        letters = {n: [*range(1, n), *range(1, n), *range(n - 1, 0, -1)]
+                   for n in range(2, 6)}
+        most = 0
+        for n in range(2, 6):
+            for length in range(1, 4):
+                for parts in iter_compositions(n, length):
+                    comp = Composition(parts)
+                    for d in coset_reps(comp, (n,)):
+                        vec = {word_of(d, comp): (1, 1)}
+                        for i in letters[n]:
+                            vec = _mul_gen(vec, i, 64)
+                            most = max(most, check(vec))
+                        check(_mul_y_chains(vec, Composition((n,)), 64))
+        assert most > 10
+
     def test_linear_operations(self):
         comp = Composition((1, 2))
-        a = TabloidVector(comp, {(1, 2, 3): ONE, (2, 1, 3): Q})
-        b = TabloidVector(comp, {(2, 1, 3): -Q})
+        a = ReferenceTabloidVector(comp, {(1, 2, 3): ONE, (2, 1, 3): Q})
+        b = ReferenceTabloidVector(comp, {(2, 1, 3): -Q})
         assert (a + b).coords == {(1, 2, 3): ONE}
         assert a.scale(0).is_zero and not a.is_zero
         assert a.scale(Q).coords == {(1, 2, 3): Q, (2, 1, 3): Q * Q}
         with pytest.raises(ValueError):
-            a + TabloidVector(Composition((2, 1)), {})
+            a + ReferenceTabloidVector(Composition((2, 1)), {})
         with pytest.raises(ValueError):
             a.mul_right_gen(3)
+
+
+class TestImageWords:
+    def test_one_term_per_representative_up_to_degree_7(self):
+        # The premise of _image_words' proof, checked directly: in 1A, two
+        # cells p, p + 1 of one row appear in that order.  _image_words
+        # itself raises if any letter of a walk would shorten the product.
+        count = 0
+        for n in range(1, 8):
+            for parts in iter_partitions(n):
+                shape = Partition(parts)
+                same_row = [p for p in range(1, n)
+                            if p not in itertools.accumulate(parts)]
+                for tab in iter_fillings(shape, 4):
+                    one_a = perm_1A(tab)
+                    position = {v: k for k, v in enumerate(one_a)}
+                    assert all(position[p] < position[p + 1] for p in same_row), tab
+                    words = _image_words(tab)
+                    assert len(words) == len({w for w, _ in words}), tab
+                    count += 1
+        assert count == 71715
+
+    def test_matches_generator_by_generator_up_to_degree_5(self):
+        for n in range(1, 6):
+            for parts in iter_partitions(n):
+                for tab in iter_fillings(Partition(parts), 3):
+                    packed = {word: (1 << 8 * e, 1) for word, e in _image_words(tab)}
+                    assert vector_of_packed(packed, tab.type(), 8) == image_vector(tab), tab
 
 
 class TestAnnihilation:
@@ -329,7 +441,7 @@ class TestAnnihilation:
                     for s in range(m + 1, n - r + 1):
                         comp = Composition((r, s, n - r - s))
                         for d in coset_reps(comp, (n,)):
-                            elem = _mul_y_blocks(x_elem(comp).mul_t(d), conj)
+                            elem = mul_y_blocks(x_elem(comp).mul_t(d), conj)
                             assert elem.is_zero, (comp, d, m)
 
 
@@ -346,7 +458,7 @@ def _specht_check_in_algebra(comb):
         return True
     total = total.mul_t(w_mu(shape))
     conj = Partition(shape.stripped).conjugate()
-    return _mul_y_blocks(total, conj).is_zero
+    return mul_y_blocks(total, conj).is_zero
 
 
 GARNIR_DATA_6 = list(iter_valid_data(6, 4))
@@ -380,9 +492,12 @@ class TestSpechtCheck:
         def agree(comb):
             for tab in comb.support():
                 expect = tabloid_coords(image_h3(tab), tab.type())
-                assert _image_vector(tab) == expect, tab
+                assert image_vector(tab) == expect, tab
+                packed = {word: (1 << 8 * e, 1) for word, e in _image_words(tab)}
+                assert vector_of_packed(packed, tab.type(), 8) == expect, tab
             verdict = specht_check(comb)
             assert verdict == _specht_check_in_algebra(comb), comb.to_text()
+            assert verdict == specht_check_tabloid(comb), comb.to_text()
             verdicts.add(verdict)
 
         agree()
@@ -437,6 +552,109 @@ class TestSpechtCheck:
             specht_check(comb)
 
 
+ORACLE_CASES = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json")
+    .read_text())["oracle"]
+
+
+@st.composite
+def packed_specht_cases(draw):
+    """Relations and straightening differences at degree <= 6, values <= 4,
+    sometimes with one term dropped, sometimes with every coefficient times
+    a random-sign Laurent polynomial (exponents -5..5, magnitudes up to
+    10**30) of its own or all times a common one."""
+    if draw(st.booleans()):
+        comb = garnir_relation(draw(st.sampled_from(GARNIR_DATA_6)))
+    else:
+        tab = draw(tableaux(max_n=6, max_value=4))
+        comb = LinComb.single(tab) - semistandardize(tab)
+    if comb.is_zero:
+        return comb
+    if draw(st.booleans()):
+        tab, coeff = draw(st.sampled_from(comb.items()))
+        comb = comb.add_term(tab, -coeff)
+    coefficient = st.dictionaries(
+        st.integers(-5, 5), st.integers(-9, 9) | st.integers(-10**30, 10**30),
+        min_size=1, max_size=3).map(LaurentPoly).filter(bool)
+    how = draw(st.sampled_from(("as is", "each", "common")))
+    if how == "each":
+        comb = LinComb(comb.shape, comb.type,
+                       {tab: coeff * draw(coefficient) for tab, coeff in comb.items()})
+    elif how == "common":
+        comb = comb.scale(draw(coefficient))
+    return comb
+
+
+class TestPackedSpecht:
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        """The packing width of every run of the packed test while the test
+        runs."""
+        widths = []
+        packed_specht = heckehom.hecke_oracle._packed_specht
+
+        def recorded(*args):
+            widths.append(args[-1])
+            return packed_specht(*args)
+
+        monkeypatch.setattr(heckehom.hecke_oracle, "_packed_specht", recorded)
+        return widths
+
+    def test_matches_references(self):
+        verdicts = set()
+
+        @given(packed_specht_cases())
+        @settings(max_examples=60, deadline=None)
+        def agree(comb):
+            verdict = specht_check(comb)
+            assert verdict == specht_check_tabloid(comb), comb.to_text()
+            assert verdict == _specht_check_in_algebra(comb), comb.to_text()
+            verdicts.add(verdict)
+
+        agree()
+        assert verdicts == {True, False}
+
+    def test_narrow_start_restarts_with_identical_verdicts(self, monkeypatch, widths):
+        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        calls = 0
+
+        @given(packed_specht_cases())
+        @settings(max_examples=60, deadline=None)
+        def agree(comb):
+            nonlocal calls
+            verdict = specht_check(comb)
+            assert verdict == specht_check_tabloid(comb), comb.to_text()
+            calls += not comb.is_zero
+
+        agree()
+        assert widths.count(2) == calls and len(widths) > calls
+
+    def test_packed_zero_is_not_trusted(self, monkeypatch, widths):
+        # q - 4 is 0 at q = 2**2, but its norm, 5, is too large to prove it
+        # zero at that width.
+        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        comb = LinComb.single(parse_tableau("1 1 / 2"), LaurentPoly.parse("q - 4"))
+        assert specht_check(comb) is False
+        assert widths[0] == 2 and len(widths) > 1
+
+    def test_huge_coefficient_restarts(self, widths):
+        datum = next(d for d in GARNIR_DATA_6 if d.n == 6)
+        rel = garnir_relation(datum).scale(LaurentPoly.monomial(-3, 10**30))
+        assert specht_check(rel) is True
+        assert widths[0] == heckehom.hecke_oracle._START_BITS and len(widths) > 1
+        assert 10**30 < 2 ** (widths[-1] - 1)
+
+    def test_benchmark_combinations(self):
+        # Every stored combination of the oracle benchmark (read only), at
+        # degree 7 and 8, against its known verdict and the reference.
+        assert len(ORACLE_CASES) == 37
+        for case in ORACLE_CASES:
+            comb = LinComb.from_json(case["comb"])
+            expect = case["expect_exit"] == 0
+            assert specht_check(comb) is expect, case
+            assert specht_check_tabloid(comb) is expect, case
+
+
 class TestCompositionProps:
     def test_exhaustive_tiny(self):
         report = verify_composition_props(3, value_cap=3)
@@ -466,6 +684,42 @@ class TestCompositionProps:
     def test_cap_rejected(self):
         with pytest.raises(ValueError):
             verify_composition_props(9)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of every worker pool asked for while the test runs; the
+        pool runs its tasks in this process and starts none."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap_unordered(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(heckehom.hecke_oracle.multiprocessing, "Pool", RecordingPool)
+        return sizes
+
+    def test_pool_is_bounded(self, monkeypatch, capsys, pool_sizes):
+        tasks = sum(verify_composition_props(2, value_cap=1).checked.values())
+        assert tasks > 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert verify_composition_props(2, value_cap=1, jobs=10**6).ok
+        monkeypatch.setattr(os, "cpu_count", lambda: 10**6)
+        assert verify_composition_props(2, value_cap=1, jobs=10**6).ok
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert verify_composition_props(2, value_cap=1, jobs=10**6).ok
+        assert cli_main(["verify", "--props", "2", "--values", "1",
+                         "--jobs", "1000000"]) == 0
+        assert pool_sizes[:2] == [3, tasks] and len(pool_sizes) == 2
+        assert _pool_size(10**6, 5) == min(5, os.cpu_count() or 1)
 
     def test_cap_follows_environment(self, monkeypatch):
         monkeypatch.setenv("HECKEHOM_ORACLE_CAP", "3")
