@@ -10,7 +10,6 @@ from .errors import (
     OracleCapError,
     ParseError,
     StraighteningError,
-    TabloidMembershipError,
 )
 from .qcoeff import (
     LaurentPoly,
@@ -61,25 +60,14 @@ from .straighten import (
     weight,
 )
 from .hecke_oracle import (
-    HeckeElem,
     PropsReport,
     TabloidVector,
-    apply_hom,
-    apply_lincomb,
     coset_reps,
-    image_h2,
     image_h3,
-    image_h4,
     oracle_cap,
     reduced_word,
     specht_check,
-    t_from_word,
-    t_of_perm,
-    tabloid_coords,
     verify_composition_props,
-    x_elem,
-    y_elem,
-    young_subgroup,
 )
 
 __version__ = "0.1.0"
@@ -87,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Composition",
     "GarnirDatum",
-    "HeckeElem",
     "LaurentPoly",
     "LinComb",
     "Multiset",
@@ -97,10 +84,7 @@ __all__ = [
     "PropsReport",
     "StraighteningError",
     "Tableau",
-    "TabloidMembershipError",
     "TabloidVector",
-    "apply_hom",
-    "apply_lincomb",
     "coset_reps",
     "cross_pairs",
     "embed_two_row",
@@ -110,9 +94,7 @@ __all__ = [
     "format_tableau",
     "format_tableau_inline",
     "garnir_relation",
-    "image_h2",
     "image_h3",
-    "image_h4",
     "inversions",
     "is_semistandard",
     "iter_compositions",
@@ -135,17 +117,11 @@ __all__ = [
     "semistandardize_lincomb",
     "specht_check",
     "straightening_datum",
-    "t_from_word",
-    "t_of_perm",
     "tableau_from_json",
     "tableau_to_json",
-    "tabloid_coords",
     "two_row_straighten_step",
     "type_composition",
     "verify_composition_props",
     "w_mu",
     "weight",
-    "x_elem",
-    "y_elem",
-    "young_subgroup",
 ]

@@ -522,19 +522,6 @@ def row_reading_composition(tab: Tableau) -> Composition:
     return Composition(parts)
 
 
-def column_reading_composition(tab: Tableau) -> Composition:
-    """Per-value multiplicity vectors, concatenated value after value.
-
-    For each value 1..max, lists its multiplicity in row 1, row 2, ...;
-    the result refines the type blockwise.
-    """
-    top = len(tab.type().stripped)
-    parts: list[int] = []
-    for v in range(1, top + 1):
-        parts.extend(row.count(v) for row in tab.rows)
-    return Composition(parts)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
-"""Exact model of the Hecke algebra at small degree.
+"""Exact model of the permutation modules of the Hecke algebra at small degree.
 
-Two representations:
+Tableau maps land in permutation modules, and everything here works in
+their tabloid basis: for a composition, the basis element at a minimal
+coset representative d is the composition's x element times the basis
+element of d (Dipper and James, Proc. LMS 52, 1986).  That is
+n!/|Young subgroup| coordinates instead of the algebra's n!.
 
-* ``HeckeElem``: an algebra element as a sparse map from permutations to
-  exact Laurent-polynomial coefficients in the standard basis;
-  multiplication is repeated application of the generator rule.  Images
-  of tableau maps (``image_h3``), the composition-identity sweeps and the
-  reference checks in the tests use it.  ``TabloidVector`` holds the same
-  kind of coefficients in the tabloid basis of a permutation module (the
-  composition's x element times the basis element of a minimal coset
-  representative d); ``tabloid_coords`` and ``apply_hom`` use it.
-* The Specht test (``specht_check``) runs in that tabloid basis too, on
-  n!/|Young subgroup| coordinates instead of n!, with the right action of
-  each generator (Dipper and James, Proc. LMS 52, 1986).  There a tabloid
-  is keyed by its block-label word, and a coefficient is one int, its
-  value at q = 2**bits, carried with a bound on its L1 norm, as in the
-  straightening engine (see ``qcoeff``).
+* A tabloid is keyed by its block-label word, and a coefficient is one
+  int, its value at q = 2**bits, carried with a bound on its L1 norm, as in
+  the straightening engine (see ``qcoeff``).  ``_mul_gen`` is the right
+  action of one generator.
+* The map of a tableau C sends x T_d to image(C) T_d, which is its one
+  image rule: ``_image_words`` builds image(C), ``_apply_hom`` applies the
+  map to a packed vector, and ``image_h3`` unpacks an image into a
+  ``TabloidVector``.
+* The Specht test (``specht_check``) and the four composition identities
+  (``verify_composition_props``) run on that kernel.  A cancellation that
+  its width cannot certify restarts the computation wider.
+
+``HeckeElem``, an algebra element in the standard basis, is not used by
+any library or command-line path.  The standard-basis model that the tests
+compare this module with is ``tests/hecke_reference.py``.
 
 Nothing is clever beyond that; that is the point.  The fast combinatorial
 straightening in the other modules is verified against this model at
@@ -29,14 +34,15 @@ billions of elements.
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import OracleCapError, TabloidMembershipError
+from .errors import OracleCapError
 from .combinat import (
     Composition,
     IntoComposition,
@@ -44,16 +50,11 @@ from .combinat import (
     Partition,
     Perm,
     Tableau,
-    _perm_of_filling,
     as_composition,
-    column_reading_composition,
     cross_pairs,
     identity_perm,
-    inversions,
     iter_multisets,
     perm_1A,
-    perm_inverse,
-    perm_mul,
     row_reading_composition,
     w_mu,
 )
@@ -69,8 +70,8 @@ from .qcoeff import (
     LaurentPoly,
     _as_poly,
     _pack,
+    _packed_binomial,
     _wider,
-    quantum_binomial,
 )
 
 DEFAULT_CAP = 8
@@ -120,7 +121,10 @@ class HeckeElem:
     """A sparse element of the degree-n Hecke algebra in the standard basis.
 
     Stored as a map from permutations (one-line tuples) to nonzero Laurent
-    polynomial coefficients.
+    polynomial coefficients.  No library or command-line path uses it; it
+    stays in this module because perfbench/tracer.py imports it and patches
+    ``mul_t`` and ``mul_right_gen``, and the standard-basis reference in
+    tests/hecke_reference.py is built on it.
     """
 
     __slots__ = ("_n", "_terms")
@@ -275,73 +279,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     return tuple(reversed(letters))
 
 
-def t_of_perm(w: Perm) -> HeckeElem:
-    """The standard basis element indexed by w."""
-    w = tuple(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError(f"{w} is not a permutation")
-    return HeckeElem._raw(len(w), {w: LaurentPoly.one()})
-
-
-def t_from_word(n: int, word: Iterable[int]) -> HeckeElem:
-    """Product of generators in the given order, starting from the unit.
-
-    Used to cross-check that t_of_perm is independent of the reduced word.
-    """
-    elem = HeckeElem.one(n)
-    for i in word:
-        elem = elem.mul_right_gen(i)
-    return elem
-
-
-# ---------------------------------------------------------------------------
-# Young subgroups, coset representatives, x and y elements
-# ---------------------------------------------------------------------------
-
-
-def young_subgroup(comp: IntoComposition) -> tuple[Perm, ...]:
-    """All permutations moving each block of consecutive values within itself."""
-    comp = as_composition(comp)
-    return _young_subgroup_cached(tuple(p for p in comp.parts if p))
-
-
-# The test suite asks for under 60 distinct subgroups.
-@lru_cache(maxsize=256)
-def _young_subgroup_cached(parts: tuple[int, ...]) -> tuple[Perm, ...]:
-    per_block: list[list[tuple[int, ...]]] = []
-    offset = 0
-    for size in parts:
-        per_block.append(
-            [p for p in itertools.permutations(range(offset + 1, offset + size + 1))])
-        offset += size
-    out = []
-    for combo in itertools.product(*per_block):
-        out.append(tuple(itertools.chain.from_iterable(combo)))
-    return tuple(out)
-
-
-def is_min_coset_rep(w: Perm, comp: IntoComposition) -> bool:
-    """Whether w is the shortest element of its right coset: increasing on
-    each consecutive block of positions."""
-    comp = as_composition(comp)
-    offset = 0
-    for size in comp.parts:
-        for p in range(offset, offset + size - 1):
-            if w[p] > w[p + 1]:
-                return False
-        offset += size
-    return True
-
-
-def _block_bounds(comp: Composition) -> list[tuple[int, int]]:
-    bounds = []
-    offset = 0
-    for size in comp.parts:
-        bounds.append((offset, offset + size))
-        offset += size
-    return bounds
-
-
 def coset_reps(fine: IntoComposition, coarse: IntoComposition) -> tuple[Perm, ...]:
     """Minimal right coset representatives of one Young subgroup in a larger.
 
@@ -397,10 +334,10 @@ def _coset_reps_cached(fine: tuple[int, ...],
 def _increasing_arrangements(values: tuple[int, ...],
                              parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every ordering of the increasing values that increases along each
-    block of positions of parts, in lexicographic order: the orderings that
-    is_min_coset_rep keeps, built directly.  The first block takes each
-    choice of its values in turn, increasing; the rest recurse on what is
-    left."""
+    block of positions of parts, in lexicographic order: the minimal coset
+    representatives, built directly instead of filtered out of every
+    ordering.  The first block takes each choice of its values in turn,
+    increasing; the rest recurse on what is left."""
     if not parts:
         return [()]
     out = []
@@ -410,187 +347,8 @@ def _increasing_arrangements(values: tuple[int, ...],
     return out
 
 
-def x_elem(comp: IntoComposition) -> HeckeElem:
-    """Sum of the standard basis over the Young subgroup."""
-    comp = as_composition(comp)
-    one = LaurentPoly.one()
-    return HeckeElem._raw(comp.n, {w: one for w in young_subgroup(comp)})
-
-
-def y_elem(comp: IntoComposition) -> HeckeElem:
-    """Alternating sum: each subgroup element weighted by (-q) to minus its
-    length."""
-    comp = as_composition(comp)
-    terms = {}
-    for w in young_subgroup(comp):
-        l = inversions(w)
-        terms[w] = LaurentPoly.monomial(-l, (-1) ** l)
-    return HeckeElem._raw(comp.n, terms)
-
-
-def _mul_x_blocks(elem: HeckeElem, comp: Composition) -> HeckeElem:
-    """Right multiplication by the x element of a composition.
-
-    Works block by block through the factorisation of the subgroup sum into
-    descending generator chains, so the cost is a handful of generator
-    multiplications rather than a full subgroup sum.
-    """
-    offset = 0
-    for size in comp.parts:
-        for m in range(2, size + 1):
-            total = elem
-            cur = elem
-            for gen in range(offset + m - 1, offset, -1):
-                cur = cur.mul_right_gen(gen)
-                total = total + cur
-            elem = total
-        offset += size
-    return elem
-
-
 # ---------------------------------------------------------------------------
-# homomorphism images
-# ---------------------------------------------------------------------------
-
-
-def image_h3(tab: Tableau) -> HeckeElem:
-    """Image of the permutation-module generator under the tableau's map.
-
-    The x element of the tableau's type, times the basis element of the
-    tableau's permutation, times the sum over coset representatives of the
-    row-reading refinement inside the shape's subgroup.
-    """
-    _require_within_cap(tab.n)
-    return _image_h3_cached(tab)
-
-
-# Images reach tens of thousands of terms at degree 8; the composition
-# sweeps reuse a few merge and split tableaux many times over.
-_IMAGE_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_IMAGE_CACHE_SIZE)
-def _image_h3_cached(tab: Tableau) -> HeckeElem:
-    base = x_elem(tab.type()).mul_t(perm_1A(tab))
-    total = HeckeElem.zero(tab.n)
-    for d in coset_reps(row_reading_composition(tab), tab.shape):
-        total = total + base.mul_t(d)
-    return total
-
-
-def image_h2(tab: Tableau) -> HeckeElem:
-    """The same image, computed from row-rearranged fillings.
-
-    Each row's multiset is laid out in every distinct order; each resulting
-    filling contributes the type's x element times the basis element of the
-    filling's permutation.  Agreement with image_h3 is a test invariant.
-    """
-    _require_within_cap(tab.n)
-    type_len = len(tab.type().stripped)
-    x = x_elem(tab.type())
-    row_orders = [sorted(set(itertools.permutations(row.elements())))
-                  for row in tab.rows]
-    total = HeckeElem.zero(tab.n)
-    for arrangement in itertools.product(*row_orders):
-        cells = [v for row in arrangement for v in row]
-        total = total + x.mul_t(_perm_of_filling(cells, type_len))
-    return total
-
-
-def image_h4(tab: Tableau) -> HeckeElem:
-    """The same image, computed from the left-handed expansion.
-
-    Sum over inverses of coset representatives of the column-reading
-    refinement inside the type's subgroup, times the tableau's basis
-    element, times the shape's x element.
-    """
-    _require_within_cap(tab.n)
-    reps = coset_reps(column_reading_composition(tab), tab.type())
-    terms = {perm_inverse(d): LaurentPoly.one() for d in reps}
-    left = HeckeElem._raw(tab.n, terms)
-    left = left.mul_t(perm_1A(tab))
-    return _mul_x_blocks(left, tab.shape)
-
-
-# ---------------------------------------------------------------------------
-# tabloid coordinates and homomorphism application
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TabloidVector:
-    """An element of a permutation module written in the tabloid basis.
-
-    coords maps each minimal coset representative to its coefficient; the
-    basis element at d is the composition's x element times the basis
-    element of d.  ``tabloid_coords`` returns one and ``apply_hom`` reads
-    one.
-    """
-
-    composition: Composition
-    coords: dict[Perm, LaurentPoly]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TabloidVector):
-            return NotImplemented
-        return (self.composition == other.composition
-                and self.coords == other.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coords
-
-
-def tabloid_coords(h: HeckeElem, comp: IntoComposition) -> TabloidVector:
-    """Coordinates of an algebra element in the tabloid basis.
-
-    Each tabloid basis element has disjoint support consisting of one full
-    coset, with coefficient 1 on its minimal representative; so coordinates
-    are read off the minimal representatives, and the claim that h lies in
-    the module at all is then verified by exact reconstruction.
-    """
-    comp = as_composition(comp)
-    if h.n != comp.n:
-        raise ValueError(f"degree {h.n} does not match composition of {comp.n}")
-    coords = {w: c for w, c in h._terms.items() if is_min_coset_rep(w, comp)}
-    subgroup = young_subgroup(comp)
-    recon: dict[Perm, LaurentPoly] = {}
-    for d, coeff in coords.items():
-        for v in subgroup:
-            w = perm_mul(v, d)
-            prev = recon.get(w)
-            recon[w] = coeff if prev is None else prev + coeff
-    recon = {w: c for w, c in recon.items() if c}
-    if recon != h._terms:
-        raise TabloidMembershipError(
-            "element is not a combination of tabloid basis elements")
-    return TabloidVector(comp, coords)
-
-
-def apply_hom(vec: TabloidVector, tab: Tableau) -> HeckeElem:
-    """Image of a tabloid vector under the homomorphism of a tableau whose
-    shape is the vector's composition."""
-    if tab.shape != vec.composition:
-        raise ValueError(
-            f"tableau shape {tab.shape} does not match vector over "
-            f"{vec.composition}")
-    base = image_h3(tab)
-    total = HeckeElem.zero(base.n)
-    for d, coeff in vec.coords.items():
-        total = total + base.mul_t(d).scale(coeff)
-    return total
-
-
-def apply_lincomb(comb: LinComb, vec: TabloidVector) -> HeckeElem:
-    """Image of a tabloid vector under a combination of tableau maps."""
-    total = HeckeElem.zero(vec.composition.n)
-    for tab, coeff in comb.items():
-        total = total + apply_hom(vec, tab).scale(coeff)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# the Specht-module test
+# the tabloid kernel: images, maps and the Specht test
 # ---------------------------------------------------------------------------
 
 
@@ -695,8 +453,10 @@ def _walk(word: list[int], letters: Iterable[int]) -> int:
 
 
 def _image_words(tab: Tableau) -> list[tuple[Word, int]]:
-    """image_h3 of a tableau in the tabloid basis of its type's module, as
-    one (word, e) pair for the term q^e at word per coset representative d.
+    """The image of a tableau's map, the image of the generator of the
+    permutation module of its shape, in the tabloid basis of its type's
+    module: one (word, e) pair for the term q^e at word per coset
+    representative d.
 
     The image is the sum over d of x T_1A T_d, with d running over the
     representatives of the row-reading composition inside the shape's
@@ -715,6 +475,76 @@ def _image_words(tab: Tableau) -> list[tuple[Word, int]]:
         exponent = base_exponent + _walk(word, reduced_word(d))
         out.append((tuple(word), exponent))
     return out
+
+
+def _rep_of(word: Word, comp: Composition) -> Perm:
+    """The minimal coset representative with the given block-label word:
+    each block of positions holds its values in increasing order."""
+    blocks: list[list[int]] = [[] for _ in comp.parts]
+    for v, b in enumerate(word, start=1):
+        blocks[b].append(v)
+    return tuple(v for block in blocks for v in block)
+
+
+def _packed_image(tab: Tableau, bits: int) -> Packed:
+    return {word: (1 << bits * e, 1) for word, e in _image_words(tab)}
+
+
+def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
+    """The map of tab on a packed vector of the permutation module of its
+    shape, landing in the module of its type.
+
+    The map sends the tabloid x T_d to image(tab) T_d, so the result is the
+    sum over the vector's words of the coefficient times the image
+    multiplied, letter by letter, by a reduced word of the word's d.
+    """
+    image = _packed_image(tab, bits)
+    out: Packed = {}
+    for word, (coeff, bound) in vec.items():
+        term = image
+        for i in reduced_word(_rep_of(word, tab.shape)):
+            term = _mul_gen(term, i, bits)
+        for image_word, (c, b) in term.items():
+            _add_term(out, image_word, c * coeff, b * bound, bits)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class TabloidVector:
+    """An element of a permutation module written in the tabloid basis.
+
+    coords maps each minimal coset representative d to its coefficient;
+    the basis element at d is the composition's x element times the basis
+    element of d.  ``image_h3`` returns one.
+    """
+
+    composition: Composition
+    coords: dict[Perm, LaurentPoly]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TabloidVector):
+            return NotImplemented
+        return (self.composition == other.composition
+                and self.coords == other.coords)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coords
+
+
+def image_h3(tab: Tableau) -> TabloidVector:
+    """Image of the permutation-module generator under the tableau's map,
+    in the tabloid basis of the module of the tableau's type.
+
+    The image is the x element of the type, times the basis element of the
+    tableau's permutation, times the sum over coset representatives of the
+    row-reading refinement inside the shape's subgroup; each summand is one
+    power of q at one tabloid (see ``_image_words``).
+    """
+    _require_within_cap(tab.n)
+    comp = tab.type()
+    return TabloidVector(comp, {_rep_of(word, comp): LaurentPoly.monomial(e)
+                                for word, e in _image_words(tab)})
 
 
 def _mul_y_chains(vec: Packed, comp: Composition, bits: int) -> Packed:
@@ -759,6 +589,20 @@ def _packed_specht(images: list[tuple[list[tuple[Word, int]], LaurentPoly, int]]
     return not _mul_y_chains(total, Partition(shape.stripped).conjugate(), bits)
 
 
+_T = TypeVar("_T")
+
+
+def _widening(run: Callable[[int], _T]) -> _T:
+    """run(bits) at the module's starting width, restarted at the width
+    each _Widen asks for until it finishes."""
+    bits = _START_BITS
+    while True:
+        try:
+            return run(bits)
+        except _Widen as exc:
+            bits = exc.bits
+
+
 def specht_check(comb: LinComb) -> bool:
     """Whether a combination of tableau maps vanishes on the Specht module.
 
@@ -788,13 +632,8 @@ def specht_check(comb: LinComb) -> bool:
     images = [(_image_words(tab), coeff.shift(-low),
                sum(abs(c) for _, c in coeff.items()))
               for tab, coeff in terms]
-    bits = _START_BITS
-    while True:
-        try:
-            # Called through the module global so that the tests can wrap it.
-            return _packed_specht(images, shape, bits)
-        except _Widen as exc:
-            bits = exc.bits
+    # Called through the module global so that the tests can wrap it.
+    return _widening(lambda bits: _packed_specht(images, shape, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -871,74 +710,79 @@ def _constant_rows(sizes_and_values: list[tuple[int, int]]) -> list[Multiset]:
     return [Multiset([value] * size) for size, value in sizes_and_values]
 
 
-def _check_row_merge(params: tuple) -> str | None:
+def _merge_scalar(pairs: list[tuple[Multiset, Multiset]], bits: int) -> tuple[int, int]:
+    """The scalar of a merge of each (upper, lower) pair of rows, packed,
+    with its norm: the product over the pairs of q^cross_pairs(upper, lower)
+    and, per value v of upper, the quantum binomial [upper_v + lower_v
+    choose upper_v].  Those have nonnegative coefficients, so the norm is
+    the product of the ordinary binomials."""
+    coeff, norm, exponent = 1, 1, 0
+    for upper, lower in pairs:
+        for v in upper.support():
+            total, r = upper.count(v) + lower.count(v), upper.count(v)
+            coeff *= _packed_binomial(total, r, bits)
+            norm *= math.comb(total, r)
+        exponent += cross_pairs(upper, lower)
+    return coeff << bits * exponent, norm
+
+
+def _subtract_image(diff: Packed, tab: Tableau, coeff: int, norm: int,
+                    bits: int) -> None:
+    """Subtract coeff times the image of tab from diff."""
+    for word, e in _image_words(tab):
+        _add_term(diff, word, -(coeff << bits * e), norm, bits)
+
+
+# Each check takes its instance's parameters and a packing width, builds
+# lhs - rhs of its identity in one packed vector over the module of the
+# type, and returns a counterexample message unless the vector is empty.
+
+
+def _check_row_merge(params: tuple, bits: int) -> str | None:
     top_elems, bottom_elems, m = params
     top, bottom = Multiset(top_elems), Multiset(bottom_elems)
     r = top.size
-    xi = Composition((r, m - r))
-    tab_c = Tableau(xi, [top, bottom])
     merge_b = Tableau((m,), [Multiset([1] * r + [2] * (m - r))])
-    merged = Tableau((m,), [top + bottom])
-    coords = tabloid_coords(image_h3(merge_b), xi)
-    lhs = apply_hom(coords, tab_c)
-    scalar = LaurentPoly.one()
-    for v in top.support():
-        scalar = scalar * quantum_binomial(top.count(v) + bottom.count(v),
-                                           top.count(v))
-    scalar = scalar.shift(cross_pairs(top, bottom))
-    rhs = image_h3(merged).scale(scalar)
-    if lhs != rhs:
+    tab_c = Tableau((r, m - r), [top, bottom])
+    diff = _apply_hom(_packed_image(merge_b, bits), tab_c, bits)
+    coeff, norm = _merge_scalar([(top, bottom)], bits)
+    _subtract_image(diff, Tableau((m,), [top + bottom]), coeff, norm, bits)
+    if diff:
         return f"row merge failed for rows {top_elems}/{bottom_elems}, m={m}"
     return None
 
 
-def _check_pair_merge(params: tuple) -> str | None:
+def _check_pair_merge(params: tuple, bits: int) -> str | None:
     (rows_elems,) = params
     rows = [Multiset(e) for e in rows_elems]
     r, u, v, t = (row.size for row in rows)
-    quad = Composition((r, u, v, t))
-    tab_c = Tableau(quad, rows)
     merge_b = Tableau((r + u, v + t),
                       [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
+    diff = _apply_hom(_packed_image(merge_b, bits), Tableau((r, u, v, t), rows), bits)
+    coeff, norm = _merge_scalar([(rows[0], rows[1]), (rows[2], rows[3])], bits)
     merged = Tableau((r + u, v + t), [rows[0] + rows[1], rows[2] + rows[3]])
-    coords = tabloid_coords(image_h3(merge_b), quad)
-    lhs = apply_hom(coords, tab_c)
-    scalar = LaurentPoly.one()
-    for v_ in rows[0].support():
-        scalar = scalar * quantum_binomial(
-            rows[0].count(v_) + rows[1].count(v_), rows[0].count(v_))
-    for v_ in rows[2].support():
-        scalar = scalar * quantum_binomial(
-            rows[2].count(v_) + rows[3].count(v_), rows[2].count(v_))
-    scalar = scalar.shift(cross_pairs(rows[0], rows[1])
-                          + cross_pairs(rows[2], rows[3]))
-    rhs = image_h3(merged).scale(scalar)
-    if lhs != rhs:
+    _subtract_image(diff, merged, coeff, norm, bits)
+    if diff:
         return f"pair merge failed for rows {rows_elems}"
     return None
 
 
-def _check_row_split(params: tuple) -> str | None:
+def _check_row_split(params: tuple, bits: int) -> str | None:
     rows_elems, u = params
     rows = [Multiset(e) for e in rows_elems]
     r, w, t = (row.size for row in rows)
-    v = w - u
-    quad = Composition((r, u, v, t))
-    split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (v, 2), (t, 3)]))
-    wide = Composition((r, w, t))
-    tab_e = Tableau(wide, rows)
-    coords = tabloid_coords(image_h3(split_d), wide)
-    lhs = apply_hom(coords, tab_e)
-    rhs = HeckeElem.zero(sum((r, w, t)))
+    quad = (r, u, w - u, t)
+    split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (w - u, 2), (t, 3)]))
+    diff = _apply_hom(_packed_image(split_d, bits), Tableau((r, w, t), rows), bits)
     for mid_top in rows[1].sub_multisets(u):
         tab = Tableau(quad, [rows[0], mid_top, rows[1] - mid_top, rows[2]])
-        rhs = rhs + image_h3(tab)
-    if lhs != rhs:
+        _subtract_image(diff, tab, 1, 1, bits)
+    if diff:
         return f"row split failed for rows {rows_elems}, split size {u}"
     return None
 
 
-def _check_garnir_factorization(params: tuple) -> str | None:
+def _check_garnir_factorization(params: tuple, bits: int) -> str | None:
     top_elems, pool_elems, bottom_elems, top_len = params
     datum = GarnirDatum(Multiset(top_elems), Multiset(pool_elems),
                         Multiset(bottom_elems), top_len)
@@ -947,19 +791,19 @@ def _check_garnir_factorization(params: tuple) -> str | None:
     t = datum.fixed_bottom.size
     u = datum.take_size
     v = datum.bottom_len - t
-    quad = Composition((r, u, v, t))
-    wide = Composition((r, s, t))
+    quad = (r, u, v, t)
     merge_b = Tableau(datum.shape,
                       [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
     split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (v, 2), (t, 3)]))
-    tab_e = Tableau(wide, [datum.fixed_top, datum.pool, datum.fixed_bottom])
-    mid = apply_hom(tabloid_coords(image_h3(merge_b), quad), split_d)
-    lhs = apply_hom(tabloid_coords(mid, wide), tab_e)
-    rel = garnir_relation(datum)
-    rhs = HeckeElem.zero(datum.n)
-    for tab, coeff in rel.items():
-        rhs = rhs + image_h3(tab).scale(coeff)
-    if lhs != rhs:
+    tab_e = Tableau((r, s, t), [datum.fixed_top, datum.pool, datum.fixed_bottom])
+    mid = _apply_hom(_packed_image(merge_b, bits), split_d, bits)
+    diff = _apply_hom(mid, tab_e, bits)
+    # Relation coefficients are quantum binomials times powers of q with
+    # nonnegative exponents, so they pack as they stand.
+    for tab, coeff in garnir_relation(datum).items():
+        norm = sum(abs(c) for _, c in coeff.items())
+        _subtract_image(diff, tab, _pack(coeff, bits), norm, bits)
+    if diff:
         return (f"relation factorisation failed for "
                 f"{top_elems}|{pool_elems}|{bottom_elems}, top length {top_len}")
     return None
@@ -982,7 +826,8 @@ _GENERATORS = {
 
 def _check_instance(item: Instance) -> tuple[str, str | None]:
     kind, params = item
-    return kind, _CHECKERS[kind](params)
+    check = _CHECKERS[kind]
+    return kind, _widening(lambda bits: check(params, bits))
 
 
 def _reservoir(stream: Iterator[Instance], k: int,
@@ -1005,10 +850,24 @@ def _pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
+def _prop_instances(n_cap: int, value_cap: int, samples: int | None,
+                    seed: int) -> dict[str, list[Instance]]:
+    """The instances a sweep checks, per identity: every one up to the caps,
+    or a seeded uniform sample of that many of each."""
+    out = {}
+    for kind in PROP_KINDS:
+        stream = _GENERATORS[kind](n_cap, value_cap)
+        if samples is None:
+            out[kind] = list(stream)
+        else:
+            out[kind] = _reservoir(stream, samples, random.Random(f"{seed}:{kind}"))
+    return out
+
+
 def verify_composition_props(n_cap: int, value_cap: int = 4,
                              samples: int | None = None, seed: int = 0,
                              jobs: int = 1) -> PropsReport:
-    """Check the four composition identities against the brute-force model.
+    """Check the four composition identities in the tabloid basis.
 
     With samples=None every instance up to the caps is checked; otherwise a
     seeded uniform sample of that many instances per identity.  jobs > 1
@@ -1021,17 +880,10 @@ def verify_composition_props(n_cap: int, value_cap: int = 4,
         if value is not None and value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     _require_within_cap(n_cap)
-    report = PropsReport()
-    work: list[Instance] = []
-    for kind in PROP_KINDS:
-        stream = _GENERATORS[kind](n_cap, value_cap)
-        if samples is None:
-            chosen = list(stream)
-        else:
-            chosen = _reservoir(stream, samples, random.Random(f"{seed}:{kind}"))
-        report.checked[kind] = len(chosen)
-        report.failures[kind] = []
-        work.extend(chosen)
+    instances = _prop_instances(n_cap, value_cap, samples, seed)
+    report = PropsReport({kind: len(chosen) for kind, chosen in instances.items()},
+                         {kind: [] for kind in instances})
+    work = [item for chosen in instances.values() for item in chosen]
 
     workers = _pool_size(jobs, len(work))
     if workers > 1:

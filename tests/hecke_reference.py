@@ -1,26 +1,389 @@
-"""The Specht test on ``LaurentPoly`` tabloid coordinates, as a reference.
+"""The standard-basis model of the Hecke algebra, kept as the reference.
 
-``specht_check_tabloid`` is the test that ``heckehom.specht_check``
-replaced: the same computation in the tabloid basis of the type's
-permutation module, with each coordinate keyed by its minimal coset
-representative d and carried as a ``LaurentPoly``.  Each generator acts by
-scanning d for the values i and i + 1 (``ReferenceTabloidVector.
-mul_right_gen``), images are built by multiplying generator by generator
-(``image_vector``), and the y element is applied with its (-q)^(-k)
-weights as they stand (``mul_y_blocks``, which works on ``HeckeElem`` too).
-It shares no arithmetic with the packed kernel in the library, so the
-tests (and ``scripts/sweep_*.py --reference``) compare the two.
+Two references share no arithmetic with the packed tabloid kernel in
+``heckehom.hecke_oracle``, so the tests (and ``scripts/sweep_*.py
+--reference``) compare the two:
+
+* The Specht test on ``LaurentPoly`` tabloid coordinates
+  (``specht_check_tabloid``): the same computation in the tabloid basis of
+  the type's permutation module, with each coordinate keyed by its minimal
+  coset representative d.  Each generator acts by scanning d for the values
+  i and i + 1 (``ReferenceTabloidVector.mul_right_gen``), images are built
+  by multiplying generator by generator (``image_vector``), and the y
+  element is applied with its (-q)^(-k) weights as they stand
+  (``mul_y_blocks``, which works on ``HeckeElem`` too).
+* The whole algebra in the standard basis, as ``HeckeElem``s: x and y
+  elements summed over Young subgroups, images of tableau maps three ways
+  (``algebra_image``, ``image_h2``, ``image_h4``), coordinates in the
+  tabloid basis read off and verified by reconstruction
+  (``tabloid_coords``), maps applied to them (``apply_hom``), and the four
+  composition identities checked on those (``reference_check``).
 
 ``word_of`` and ``vector_of_packed`` translate between the library's
 keys (block-label words) and the coordinates here.
 """
 
-from heckehom import Composition, LaurentPoly, Partition, TabloidVector, reduced_word, w_mu
-from heckehom.combinat import identity_perm, perm_1A, row_reading_composition
-from heckehom.hecke_oracle import _add_into, _require_within_cap, coset_reps
+import itertools
+from functools import lru_cache
+
+from heckehom import (
+    Composition,
+    GarnirDatum,
+    LaurentPoly,
+    Multiset,
+    Partition,
+    Tableau,
+    TabloidVector,
+    cross_pairs,
+    garnir_relation,
+    inversions,
+    perm_inverse,
+    perm_mul,
+    quantum_binomial,
+    reduced_word,
+    w_mu,
+)
+from heckehom.combinat import (
+    _perm_of_filling,
+    as_composition,
+    identity_perm,
+    perm_1A,
+    row_reading_composition,
+)
+from heckehom.hecke_oracle import HeckeElem, _add_into, _require_within_cap, coset_reps
 from heckehom.qcoeff import _as_poly, _unpack
 
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
+
+
+# ---------------------------------------------------------------------------
+# the algebra in the standard basis
+# ---------------------------------------------------------------------------
+
+
+def t_of_perm(w):
+    """The standard basis element indexed by w."""
+    w = tuple(w)
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"{w} is not a permutation")
+    return HeckeElem._raw(len(w), {w: LaurentPoly.one()})
+
+
+def t_from_word(n, word):
+    """Product of generators in the given order, starting from the unit.
+
+    Used to cross-check that t_of_perm is independent of the reduced word.
+    """
+    elem = HeckeElem.one(n)
+    for i in word:
+        elem = elem.mul_right_gen(i)
+    return elem
+
+
+def young_subgroup(comp):
+    """All permutations moving each block of consecutive values within itself."""
+    comp = as_composition(comp)
+    return _young_subgroup_cached(tuple(p for p in comp.parts if p))
+
+
+@lru_cache(maxsize=256)
+def _young_subgroup_cached(parts):
+    per_block = []
+    offset = 0
+    for size in parts:
+        per_block.append(list(itertools.permutations(range(offset + 1, offset + size + 1))))
+        offset += size
+    return tuple(tuple(itertools.chain.from_iterable(combo))
+                 for combo in itertools.product(*per_block))
+
+
+def is_min_coset_rep(w, comp):
+    """Whether w is the shortest element of its right coset: increasing on
+    each consecutive block of positions."""
+    comp = as_composition(comp)
+    offset = 0
+    for size in comp.parts:
+        for p in range(offset, offset + size - 1):
+            if w[p] > w[p + 1]:
+                return False
+        offset += size
+    return True
+
+
+def x_elem(comp):
+    """Sum of the standard basis over the Young subgroup."""
+    comp = as_composition(comp)
+    one = LaurentPoly.one()
+    return HeckeElem._raw(comp.n, {w: one for w in young_subgroup(comp)})
+
+
+def y_elem(comp):
+    """Alternating sum: each subgroup element weighted by (-q) to minus its
+    length."""
+    comp = as_composition(comp)
+    terms = {}
+    for w in young_subgroup(comp):
+        length = inversions(w)
+        terms[w] = LaurentPoly.monomial(-length, (-1) ** length)
+    return HeckeElem._raw(comp.n, terms)
+
+
+def mul_x_blocks(elem, comp):
+    """Right multiplication by the x element of a composition.
+
+    Works block by block through the factorisation of the subgroup sum into
+    descending generator chains, so the cost is a handful of generator
+    multiplications rather than a full subgroup sum.
+    """
+    offset = 0
+    for size in comp.parts:
+        for m in range(2, size + 1):
+            total = elem
+            cur = elem
+            for gen in range(offset + m - 1, offset, -1):
+                cur = cur.mul_right_gen(gen)
+                total = total + cur
+            elem = total
+        offset += size
+    return elem
+
+
+# ---------------------------------------------------------------------------
+# images of tableau maps in the standard basis
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def algebra_image(tab):
+    """Image of the permutation-module generator under the tableau's map.
+
+    The x element of the tableau's type, times the basis element of the
+    tableau's permutation, times the sum over coset representatives of the
+    row-reading refinement inside the shape's subgroup.
+    """
+    _require_within_cap(tab.n)
+    base = x_elem(tab.type()).mul_t(perm_1A(tab))
+    total = HeckeElem.zero(tab.n)
+    for d in coset_reps(row_reading_composition(tab), tab.shape):
+        total = total + base.mul_t(d)
+    return total
+
+
+def image_h2(tab):
+    """The same image, computed from row-rearranged fillings.
+
+    Each row's multiset is laid out in every distinct order; each resulting
+    filling contributes the type's x element times the basis element of the
+    filling's permutation.
+    """
+    _require_within_cap(tab.n)
+    type_len = len(tab.type().stripped)
+    x = x_elem(tab.type())
+    row_orders = [sorted(set(itertools.permutations(row.elements())))
+                  for row in tab.rows]
+    total = HeckeElem.zero(tab.n)
+    for arrangement in itertools.product(*row_orders):
+        cells = [v for row in arrangement for v in row]
+        total = total + x.mul_t(_perm_of_filling(cells, type_len))
+    return total
+
+
+def column_reading_composition(tab):
+    """Per-value multiplicity vectors, concatenated value after value.
+
+    For each value 1..max, lists its multiplicity in row 1, row 2, ...;
+    the result refines the type blockwise.
+    """
+    top = len(tab.type().stripped)
+    return Composition([row.count(v) for v in range(1, top + 1) for row in tab.rows])
+
+
+def image_h4(tab):
+    """The same image, computed from the left-handed expansion.
+
+    Sum over inverses of coset representatives of the column-reading
+    refinement inside the type's subgroup, times the tableau's basis
+    element, times the shape's x element.
+    """
+    _require_within_cap(tab.n)
+    reps = coset_reps(column_reading_composition(tab), tab.type())
+    terms = {perm_inverse(d): LaurentPoly.one() for d in reps}
+    left = HeckeElem._raw(tab.n, terms)
+    left = left.mul_t(perm_1A(tab))
+    return mul_x_blocks(left, tab.shape)
+
+
+# ---------------------------------------------------------------------------
+# tabloid coordinates of algebra elements, and maps applied to them
+# ---------------------------------------------------------------------------
+
+
+class TabloidMembershipError(ValueError):
+    """An algebra element does not lie in the span of the tabloid basis."""
+
+
+def tabloid_coords(h, comp):
+    """Coordinates of an algebra element in the tabloid basis.
+
+    Each tabloid basis element has disjoint support consisting of one full
+    coset, with coefficient 1 on its minimal representative; so coordinates
+    are read off the minimal representatives, and the claim that h lies in
+    the module at all is then verified by exact reconstruction.
+    """
+    comp = as_composition(comp)
+    if h.n != comp.n:
+        raise ValueError(f"degree {h.n} does not match composition of {comp.n}")
+    coords = {w: c for w, c in h._terms.items() if is_min_coset_rep(w, comp)}
+    subgroup = young_subgroup(comp)
+    recon = {}
+    for d, coeff in coords.items():
+        for v in subgroup:
+            w = perm_mul(v, d)
+            prev = recon.get(w)
+            recon[w] = coeff if prev is None else prev + coeff
+    recon = {w: c for w, c in recon.items() if c}
+    if recon != h._terms:
+        raise TabloidMembershipError(
+            "element is not a combination of tabloid basis elements")
+    return TabloidVector(comp, coords)
+
+
+def apply_hom(vec, tab):
+    """Image of a tabloid vector under the homomorphism of a tableau whose
+    shape is the vector's composition."""
+    if tab.shape != vec.composition:
+        raise ValueError(
+            f"tableau shape {tab.shape} does not match vector over "
+            f"{vec.composition}")
+    base = algebra_image(tab)
+    total = HeckeElem.zero(base.n)
+    for d, coeff in vec.coords.items():
+        total = total + base.mul_t(d).scale(coeff)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# the four composition identities in the standard basis
+# ---------------------------------------------------------------------------
+
+
+def _constant_rows(sizes_and_values):
+    return [Multiset([value] * size) for size, value in sizes_and_values]
+
+
+def _check_row_merge(params):
+    top_elems, bottom_elems, m = params
+    top, bottom = Multiset(top_elems), Multiset(bottom_elems)
+    r = top.size
+    xi = Composition((r, m - r))
+    tab_c = Tableau(xi, [top, bottom])
+    merge_b = Tableau((m,), [Multiset([1] * r + [2] * (m - r))])
+    merged = Tableau((m,), [top + bottom])
+    coords = tabloid_coords(algebra_image(merge_b), xi)
+    lhs = apply_hom(coords, tab_c)
+    scalar = LaurentPoly.one()
+    for v in top.support():
+        scalar = scalar * quantum_binomial(top.count(v) + bottom.count(v),
+                                           top.count(v))
+    scalar = scalar.shift(cross_pairs(top, bottom))
+    rhs = algebra_image(merged).scale(scalar)
+    if lhs != rhs:
+        return f"row merge failed for rows {top_elems}/{bottom_elems}, m={m}"
+    return None
+
+
+def _check_pair_merge(params):
+    (rows_elems,) = params
+    rows = [Multiset(e) for e in rows_elems]
+    r, u, v, t = (row.size for row in rows)
+    quad = Composition((r, u, v, t))
+    tab_c = Tableau(quad, rows)
+    merge_b = Tableau((r + u, v + t),
+                      [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
+    merged = Tableau((r + u, v + t), [rows[0] + rows[1], rows[2] + rows[3]])
+    coords = tabloid_coords(algebra_image(merge_b), quad)
+    lhs = apply_hom(coords, tab_c)
+    scalar = LaurentPoly.one()
+    for v_ in rows[0].support():
+        scalar = scalar * quantum_binomial(
+            rows[0].count(v_) + rows[1].count(v_), rows[0].count(v_))
+    for v_ in rows[2].support():
+        scalar = scalar * quantum_binomial(
+            rows[2].count(v_) + rows[3].count(v_), rows[2].count(v_))
+    scalar = scalar.shift(cross_pairs(rows[0], rows[1])
+                          + cross_pairs(rows[2], rows[3]))
+    rhs = algebra_image(merged).scale(scalar)
+    if lhs != rhs:
+        return f"pair merge failed for rows {rows_elems}"
+    return None
+
+
+def _check_row_split(params):
+    rows_elems, u = params
+    rows = [Multiset(e) for e in rows_elems]
+    r, w, t = (row.size for row in rows)
+    v = w - u
+    quad = Composition((r, u, v, t))
+    split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (v, 2), (t, 3)]))
+    wide = Composition((r, w, t))
+    tab_e = Tableau(wide, rows)
+    coords = tabloid_coords(algebra_image(split_d), wide)
+    lhs = apply_hom(coords, tab_e)
+    rhs = HeckeElem.zero(sum((r, w, t)))
+    for mid_top in rows[1].sub_multisets(u):
+        tab = Tableau(quad, [rows[0], mid_top, rows[1] - mid_top, rows[2]])
+        rhs = rhs + algebra_image(tab)
+    if lhs != rhs:
+        return f"row split failed for rows {rows_elems}, split size {u}"
+    return None
+
+
+def _check_garnir_factorization(params):
+    top_elems, pool_elems, bottom_elems, top_len = params
+    datum = GarnirDatum(Multiset(top_elems), Multiset(pool_elems),
+                        Multiset(bottom_elems), top_len)
+    r = datum.fixed_top.size
+    s = datum.pool.size
+    t = datum.fixed_bottom.size
+    u = datum.take_size
+    v = datum.bottom_len - t
+    quad = Composition((r, u, v, t))
+    wide = Composition((r, s, t))
+    merge_b = Tableau(datum.shape,
+                      [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
+    split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (v, 2), (t, 3)]))
+    tab_e = Tableau(wide, [datum.fixed_top, datum.pool, datum.fixed_bottom])
+    mid = apply_hom(tabloid_coords(algebra_image(merge_b), quad), split_d)
+    lhs = apply_hom(tabloid_coords(mid, wide), tab_e)
+    rel = garnir_relation(datum)
+    rhs = HeckeElem.zero(datum.n)
+    for tab, coeff in rel.items():
+        rhs = rhs + algebra_image(tab).scale(coeff)
+    if lhs != rhs:
+        return (f"relation factorisation failed for "
+                f"{top_elems}|{pool_elems}|{bottom_elems}, top length {top_len}")
+    return None
+
+
+_CHECKERS = {
+    "row_merge": _check_row_merge,
+    "pair_merge": _check_pair_merge,
+    "row_split": _check_row_split,
+    "garnir_factorization": _check_garnir_factorization,
+}
+
+
+def reference_check(item):
+    """A composition-identity instance, as ``verify_composition_props``
+    enumerates it, checked in the standard basis: the counterexample
+    message, or None when the identity holds."""
+    kind, params = item
+    return _CHECKERS[kind](params)
+
+
+# ---------------------------------------------------------------------------
+# the Specht test on LaurentPoly tabloid coordinates
+# ---------------------------------------------------------------------------
 
 
 class ReferenceTabloidVector(TabloidVector):
@@ -105,8 +468,8 @@ def mul_y_blocks(elem, comp):
 
 
 def image_vector(tab):
-    """image_h3 of a tableau in tabloid coordinates of its type's module,
-    multiplied out generator by generator."""
+    """The image of a tableau's map in tabloid coordinates of its type's
+    module, multiplied out generator by generator."""
     _require_within_cap(tab.n)
     type_ = tab.type()
     unit = ReferenceTabloidVector(type_, {identity_perm(tab.n): LaurentPoly.one()})
@@ -136,6 +499,11 @@ def specht_check_tabloid(comb):
     total = total.mul_t(w_mu(shape))
     conj = Partition(shape.stripped).conjugate()
     return mul_y_blocks(total, conj).is_zero
+
+
+# ---------------------------------------------------------------------------
+# key translation
+# ---------------------------------------------------------------------------
 
 
 def word_of(d, comp):

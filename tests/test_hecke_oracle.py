@@ -15,22 +15,18 @@ import heckehom.hecke_oracle
 from heckehom import (
     Composition,
     GarnirDatum,
-    HeckeElem,
     LaurentPoly,
     LinComb,
     Multiset,
     OracleCapError,
     Partition,
-    TabloidMembershipError,
-    apply_hom,
+    TabloidVector,
     coset_reps,
+    cross_pairs,
     embed_two_row,
     find_violating_window,
-    image_h2,
     image_h3,
-    image_h4,
     inversions,
-    is_semistandard,
     iter_compositions,
     iter_fillings,
     iter_partitions,
@@ -43,35 +39,46 @@ from heckehom import (
     reduced_word,
     semistandardize,
     specht_check,
-    t_from_word,
-    t_of_perm,
-    tabloid_coords,
     two_row_straighten_step,
     verify_composition_props,
     w_mu,
-    x_elem,
-    y_elem,
-    young_subgroup,
 )
 from heckehom.cli import main as cli_main
 from heckehom.combinat import Tableau, identity_perm, perm_1A
 from heckehom.hecke_oracle import (
+    PROP_KINDS,
+    HeckeElem,
+    _apply_hom,
     _image_words,
     _mul_gen,
-    _mul_x_blocks,
     _mul_y_chains,
     _pool_size,
-    is_min_coset_rep,
+    _prop_instances,
 )
-from heckehom.qcoeff import _unpack
+from heckehom.qcoeff import _pack, _unpack
 
+from . import hecke_reference
 from .hecke_reference import (
     ReferenceTabloidVector,
+    TabloidMembershipError,
+    algebra_image,
+    apply_hom,
+    image_h2,
+    image_h4,
     image_vector,
+    is_min_coset_rep,
+    mul_x_blocks,
     mul_y_blocks,
+    reference_check,
     specht_check_tabloid,
+    t_from_word,
+    t_of_perm,
+    tabloid_coords,
     vector_of_packed,
     word_of,
+    x_elem,
+    y_elem,
+    young_subgroup,
 )
 from .strategies import tableaux
 
@@ -149,7 +156,7 @@ class TestSubgroupElements:
             c = Composition(comp)
             for w in perms(c.n):
                 h = t_of_perm(w)
-                assert _mul_x_blocks(h, c) == h.mul(x_elem(c))
+                assert mul_x_blocks(h, c) == h.mul(x_elem(c))
                 assert mul_y_blocks(h, c) == h.mul(y_elem(c))
 
     def test_young_subgroup_size(self):
@@ -231,38 +238,48 @@ def _filtered_reps(fine, coarse):
 class TestImages:
     def test_single_row_image_is_full_subgroup_sum(self):
         # one row of any type: the coset sum fills the whole group back in
-        assert image_h3(parse_tableau("1 1 2")) == x_elem((3,))
-        assert image_h3(parse_tableau("1 1 1")) == x_elem((3,))
+        for text in ("1 1 2", "1 1 1"):
+            tab = parse_tableau(text)
+            assert algebra_image(tab) == x_elem((3,))
+            assert image_h3(tab) == tabloid_coords(x_elem((3,)), tab.type())
 
     def test_identity_like_tableau_gives_x_of_shape(self):
         tab = parse_tableau("1 1 1 / 2 2")
-        assert image_h3(tab) == x_elem((3, 2))
+        assert algebra_image(tab) == x_elem((3, 2))
+        assert image_h3(tab) == TabloidVector(Composition((3, 2)), {identity_perm(5): ONE})
 
     def test_two_arrangements_example(self):
         # rows {1,2}/{1}: h2 sums over the two orderings of row one
         tab = parse_tableau("1 2 / 1")
-        assert image_h2(tab) == image_h3(tab)
+        assert image_h2(tab) == algebra_image(tab)
 
     def test_all_forms_agree_up_to_degree_5(self):
-        from heckehom import iter_compositions
+        # The three standard-basis forms against each other, and image_h3,
+        # unpacked from the tabloid kernel, against their tabloid
+        # coordinates: every filling of a composition shape with three
+        # parts, then every filling of every partition shape.
         count = 0
         for n in range(1, 6):
             for parts in iter_compositions(n, 3):
                 for tab in iter_fillings(Composition(parts), 3):
-                    h3 = image_h3(tab)
+                    h3 = algebra_image(tab)
                     assert image_h2(tab) == h3
                     assert image_h4(tab) == h3
+                    assert image_h3(tab) == tabloid_coords(h3, tab.type()), tab
                     count += 1
+            for parts in iter_partitions(n):
+                for tab in iter_fillings(Partition(parts), 3):
+                    assert image_h3(tab) == tabloid_coords(algebra_image(tab), tab.type()), tab
         assert count > 1000
 
     @pytest.mark.slow
     def test_all_forms_agree_at_degree_6(self):
-        from heckehom import iter_compositions
         for parts in iter_compositions(6, 3):
             for tab in iter_fillings(Composition(parts), 3):
-                h3 = image_h3(tab)
+                h3 = algebra_image(tab)
                 assert image_h2(tab) == h3, tab
                 assert image_h4(tab) == h3, tab
+                assert image_h3(tab) == tabloid_coords(h3, tab.type()), tab
 
     def test_cap_enforced(self):
         tab = parse_tableau("1 1 1 1 1 / 2 2 2 2")
@@ -297,9 +314,7 @@ class TestImages:
                            if hasattr(obj, "cache_parameters")
                            and obj.__module__ == module.__name__})
         assert {"heckehom.hecke_oracle.reduced_word",
-                "heckehom.hecke_oracle._young_subgroup_cached",
                 "heckehom.hecke_oracle._coset_reps_cached",
-                "heckehom.hecke_oracle._image_h3_cached",
                 "heckehom.qcoeff.quantum_factorial",
                 "heckehom.qcoeff.quantum_binomial",
                 "heckehom.qcoeff._packed_binomial"} <= set(caches)
@@ -336,7 +351,30 @@ class TestTabloidCoords:
     def test_apply_hom_on_generator(self):
         tab = parse_tableau("1 1 / 2")
         vec = tabloid_coords(x_elem((2, 1)), (2, 1))
-        assert apply_hom(vec, tab) == image_h3(tab)
+        assert apply_hom(vec, tab) == algebra_image(tab)
+        got = _apply_hom({word_of(identity_perm(3), (2, 1)): (1, 1)}, tab, 8)
+        assert vector_of_packed(got, tab.type(), 8) == image_h3(tab)
+
+    def test_packed_apply_hom_matches_reference_up_to_degree_4(self):
+        # Every map of a composition shape with three parts, on a vector
+        # with a coefficient of its own at every tabloid, unpacked, against
+        # the standard-basis map read through tabloid_coords.
+        count = 0
+        for n in range(1, 5):
+            for parts in iter_compositions(n, 3):
+                shape = Composition(parts)
+                reps = coset_reps(shape, (n,))
+                coeffs = [LaurentPoly.monomial(k % 3, (-1) ** k * (k + 1))
+                          for k in range(len(reps))]
+                vec = TabloidVector(shape, dict(zip(reps, coeffs)))
+                packed = {word_of(d, shape): (_pack(c, 16), k + 1)
+                          for k, (d, c) in enumerate(zip(reps, coeffs))}
+                for tab in iter_fillings(shape, 3):
+                    expect = tabloid_coords(apply_hom(vec, tab), tab.type())
+                    got = vector_of_packed(_apply_hom(packed, tab, 16), tab.type(), 16)
+                    assert got == expect, tab
+                    count += 1
+        assert count > 500
 
     def test_apply_hom_shape_mismatch(self):
         tab = parse_tableau("1 1 1")
@@ -453,7 +491,7 @@ def _specht_check_in_algebra(comb):
         return True
     total = HeckeElem.zero(shape.n)
     for tab, coeff in comb.items():
-        total = total + image_h3(tab).scale(coeff)
+        total = total + algebra_image(tab).scale(coeff)
     if total.is_zero:
         return True
     total = total.mul_t(w_mu(shape))
@@ -491,7 +529,8 @@ class TestSpechtCheck:
         @settings(max_examples=100, deadline=None)
         def agree(comb):
             for tab in comb.support():
-                expect = tabloid_coords(image_h3(tab), tab.type())
+                expect = tabloid_coords(algebra_image(tab), tab.type())
+                assert image_h3(tab) == expect, tab
                 assert image_vector(tab) == expect, tab
                 packed = {word: (1 << 8 * e, 1) for word, e in _image_words(tab)}
                 assert vector_of_packed(packed, tab.type(), 8) == expect, tab
@@ -727,9 +766,80 @@ class TestCompositionProps:
             verify_composition_props(4, value_cap=1)
         assert verify_composition_props(3, value_cap=1).ok
         monkeypatch.setenv("HECKEHOM_ORACLE_CAP", "9")
-        # Only the cap is under test here: checking a degree-9 instance
-        # takes minutes, so the checks themselves are stubbed out.
-        monkeypatch.setattr(heckehom.hecke_oracle, "_check_instance",
-                            lambda item: (item[0], None))
         report = verify_composition_props(9, value_cap=1, samples=1)
-        assert report.ok and set(report.checked.values()) == {1}
+        assert report.checked == {kind: 1 for kind in PROP_KINDS}
+        assert report.ok and report.lines() == [
+            f"{kind}: 1 checked, ok" for kind in sorted(PROP_KINDS)]
+
+    def test_verdicts_match_reference_up_to_degree_4(self):
+        instances = _prop_instances(4, 3, None, 0)
+        for items in instances.values():
+            for item in items:
+                kind, failure = heckehom.hecke_oracle._check_instance(item)
+                assert failure is None and reference_check(item) is None, item
+        assert sum(map(len, instances.values())) > 3000
+
+    def test_perturbed_right_hand_sides_fail(self, monkeypatch):
+        # Every real instance passes, so agreement alone would not tell a
+        # check from one that always passes: each identity's right-hand side
+        # is broken on a few instances, and both checks must object.
+        instances = _prop_instances(4, 3, None, 0)
+        rng = random.Random(11)
+
+        def both_fail(kind):
+            for item in rng.sample(instances[kind], 5):
+                assert heckehom.hecke_oracle._check_instance(item)[1] is not None, item
+                assert reference_check(item) is not None, item
+
+        def patch_both(name, value):
+            monkeypatch.setattr(heckehom.hecke_oracle, name, value)
+            monkeypatch.setattr(hecke_reference, name, value)
+
+        # the merge scalar times q (times q^2 for the pair merge)
+        patch_both("cross_pairs", lambda upper, lower: cross_pairs(upper, lower) + 1)
+        both_fail("row_merge")
+        both_fail("pair_merge")
+        monkeypatch.undo()
+
+        # one term of the row split left out
+        sub_multisets = Multiset.sub_multisets
+        monkeypatch.setattr(Multiset, "sub_multisets",
+                            lambda self, size: list(sub_multisets(self, size))[1:])
+        both_fail("row_split")
+        monkeypatch.undo()
+
+        # one term of the relation left out
+        def short_relation(datum):
+            rel = garnir_relation(datum)
+            tab, coeff = rel.items()[0]
+            return rel.add_term(tab, -coeff)
+
+        patch_both("garnir_relation", short_relation)
+        both_fail("garnir_factorization")
+
+    def test_narrow_start_restarts_with_identical_report(self, monkeypatch):
+        wide = verify_composition_props(4, value_cap=3)
+        widths = []
+        for kind, check in list(heckehom.hecke_oracle._CHECKERS.items()):
+            def recorded(params, bits, check=check):
+                widths.append(bits)
+                return check(params, bits)
+            monkeypatch.setitem(heckehom.hecke_oracle._CHECKERS, kind, recorded)
+        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        narrow = verify_composition_props(4, value_cap=3)
+        assert narrow == wide and narrow.ok
+        tasks = sum(narrow.checked.values())
+        assert widths.count(2) == tasks and len(widths) > tasks
+
+    def test_no_standard_basis_arithmetic(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("standard-basis arithmetic on a library path")
+
+        for name in ("__init__", "_raw", "mul_right_gen"):
+            monkeypatch.setattr(HeckeElem, name, refuse)
+        with pytest.raises(AssertionError):
+            HeckeElem.one(2)
+        tab = parse_tableau("1 1 2 / 2 3")
+        assert not image_h3(tab).is_zero
+        assert specht_check(LinComb.single(tab) - semistandardize(tab)) is True
+        assert verify_composition_props(4, value_cap=3).ok

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckehom import (
-    HeckeElem,
     LaurentPoly,
     LinComb,
     parse_tableau,
@@ -14,6 +13,7 @@ from heckehom import (
     quantum_factorial,
     quantum_int,
 )
+from heckehom.hecke_oracle import HeckeElem
 
 from .strategies import laurent_polys
 
