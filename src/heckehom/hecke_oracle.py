@@ -69,8 +69,11 @@ from .qcoeff import (
     IntoPoly,
     LaurentPoly,
     _as_poly,
+    _norm,
     _pack,
     _packed_binomial,
+    _Widen,
+    _widening,
     _wider,
 )
 
@@ -363,15 +366,6 @@ Word = tuple[int, ...]
 Packed = dict[Word, tuple[int, int]]
 
 
-class _Widen(Exception):
-    """A coefficient cancelled to 0 at a width too narrow to prove the
-    polynomial zero; bits is the width to restart at."""
-
-    def __init__(self, bits: int):
-        super().__init__(bits)
-        self.bits = bits
-
-
 def _add_term(vec: Packed, word: Word, coeff: int, bound: int, bits: int) -> None:
     """Add a packed term at word, dropping the coordinate if it cancels.
 
@@ -589,20 +583,6 @@ def _packed_specht(images: list[tuple[list[tuple[Word, int]], LaurentPoly, int]]
     return not _mul_y_chains(total, Partition(shape.stripped).conjugate(), bits)
 
 
-_T = TypeVar("_T")
-
-
-def _widening(run: Callable[[int], _T]) -> _T:
-    """run(bits) at the module's starting width, restarted at the width
-    each _Widen asks for until it finishes."""
-    bits = _START_BITS
-    while True:
-        try:
-            return run(bits)
-        except _Widen as exc:
-            bits = exc.bits
-
-
 def specht_check(comb: LinComb) -> bool:
     """Whether a combination of tableau maps vanishes on the Specht module.
 
@@ -629,11 +609,10 @@ def specht_check(comb: LinComb) -> bool:
         return True
     terms = comb.items()
     low = min(coeff.min_exponent() for _, coeff in terms)
-    images = [(_image_words(tab), coeff.shift(-low),
-               sum(abs(c) for _, c in coeff.items()))
+    images = [(_image_words(tab), coeff.shift(-low), _norm(coeff))
               for tab, coeff in terms]
     # Called through the module global so that the tests can wrap it.
-    return _widening(lambda bits: _packed_specht(images, shape, bits))
+    return _widening(lambda bits: _packed_specht(images, shape, bits), _START_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +780,7 @@ def _check_garnir_factorization(params: tuple, bits: int) -> str | None:
     # Relation coefficients are quantum binomials times powers of q with
     # nonnegative exponents, so they pack as they stand.
     for tab, coeff in garnir_relation(datum).items():
-        norm = sum(abs(c) for _, c in coeff.items())
-        _subtract_image(diff, tab, _pack(coeff, bits), norm, bits)
+        _subtract_image(diff, tab, _pack(coeff, bits), _norm(coeff), bits)
     if diff:
         return (f"relation factorisation failed for "
                 f"{top_elems}|{pool_elems}|{bottom_elems}, top length {top_len}")
@@ -827,7 +805,7 @@ _GENERATORS = {
 def _check_instance(item: Instance) -> tuple[str, str | None]:
     kind, params = item
     check = _CHECKERS[kind]
-    return kind, _widening(lambda bits: check(params, bits))
+    return kind, _widening(lambda bits: check(params, bits), _START_BITS)
 
 
 def _reservoir(stream: Iterator[Instance], k: int,
@@ -848,6 +826,23 @@ def _pool_size(jobs: int, tasks: int) -> int:
     """How many worker processes to start for a sweep: the number asked
     for, but never more than there are tasks or CPUs."""
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+_A = TypeVar("_A")
+_R = TypeVar("_R")
+
+
+def _map_unordered(fn: Callable[[_A], _R], work: list[_A], jobs: int) -> Iterator[_R]:
+    """fn over every item of work, results in any order: in this process
+    when _pool_size allows one worker, otherwise over that many worker
+    processes, 16 items per message.  This is the one place that starts
+    worker processes, for verify_composition_props and scripts/sweep.py."""
+    workers = _pool_size(jobs, len(work))
+    if workers == 1:
+        yield from map(fn, work)
+        return
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap_unordered(fn, work, chunksize=16)
 
 
 def _prop_instances(n_cap: int, value_cap: int, samples: int | None,
@@ -884,19 +879,9 @@ def verify_composition_props(n_cap: int, value_cap: int = 4,
     report = PropsReport({kind: len(chosen) for kind, chosen in instances.items()},
                          {kind: [] for kind in instances})
     work = [item for chosen in instances.values() for item in chosen]
-
-    workers = _pool_size(jobs, len(work))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.imap_unordered(_check_instance, work, chunksize=16)
-            for kind, failure in results:
-                if failure is not None:
-                    report.failures[kind].append(failure)
-    else:
-        for item in work:
-            kind, failure = _check_instance(item)
-            if failure is not None:
-                report.failures[kind].append(failure)
+    for kind, failure in _map_unordered(_check_instance, work, jobs):
+        if failure is not None:
+            report.failures[kind].append(failure)
     for kind in PROP_KINDS:
         report.failures[kind].sort()
     return report

@@ -15,7 +15,8 @@ engine keeps an upper bound on each coefficient's L1 norm to know that.
 ``LaurentPoly`` is built only at the engine's edges.  The Specht test of
 the brute-force model (``hecke_oracle.specht_check``) packs its
 coefficients the same way, and both start at the same width and widen by
-the same rule (``_START_BITS``, ``_wider``).
+the same rule (``_START_BITS``, ``_wider``) in the same restart loop
+(``_widening``, which reruns a computation that raised ``_Widen``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import ParseError
 
@@ -358,6 +359,34 @@ def _wider(bits: int, bound: int) -> int:
     coefficient 10**30 q^-3 five times (64, 102, 104, 106, 108 bits).
     """
     return max(2 * bits, bound.bit_length() + 2)
+
+
+class _Widen(Exception):
+    """A norm bound reached 2**(bits - 1), so the width can no longer
+    certify a zero or an unpacking; bits is the width to restart at."""
+
+    def __init__(self, bits: int):
+        super().__init__(bits)
+        self.bits = bits
+
+
+_T = TypeVar("_T")
+
+
+def _widening(run: Callable[[int], _T], start: int) -> _T:
+    """run(bits) at width start, restarted at the width each _Widen asks
+    for until it finishes."""
+    bits = start
+    while True:
+        try:
+            return run(bits)
+        except _Widen as exc:
+            bits = exc.bits
+
+
+def _norm(poly: LaurentPoly) -> int:
+    """The L1 norm of poly's coefficients."""
+    return sum(abs(c) for c in poly._terms.values())
 
 
 def _pack(poly: LaurentPoly, bits: int) -> int:

@@ -45,7 +45,16 @@ from .errors import StraighteningError
 # two_row_straighten_step is not called here; it is imported so that code
 # that looks it up in this module (perfbench/tracer.py) finds it.
 from .garnir import LinComb, Rows, _packed_step, two_row_straighten_step  # noqa: F401
-from .qcoeff import _START_BITS, LaurentPoly, _pack, _unpack, _wider
+from .qcoeff import (
+    _START_BITS,
+    LaurentPoly,
+    _norm,
+    _pack,
+    _unpack,
+    _Widen,
+    _widening,
+    _wider,
+)
 
 PAIR_RULES = ("topmost", "bottommost")
 COLUMN_RULES = ("leftmost", "rightmost")
@@ -129,26 +138,24 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
     # Shifted by the smallest exponent, every coefficient is a polynomial,
     # which packs.
     low = min(coeff.min_exponent() for _, coeff in terms)
-    bits = _START_BITS
-    while True:
-        out = _traverse([(tab, _pack(coeff.shift(-low), bits),
-                          sum(abs(c) for _, c in coeff.items()))
+
+    def run(bits: int) -> LinComb:
+        out = _traverse([(tab, _pack(coeff.shift(-low), bits), _norm(coeff))
                          for tab, coeff in terms],
                         shape, type_, pair_rule, column_rule, bits)
-        if isinstance(out, dict):
-            break
-        bits = out
-    return LinComb._raw(shape, type_, {
-        Tableau._raw(shape, rows, type_): _unpack(coeff, bits).shift(low)
-        for rows, coeff in out.items()})
+        return LinComb._raw(shape, type_, {
+            Tableau._raw(shape, rows, type_): _unpack(coeff, bits).shift(low)
+            for rows, coeff in out.items()})
+
+    return _widening(run, _START_BITS)
 
 
 def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
               type_: Composition, pair_rule: str, column_rule: str,
-              bits: int) -> dict[Rows, int] | int:
+              bits: int) -> dict[Rows, int]:
     """The worklist on (tableau, packed coefficient, norm bound) inputs, at
-    q = 2**bits: the packed output, or, when some bound reaches half the
-    width, the wider width to restart at."""
+    q = 2**bits: the packed output; raises _Widen when some bound reaches
+    half the width."""
     limit = 1 << (bits - 1)
     # Per row tuple: (packed coefficient, bound on its L1 norm).
     pending: dict[Rows, tuple[int, int]] = {}
@@ -166,7 +173,7 @@ def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
         coeff, bound = pending.pop(rows)
         # Below the limit, the zero test and the final unpacking are exact.
         if bound >= limit:
-            return _wider(bits, bound)
+            raise _Widen(_wider(bits, bound))
         if not coeff:
             continue
         tab = Tableau._raw(shape, rows, type_)

@@ -5,7 +5,7 @@ built through its relation datum, as references.
 enumerate the sub-multisets of the pool, and for each one add and subtract
 multisets to get the rows and compute the coefficient from the multisets
 directly.  It shares no code with the count-vector recursion in the
-library, so the tests (and ``scripts/sweep_garnir.py --reference``) compare
+library, so the tests (and ``scripts/sweep.py garnir --reference``) compare
 the two.
 
 ``reference_relation_from_counts`` is the count-vector recursion with

@@ -1,7 +1,7 @@
 """The standard-basis model of the Hecke algebra, kept as the reference.
 
 Two references share no arithmetic with the packed tabloid kernel in
-``heckehom.hecke_oracle``, so the tests (and ``scripts/sweep_*.py
+``heckehom.hecke_oracle``, so the tests (and ``scripts/sweep.py
 --reference``) compare the two:
 
 * The Specht test on ``LaurentPoly`` tabloid coordinates

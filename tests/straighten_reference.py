@@ -5,7 +5,7 @@ replaced: every tableau's full expansion is stored, and each parent's is
 built by summing scaled copies of its children's.  It shares no traversal
 code with the library, only the rewrite primitives (``find_violating_window``,
 ``two_row_straighten_step`` and ``embed_two_row``), so the tests (and
-``scripts/sweep_straighten.py --reference``) compare the two.
+``scripts/sweep.py straighten --reference``) compare the two.
 
 ``laurent_worklist`` is the weight-ordered worklist with ``LaurentPoly``
 coefficients that the packed worklist replaced: the same traversal, with

@@ -724,28 +724,6 @@ class TestCompositionProps:
         with pytest.raises(ValueError):
             verify_composition_props(9)
 
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """The size of every worker pool asked for while the test runs; the
-        pool runs its tasks in this process and starts none."""
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, size):
-                sizes.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(heckehom.hecke_oracle.multiprocessing, "Pool", RecordingPool)
-        return sizes
-
     def test_pool_is_bounded(self, monkeypatch, capsys, pool_sizes):
         tasks = sum(verify_composition_props(2, value_cap=1).checked.values())
         assert tasks > 3
