@@ -1,11 +1,11 @@
 """Compositions, partitions, multisets, tableaux with multiset rows, and the
-permutations attached to them.
+column-reading permutation of a shape.
 
 Conventions used throughout the package:
 
 * Permutations of {1, ..., n} act on the right and are stored in one-line
   form as tuples: ``w[k-1]`` is the image of k.  Products compose left to
-  right, so ``perm_mul(v, w)`` sends k to w(v(k)).
+  right: v then w sends k to w(v(k)).
 * A tableau of shape mu and type lam holds lam_i copies of the value i,
   with row r holding exactly mu_r entries.  Rows are multisets, stored as
   tuples of their entries in weakly increasing order; the ``Multiset`` view
@@ -112,20 +112,6 @@ def as_composition(value: IntoComposition) -> Composition:
     return value if isinstance(value, Composition) else Composition(value)
 
 
-def iter_compositions(n: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All length-tuples of nonnegative integers summing to n."""
-    if length == 0:
-        if n == 0:
-            yield ()
-        return
-    if length == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in iter_compositions(n - first, length - 1):
-            yield (first,) + rest
-
-
 def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of n in decreasing lexicographic order."""
     if max_part is None:
@@ -225,9 +211,6 @@ class Multiset:
                 acc[v] = have - m
         return Multiset._raw(acc)
 
-    def contains_submultiset(self, other: "Multiset") -> bool:
-        return all(self.count(v) >= m for v, m in other._counts.items())
-
     def sub_multisets(self, size: int) -> Iterator["Multiset"]:
         """All sub-multisets of a given size.
 
@@ -297,7 +280,7 @@ def cross_pairs(upper: Multiset, lower: Multiset) -> int:
     """Number of pairs (a, b) with a from upper, b from lower and a > b.
 
     Counted with multiplicity; this is the exponent bookkeeping used by the
-    straightening coefficients and by the length of the tableau permutation.
+    straightening coefficients and the merge identities.
     """
     total = 0
     for a, ma in upper.counts():
@@ -414,11 +397,13 @@ def is_semistandard(tab: Tableau) -> bool:
     if not tab.shape.is_partition:
         raise ValueError(f"semistandardness needs a partition shape, got {tab.shape}")
     rows = tab.row_lists()
-    for upper, lower in zip(rows, rows[1:]):
-        for c in range(len(lower)):
-            if lower[c] <= upper[c]:
-                return False
-    return True
+    return not any(_breaks_columns(upper, lower) for upper, lower in zip(rows, rows[1:]))
+
+
+def _breaks_columns(upper: Sequence[int], lower: Sequence[int]) -> bool:
+    """Whether two adjacent sorted rows, the lower no longer than the upper,
+    fail to increase strictly down some column."""
+    return any(b <= a for a, b in zip(upper, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -428,65 +413,6 @@ def is_semistandard(tab: Tableau) -> bool:
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
-
-
-def perm_mul(first: Perm, second: Perm) -> Perm:
-    """Compose left to right: k goes to second(first(k))."""
-    return tuple(second[v - 1] for v in first)
-
-
-def perm_inverse(w: Perm) -> Perm:
-    out = [0] * len(w)
-    for k, v in enumerate(w, start=1):
-        out[v - 1] = k
-    return tuple(out)
-
-
-def inversions(w: Perm) -> int:
-    """Coxeter length: the number of pairs i < j with w(i) > w(j)."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def _perm_of_filling(cell_values: Sequence[int], type_length: int) -> Perm:
-    """Permutation attached to an explicit cell-by-cell filling.
-
-    Cell p of the row-reading filling holds the number p; the result sends
-    the row-reading filling of the type shape to the tableau whose row r
-    lists, in increasing order, the cells holding value r.
-    """
-    cells_by_value: list[list[int]] = [[] for _ in range(type_length)]
-    for p, v in enumerate(cell_values, start=1):
-        cells_by_value[v - 1].append(p)
-    images: list[int] = []
-    for cells in cells_by_value:
-        images.extend(cells)
-    return tuple(images)
-
-
-def perm_1A(tab: Tableau) -> Perm:
-    """The distinguished coset representative attached to a tableau.
-
-    Reading the shape's row-reading filling cell by cell, the number in a
-    cell is sent into the type-shape row named by the tableau's value in
-    that cell; each row of the image is increasing.
-    """
-    cells = [v for row in tab.row_lists() for v in row]
-    return _perm_of_filling(cells, len(tab.type().stripped))
-
-
-def length_1A(tab: Tableau) -> int:
-    """Closed form for inversions(perm_1A(tab)), purely from row contents.
-
-    Counts, over all row pairs g < h, the pairs of entries (j in row g,
-    i in row h) with i < j.
-    """
-    rows = tab.rows
-    total = 0
-    for g in range(len(rows)):
-        for h in range(g + 1, len(rows)):
-            total += cross_pairs(rows[g], rows[h])
-    return total
 
 
 def w_mu(shape: IntoComposition) -> Perm:
@@ -509,46 +435,24 @@ def w_mu(shape: IntoComposition) -> Perm:
     return tuple(images)
 
 
-def row_reading_composition(tab: Tableau) -> Composition:
-    """Per-row multiplicity vectors, concatenated row after row.
-
-    Zero entries are retained positionally up to the maximum value of the
-    type, so the result refines the shape blockwise.
-    """
-    top = len(tab.type().stripped)
-    parts: list[int] = []
-    for row in tab.rows:
-        parts.extend(row.count(v) for v in range(1, top + 1))
-    return Composition(parts)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
 
-def enumerate_row_standard(shape: IntoComposition, type_: IntoComposition) -> list[Tableau]:
-    """All tableaux of the given shape and type, in deterministic order.
+def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> list[Tableau]:
+    """All semistandard tableaux of the given shape and type, in
+    deterministic order.
 
     Rows are chosen top to bottom, each row running through the available
-    sub-multisets in ascending order of sorted element tuples; the overall
-    order is lexicographic in the resulting row sequences.
+    sub-multisets in ascending order of sorted element tuples; a choice that
+    breaks a column with the row above is skipped together with every
+    completion of it.  The order is lexicographic in the row sequences.
     """
-    return _enumerate(as_composition(shape), as_composition(type_), column_strict=False)
-
-
-def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> list[Tableau]:
-    """The semistandard subsequence of enumerate_row_standard."""
     shape = as_composition(shape)
+    type_ = as_composition(type_)
     if not shape.is_partition:
         raise ValueError(f"semistandard enumeration needs a partition shape, got {shape}")
-    return _enumerate(shape, as_composition(type_), column_strict=True)
-
-
-def _enumerate(shape: Composition, type_: Composition, column_strict: bool) -> list[Tableau]:
-    # With column_strict, a row choice that breaks a column with the row
-    # above is skipped together with every completion of it, which leaves
-    # exactly the semistandard tableaux, in the same order.
     if shape.n != type_.n:
         return []
     pool = Multiset({v: m for v, m in enumerate(type_.parts, start=1) if m})
@@ -560,9 +464,7 @@ def _enumerate(shape: Composition, type_: Composition, column_strict: bool) -> l
             out.append(Tableau(shape, list(rows)))
             return
         for choice in remaining.sub_multisets(parts[idx]):
-            if column_strict and rows and any(
-                    lower <= upper for upper, lower
-                    in zip(rows[-1].elements(), choice.elements())):
+            if rows and _breaks_columns(rows[-1].elements(), choice.elements()):
                 continue
             rows.append(choice)
             rec(idx + 1, remaining - choice, rows)
@@ -583,11 +485,6 @@ def iter_fillings(shape: IntoComposition, max_value: int) -> Iterator[Tableau]:
 # ---------------------------------------------------------------------------
 # text and JSON forms
 # ---------------------------------------------------------------------------
-
-
-def format_tableau(tab: Tableau) -> str:
-    """One row per line, entries space-separated, weakly increasing."""
-    return "\n".join(" ".join(map(str, row)) for row in tab.row_lists())
 
 
 def format_tableau_inline(tab: Tableau) -> str:

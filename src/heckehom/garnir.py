@@ -409,22 +409,6 @@ def _pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
     return bisect_left(top, pivot), bisect_right(bottom, pivot)
 
 
-def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDatum:
-    """The relation datum that rewrites a non-semistandard two-row tableau.
-
-    A violating column is one where the bottom entry fails to exceed the top
-    entry; ``column_rule`` picks which violating column to target, and the
-    pivot is the top entry there.  Entries strictly below the pivot stay in
-    the top row, entries strictly above it stay in the bottom row, and
-    everything else is pooled.
-    """
-    top, bottom = _two_rows(tab)
-    cut_top, cut_bottom = _pivot_cuts(top, bottom, column_rule)
-    return GarnirDatum(Multiset(top[:cut_top]),
-                       Multiset(top[cut_top:] + bottom[:cut_bottom]),
-                       Multiset(bottom[cut_bottom:]), len(top))
-
-
 def _packed_step(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str,
                  bits: int) -> list[tuple[Rows, int, int, int]]:
     """The rewrite of the two-row window with sorted rows top and bottom,
@@ -451,9 +435,13 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
     """Rewrite one non-semistandard two-row tableau via its relation.
 
     Returns the combination equal to the given tableau's homomorphism on the
-    Specht submodule: the relation of its ``straightening_datum`` with the
-    input's own term dropped and every other term negated.  The relation is
-    built straight from the row tuples cut at the pivot, without the datum.
+    Specht submodule: a relation with the input's own term dropped and every
+    other term negated.  ``column_rule`` picks the violating column, where
+    the bottom entry fails to exceed the top one, and the pivot is the top
+    entry there.  Entries strictly below the pivot stay in the top row,
+    entries strictly above it stay in the bottom row, and everything else is
+    pooled.  The relation is built straight from the row tuples cut at the
+    pivot, without a ``GarnirDatum``.
     The split reproducing the input always carries coefficient exactly 1, so
     no division is ever needed; StraighteningError is raised if it does not.
     """

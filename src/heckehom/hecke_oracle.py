@@ -11,9 +11,10 @@ n!/|Young subgroup| coordinates instead of the algebra's n!.
   the straightening engine (see ``qcoeff``).  ``_mul_gen`` is the right
   action of one generator.
 * The map of a tableau C sends x T_d to image(C) T_d, which is its one
-  image rule: ``_image_words`` builds image(C), ``_apply_hom`` applies the
-  map to a packed vector, and ``image_h3`` unpacks an image into a
-  ``TabloidVector``.
+  image rule.  image(C) is the sum of the tabloids row-equivalent to C,
+  each with coefficient 1: ``_image_words`` lists their words straight
+  from C's rows, ``_apply_hom`` applies the map to a packed vector, and
+  ``image_h3`` unpacks an image into a ``TabloidVector``.
 * The Specht test (``specht_check``) and the four composition identities
   (``verify_composition_props``) run on that kernel.  A cancellation that
   its width cannot certify restarts the computation wider.
@@ -40,22 +41,18 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import OracleCapError
 from .combinat import (
     Composition,
-    IntoComposition,
     Multiset,
     Partition,
     Perm,
     Tableau,
-    as_composition,
     cross_pairs,
     identity_perm,
     iter_multisets,
-    perm_1A,
-    row_reading_composition,
     w_mu,
 )
 from .garnir import (
@@ -254,16 +251,18 @@ class HeckeElem:
         return total
 
 
-# One oracle benchmark pass asks for about 1.1k distinct words.  The test
-# of the images of all 71715 tableaux to degree 7 asks for more than the
-# limit, which then only caps memory.
+# One oracle benchmark pass asks for 9 distinct words, one per shape, and
+# verify --props 5 --values 3 for 55.  The tests' reference walk over all
+# 71715 tableaux to degree 7 asks for more than the limit, which then only
+# caps memory.
 @lru_cache(maxsize=4096)
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A reduced word for w, found by repeatedly stripping a right descent.
 
     If the value i appears after i+1 in one-line form, then w ends with the
     i-th generator; stripping it shortens w by one.  The collected letters,
-    reversed, multiply out to w, and their count equals inversions(w).
+    reversed, multiply out to w, and their count is the Coxeter length of
+    w, its number of pairs i < j with w(i) > w(j).
     """
     letters: list[int] = []
     cur = list(w)
@@ -280,74 +279,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
         cur[p_lo], cur[p_hi] = cur[p_hi], cur[p_lo]
         pos[descent], pos[descent + 1] = p_hi, p_lo
     return tuple(reversed(letters))
-
-
-def coset_reps(fine: IntoComposition, coarse: IntoComposition) -> tuple[Perm, ...]:
-    """Minimal right coset representatives of one Young subgroup in a larger.
-
-    The first composition must refine the second blockwise.  The result is
-    every element of the larger subgroup that increases along each block of
-    positions of the finer composition; passing coarse = (n,) gives the
-    representatives in the whole symmetric group.
-    """
-    fine = as_composition(fine)
-    coarse = as_composition(coarse)
-    if fine.n != coarse.n:
-        raise ValueError(f"sizes differ: {fine.n} vs {coarse.n}")
-    return _coset_reps_cached(fine.stripped, coarse.stripped)
-
-
-# One oracle benchmark pass asks for about 120 distinct pairs.  A sweep
-# over tableaux asks for one pair per tableau (71715 to degree 7), which
-# the limit only caps memory for.
-@lru_cache(maxsize=8192)
-def _coset_reps_cached(fine: tuple[int, ...],
-                       coarse: tuple[int, ...]) -> tuple[Perm, ...]:
-    groups: list[list[int]] = []
-    fine_iter = iter(fine)
-    leftovers: list[int] = []
-    for target in coarse:
-        group: list[int] = []
-        got = 0
-        while got < target:
-            part = next(fine_iter, None)
-            if part is None or got + part > target:
-                raise ValueError(
-                    f"composition {fine} does not refine {coarse} blockwise")
-            group.append(part)
-            got += part
-        groups.append(group)
-    leftovers = [p for p in fine_iter if p]
-    if leftovers:
-        raise ValueError(f"composition {fine} does not refine {coarse} blockwise")
-
-    per_block: list[list[tuple[int, ...]]] = []
-    offset = 0
-    for target, group in zip(coarse, groups):
-        per_block.append(
-            _increasing_arrangements(tuple(range(offset + 1, offset + target + 1)),
-                                     tuple(group)))
-        offset += target
-    out = []
-    for combo in itertools.product(*per_block):
-        out.append(tuple(itertools.chain.from_iterable(combo)))
-    return tuple(out)
-
-
-def _increasing_arrangements(values: tuple[int, ...],
-                             parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every ordering of the increasing values that increases along each
-    block of positions of parts, in lexicographic order: the minimal coset
-    representatives, built directly instead of filtered out of every
-    ordering.  The first block takes each choice of its values in turn,
-    increasing; the rest recurse on what is left."""
-    if not parts:
-        return [()]
-    out = []
-    for chosen in itertools.combinations(values, parts[0]):
-        rest = tuple(v for v in values if v not in chosen)
-        out.extend(chosen + tail for tail in _increasing_arrangements(rest, parts[1:]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,53 +353,38 @@ def _mul_gen(vec: Packed, i: int, bits: int) -> Packed:
     return out
 
 
-def _walk(word: list[int], letters: Iterable[int]) -> int:
-    """Multiply the term x T_u at word by T_w, letter by letter, in place,
-    where u w is longer than u by the length of w; the q-exponent gained.
-
-    Each letter s then lengthens the product so far, and such a letter
-    never meets labels a > z.  Write the product as u = v d, v in the Young
-    subgroup and d the minimal representative, so l(u) = l(v) + l(d).  Then
-    l(v) + l(d) + 1 = l(u s) <= l(v) + l(d s), so d s is longer than d:
-    either a < z, or equal labels (d s = s' d with s' in the subgroup),
-    but not a > z, which would make d s shorter.  So the term stays a
-    single word times a power of q.
-    """
-    exponent = 0
-    for i in letters:
-        a, z = word[i - 1], word[i]
-        if a == z:
-            exponent += 1
-        elif a < z:
-            word[i - 1], word[i] = z, a
-        else:
-            raise AssertionError(f"letter {i} shortens the product at {word}")
-    return exponent
+def _arrangements(labels: Word) -> list[Word]:
+    """Every distinct ordering of a sorted tuple, in lexicographic order."""
+    if not labels:
+        return [()]
+    out = []
+    for k, first in enumerate(labels):
+        if k and labels[k - 1] == first:
+            continue
+        out.extend((first,) + tail
+                   for tail in _arrangements(labels[:k] + labels[k + 1:]))
+    return out
 
 
-def _image_words(tab: Tableau) -> list[tuple[Word, int]]:
+def _image_words(tab: Tableau) -> list[Word]:
     """The image of a tableau's map, the image of the generator of the
     permutation module of its shape, in the tabloid basis of its type's
-    module: one (word, e) pair for the term q^e at word per coset
-    representative d.
+    module: the words of the tabloids row-equivalent to the tableau, each
+    with coefficient 1 (Dipper and James's definition of the map).
 
-    The image is the sum over d of x T_1A T_d, with d running over the
-    representatives of the row-reading composition inside the shape's
-    subgroup S.  Each summand is one term: 1A lists the cells of each value
-    in increasing order, so two cells p, p + 1 of one row, whose values
-    satisfy v_p <= v_(p+1), sit in 1A in that order.  Every generator s_p
-    of S therefore lengthens 1A, so 1A is the shortest element of its coset
-    1A S, and l(1A d) = l(1A) + l(d) for every d in S.  So _walk applies:
-    first T_1A from the unit, then T_d.
+    Entry p - 1 of such a word is the label, value - 1, in cell p of the
+    shape's row-reading order of a filling whose rows rearrange the
+    tableau's, so the words are the products of one distinct arrangement
+    of each row's labels.  The route through the tableau's permutation,
+    x T_1A times the sum of T_d over the coset representatives d of the
+    row-reading composition in the shape's subgroup, gives the same words
+    (``walk_image_words`` in tests/hecke_reference.py): 1A is the shortest
+    element of its double coset, so l(1A d) = l(1A) + l(d), and no letter
+    of a reduced word of 1A d meets two equal labels or shortens the term.
     """
-    labels = [b for b, size in enumerate(tab.type().parts) for _ in range(size)]
-    base_exponent = _walk(labels, reduced_word(perm_1A(tab)))
-    out = []
-    for d in coset_reps(row_reading_composition(tab), tab.shape):
-        word = labels.copy()
-        exponent = base_exponent + _walk(word, reduced_word(d))
-        out.append((tuple(word), exponent))
-    return out
+    rows = [_arrangements(tuple(v - 1 for v in row)) for row in tab.row_lists()]
+    return [tuple(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*rows)]
 
 
 def _rep_of(word: Word, comp: Composition) -> Perm:
@@ -480,8 +396,8 @@ def _rep_of(word: Word, comp: Composition) -> Perm:
     return tuple(v for block in blocks for v in block)
 
 
-def _packed_image(tab: Tableau, bits: int) -> Packed:
-    return {word: (1 << bits * e, 1) for word, e in _image_words(tab)}
+def _packed_image(tab: Tableau) -> Packed:
+    return {word: (1, 1) for word in _image_words(tab)}
 
 
 def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
@@ -492,7 +408,7 @@ def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
     sum over the vector's words of the coefficient times the image
     multiplied, letter by letter, by a reduced word of the word's d.
     """
-    image = _packed_image(tab, bits)
+    image = _packed_image(tab)
     out: Packed = {}
     for word, (coeff, bound) in vec.items():
         term = image
@@ -530,15 +446,14 @@ def image_h3(tab: Tableau) -> TabloidVector:
     """Image of the permutation-module generator under the tableau's map,
     in the tabloid basis of the module of the tableau's type.
 
-    The image is the x element of the type, times the basis element of the
-    tableau's permutation, times the sum over coset representatives of the
-    row-reading refinement inside the shape's subgroup; each summand is one
-    power of q at one tabloid (see ``_image_words``).
+    The image is the sum of the tabloids row-equivalent to the tableau,
+    each with coefficient 1 (see ``_image_words``).
     """
     _require_within_cap(tab.n)
     comp = tab.type()
-    return TabloidVector(comp, {_rep_of(word, comp): LaurentPoly.monomial(e)
-                                for word, e in _image_words(tab)})
+    one = LaurentPoly.one()
+    return TabloidVector(comp, {_rep_of(word, comp): one
+                                for word in _image_words(tab)})
 
 
 def _mul_y_chains(vec: Packed, comp: Composition, bits: int) -> Packed:
@@ -568,7 +483,7 @@ def _mul_y_chains(vec: Packed, comp: Composition, bits: int) -> Packed:
     return vec
 
 
-def _packed_specht(images: list[tuple[list[tuple[Word, int]], LaurentPoly, int]],
+def _packed_specht(images: list[tuple[list[Word], LaurentPoly, int]],
                    shape: Composition, bits: int) -> bool:
     """The Specht test at q = 2**bits on (image words, coefficient, norm)
     triples, each coefficient a polynomial; raises _Widen when a
@@ -576,8 +491,8 @@ def _packed_specht(images: list[tuple[list[tuple[Word, int]], LaurentPoly, int]]
     total: Packed = {}
     for words, coeff, norm in images:
         packed = _pack(coeff, bits)
-        for word, exponent in words:
-            _add_term(total, word, packed << bits * exponent, norm, bits)
+        for word in words:
+            _add_term(total, word, packed, norm, bits)
     for i in reduced_word(w_mu(shape)):
         total = _mul_gen(total, i, bits)
     return not _mul_y_chains(total, Partition(shape.stripped).conjugate(), bits)
@@ -708,8 +623,8 @@ def _merge_scalar(pairs: list[tuple[Multiset, Multiset]], bits: int) -> tuple[in
 def _subtract_image(diff: Packed, tab: Tableau, coeff: int, norm: int,
                     bits: int) -> None:
     """Subtract coeff times the image of tab from diff."""
-    for word, e in _image_words(tab):
-        _add_term(diff, word, -(coeff << bits * e), norm, bits)
+    for word in _image_words(tab):
+        _add_term(diff, word, -coeff, norm, bits)
 
 
 # Each check takes its instance's parameters and a packing width, builds
@@ -723,7 +638,7 @@ def _check_row_merge(params: tuple, bits: int) -> str | None:
     r = top.size
     merge_b = Tableau((m,), [Multiset([1] * r + [2] * (m - r))])
     tab_c = Tableau((r, m - r), [top, bottom])
-    diff = _apply_hom(_packed_image(merge_b, bits), tab_c, bits)
+    diff = _apply_hom(_packed_image(merge_b), tab_c, bits)
     coeff, norm = _merge_scalar([(top, bottom)], bits)
     _subtract_image(diff, Tableau((m,), [top + bottom]), coeff, norm, bits)
     if diff:
@@ -737,7 +652,7 @@ def _check_pair_merge(params: tuple, bits: int) -> str | None:
     r, u, v, t = (row.size for row in rows)
     merge_b = Tableau((r + u, v + t),
                       [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
-    diff = _apply_hom(_packed_image(merge_b, bits), Tableau((r, u, v, t), rows), bits)
+    diff = _apply_hom(_packed_image(merge_b), Tableau((r, u, v, t), rows), bits)
     coeff, norm = _merge_scalar([(rows[0], rows[1]), (rows[2], rows[3])], bits)
     merged = Tableau((r + u, v + t), [rows[0] + rows[1], rows[2] + rows[3]])
     _subtract_image(diff, merged, coeff, norm, bits)
@@ -752,7 +667,7 @@ def _check_row_split(params: tuple, bits: int) -> str | None:
     r, w, t = (row.size for row in rows)
     quad = (r, u, w - u, t)
     split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (w - u, 2), (t, 3)]))
-    diff = _apply_hom(_packed_image(split_d, bits), Tableau((r, w, t), rows), bits)
+    diff = _apply_hom(_packed_image(split_d), Tableau((r, w, t), rows), bits)
     for mid_top in rows[1].sub_multisets(u):
         tab = Tableau(quad, [rows[0], mid_top, rows[1] - mid_top, rows[2]])
         _subtract_image(diff, tab, 1, 1, bits)
@@ -775,7 +690,7 @@ def _check_garnir_factorization(params: tuple, bits: int) -> str | None:
                       [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
     split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (v, 2), (t, 3)]))
     tab_e = Tableau((r, s, t), [datum.fixed_top, datum.pool, datum.fixed_bottom])
-    mid = _apply_hom(_packed_image(merge_b, bits), split_d, bits)
+    mid = _apply_hom(_packed_image(merge_b), split_d, bits)
     diff = _apply_hom(mid, tab_e, bits)
     # Relation coefficients are quantum binomials times powers of q with
     # nonnegative exponents, so they pack as they stand.

@@ -293,10 +293,9 @@ def _as_poly(value: IntoPoly) -> LaurentPoly:
     return poly
 
 
-# Cache limits.  A whole tier-1 test run leaves 11, 144 and 230 entries in
-# the three caches; the limits leave room for far larger inputs (every
+# Cache limits.  A whole tier-1 test run leaves 144 and 230 entries in
+# the two caches; the limits leave room for far larger inputs (every
 # binomial up to n = 62, say) while keeping memory bounded.
-_FACTORIAL_CACHE_SIZE = 64
 _BINOMIAL_CACHE_SIZE = 2048
 _PACKED_BINOMIAL_CACHE_SIZE = 4096
 
@@ -310,16 +309,6 @@ def quantum_int(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError(f"quantum_int needs n >= 0, got {n}")
     return LaurentPoly._raw({i: 1 for i in range(n)})
-
-
-@lru_cache(maxsize=_FACTORIAL_CACHE_SIZE)
-def quantum_factorial(n: int) -> LaurentPoly:
-    """The quantum factorial [n]! = [1][2]...[n]; [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"quantum_factorial needs n >= 0, got {n}")
-    if n == 0:
-        return LaurentPoly.one()
-    return quantum_factorial(n - 1) * quantum_int(n)
 
 
 @lru_cache(maxsize=_BINOMIAL_CACHE_SIZE)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable
 
-from .combinat import Composition, Tableau
+from .combinat import Composition, Tableau, _breaks_columns
 from .errors import StraighteningError
 # two_row_straighten_step is not called here; it is imported so that code
 # that looks it up in this module (perfbench/tracer.py) finds it.
@@ -71,10 +71,6 @@ def weight(tab: Tableau) -> int:
     return sum(r * sum(row) for r, row in enumerate(tab.row_lists(), start=1))
 
 
-def _pair_violates(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
-    return any(lower[c] <= upper[c] for c in range(len(lower)))
-
-
 def find_violating_window(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE) -> int | None:
     """1-based index of the upper row of an adjacent pair breaking
     column-strictness, or None when the tableau is semistandard.
@@ -92,7 +88,7 @@ def find_violating_window(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE) -> i
     else:
         raise ValueError(f"unknown pair rule {pair_rule!r}")
     rows = tab.row_lists()
-    return next((l for l in uppers if _pair_violates(rows[l - 1], rows[l])), None)
+    return next((l for l in uppers if _breaks_columns(rows[l - 1], rows[l])), None)
 
 
 def embed_two_row(tab: Tableau, upper_row: int, rel: LinComb) -> LinComb:

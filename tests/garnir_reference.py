@@ -15,7 +15,8 @@ shifting polynomials where the library multiplies and shifts their values
 at q = 2**bits.  The tests compare the two term by term.
 
 ``reference_step`` is the path ``two_row_straighten_step`` replaced: build
-the validated ``straightening_datum`` and its full ``garnir_relation``, then
+the validated ``straightening_datum`` (kept here) and its full
+``garnir_relation``, then
 drop the input's own term and negate the rest.  The library step now goes
 from the row tuples straight to count vectors, and the tests compare it
 with this one.
@@ -33,12 +34,11 @@ from heckehom import (
     Multiset,
     StraighteningError,
     Tableau,
-    cross_pairs,
     garnir_relation,
     quantum_binomial,
-    straightening_datum,
-    type_composition,
 )
+from heckehom.combinat import cross_pairs, type_composition
+from heckehom.garnir import _pivot_cuts, _two_rows
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,22 @@ def reference_relation(datum: GarnirDatum) -> LinComb:
     return LinComb(datum.shape, type_composition(content),
                    {build_tableau(datum, split): split_coefficient(datum, split)
                     for split in enumerate_splits(datum)})
+
+
+def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDatum:
+    """The relation datum that rewrites a non-semistandard two-row tableau.
+
+    A violating column is one where the bottom entry fails to exceed the top
+    entry; ``column_rule`` picks which violating column to target, and the
+    pivot is the top entry there.  Entries strictly below the pivot stay in
+    the top row, entries strictly above it stay in the bottom row, and
+    everything else is pooled.
+    """
+    top, bottom = _two_rows(tab)
+    cut_top, cut_bottom = _pivot_cuts(top, bottom, column_rule)
+    return GarnirDatum(Multiset(top[:cut_top]),
+                       Multiset(top[cut_top:] + bottom[:cut_bottom]),
+                       Multiset(bottom[cut_bottom:]), len(top))
 
 
 def reference_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:

@@ -19,6 +19,12 @@ Two references share no arithmetic with the packed tabloid kernel in
   (``tabloid_coords``), maps applied to them (``apply_hom``), and the four
   composition identities checked on those (``reference_check``).
 
+Both build images through the tableau's permutation 1A and the minimal
+coset representatives (``perm_1A``, ``coset_reps``), and so does
+``walk_image_words``, the block-label words of an image walked letter by
+letter from 1A and each representative, which the library's row-by-row
+``_image_words`` is tested against.
+
 ``word_of`` and ``vector_of_packed`` translate between the library's
 keys (block-label words) and the coordinates here.
 """
@@ -34,26 +40,200 @@ from heckehom import (
     Partition,
     Tableau,
     TabloidVector,
-    cross_pairs,
     garnir_relation,
-    inversions,
-    perm_inverse,
-    perm_mul,
     quantum_binomial,
-    reduced_word,
-    w_mu,
 )
-from heckehom.combinat import (
-    _perm_of_filling,
-    as_composition,
-    identity_perm,
-    perm_1A,
-    row_reading_composition,
-)
-from heckehom.hecke_oracle import HeckeElem, _add_into, _require_within_cap, coset_reps
+from heckehom.combinat import as_composition, cross_pairs, identity_perm, w_mu
+from heckehom.hecke_oracle import HeckeElem, _add_into, _require_within_cap, reduced_word
 from heckehom.qcoeff import _as_poly, _unpack
 
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
+
+
+# ---------------------------------------------------------------------------
+# permutations, the tableau's permutation and coset representatives
+# ---------------------------------------------------------------------------
+
+
+def perm_mul(first, second):
+    """Compose left to right: k goes to second(first(k))."""
+    return tuple(second[v - 1] for v in first)
+
+
+def perm_inverse(w):
+    out = [0] * len(w)
+    for k, v in enumerate(w, start=1):
+        out[v - 1] = k
+    return tuple(out)
+
+
+def inversions(w):
+    """Coxeter length: the number of pairs i < j with w(i) > w(j)."""
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def _perm_of_filling(cell_values, type_length):
+    """Permutation attached to an explicit cell-by-cell filling.
+
+    Cell p of the row-reading filling holds the number p; the result sends
+    the row-reading filling of the type shape to the tableau whose row r
+    lists, in increasing order, the cells holding value r.
+    """
+    cells_by_value = [[] for _ in range(type_length)]
+    for p, v in enumerate(cell_values, start=1):
+        cells_by_value[v - 1].append(p)
+    images = []
+    for cells in cells_by_value:
+        images.extend(cells)
+    return tuple(images)
+
+
+def perm_1A(tab):
+    """The distinguished coset representative attached to a tableau.
+
+    Reading the shape's row-reading filling cell by cell, the number in a
+    cell is sent into the type-shape row named by the tableau's value in
+    that cell; each row of the image is increasing.
+    """
+    cells = [v for row in tab.row_lists() for v in row]
+    return _perm_of_filling(cells, len(tab.type().stripped))
+
+
+def length_1A(tab):
+    """Closed form for inversions(perm_1A(tab)), purely from row contents.
+
+    Counts, over all row pairs g < h, the pairs of entries (j in row g,
+    i in row h) with i < j.
+    """
+    rows = tab.rows
+    total = 0
+    for g in range(len(rows)):
+        for h in range(g + 1, len(rows)):
+            total += cross_pairs(rows[g], rows[h])
+    return total
+
+
+def row_reading_composition(tab):
+    """Per-row multiplicity vectors, concatenated row after row.
+
+    Zero entries are retained positionally up to the maximum value of the
+    type, so the result refines the shape blockwise.
+    """
+    top = len(tab.type().stripped)
+    parts = []
+    for row in tab.rows:
+        parts.extend(row.count(v) for v in range(1, top + 1))
+    return Composition(parts)
+
+
+def coset_reps(fine, coarse):
+    """Minimal right coset representatives of one Young subgroup in a larger.
+
+    The first composition must refine the second blockwise.  The result is
+    every element of the larger subgroup that increases along each block of
+    positions of the finer composition; passing coarse = (n,) gives the
+    representatives in the whole symmetric group.
+    """
+    fine = as_composition(fine)
+    coarse = as_composition(coarse)
+    if fine.n != coarse.n:
+        raise ValueError(f"sizes differ: {fine.n} vs {coarse.n}")
+    return _coset_reps_cached(fine.stripped, coarse.stripped)
+
+
+# A sweep over tableaux asks for one pair per tableau (71715 to degree 7),
+# which the limit only caps memory for.
+@lru_cache(maxsize=8192)
+def _coset_reps_cached(fine, coarse):
+    groups = []
+    fine_iter = iter(fine)
+    for target in coarse:
+        group = []
+        got = 0
+        while got < target:
+            part = next(fine_iter, None)
+            if part is None or got + part > target:
+                raise ValueError(
+                    f"composition {fine} does not refine {coarse} blockwise")
+            group.append(part)
+            got += part
+        groups.append(group)
+    if any(p for p in fine_iter):
+        raise ValueError(f"composition {fine} does not refine {coarse} blockwise")
+
+    per_block = []
+    offset = 0
+    for target, group in zip(coarse, groups):
+        per_block.append(
+            _increasing_arrangements(tuple(range(offset + 1, offset + target + 1)),
+                                     tuple(group)))
+        offset += target
+    return tuple(tuple(itertools.chain.from_iterable(combo))
+                 for combo in itertools.product(*per_block))
+
+
+def _increasing_arrangements(values, parts):
+    """Every ordering of the increasing values that increases along each
+    block of positions of parts, in lexicographic order: the minimal coset
+    representatives, built directly instead of filtered out of every
+    ordering.  The first block takes each choice of its values in turn,
+    increasing; the rest recurse on what is left."""
+    if not parts:
+        return [()]
+    out = []
+    for chosen in itertools.combinations(values, parts[0]):
+        rest = tuple(v for v in values if v not in chosen)
+        out.extend(chosen + tail for tail in _increasing_arrangements(rest, parts[1:]))
+    return out
+
+
+def _walk(word, letters):
+    """Multiply the term x T_u at word by T_w, letter by letter, in place,
+    where u w is longer than u by the length of w; the q-exponent gained.
+
+    Each letter s then lengthens the product so far, and such a letter
+    never meets labels a > z.  Write the product as u = v d, v in the Young
+    subgroup and d the minimal representative, so l(u) = l(v) + l(d).  Then
+    l(v) + l(d) + 1 = l(u s) <= l(v) + l(d s), so d s is longer than d:
+    either a < z, or equal labels (d s = s' d with s' in the subgroup),
+    but not a > z, which would make d s shorter.  So the term stays a
+    single word times a power of q.
+    """
+    exponent = 0
+    for i in letters:
+        a, z = word[i - 1], word[i]
+        if a == z:
+            exponent += 1
+        elif a < z:
+            word[i - 1], word[i] = z, a
+        else:
+            raise AssertionError(f"letter {i} shortens the product at {word}")
+    return exponent
+
+
+def walk_image_words(tab):
+    """The image of a tableau's map in the tabloid basis of its type's
+    module, as one (word, e) pair for the term q^e at word per coset
+    representative d: the sum over d of x T_1A T_d, with d running over the
+    representatives of the row-reading composition inside the shape's
+    subgroup.
+
+    Each summand is one term: 1A lists the cells of each value in
+    increasing order, so two cells p, p + 1 of one row, whose values
+    satisfy v_p <= v_(p+1), sit in 1A in that order.  Every generator s_p
+    of the shape's subgroup S therefore lengthens 1A, so 1A is the shortest
+    element of its coset 1A S, and l(1A d) = l(1A) + l(d) for every d in S.
+    So _walk applies: first T_1A from the unit, then T_d.
+    """
+    labels = [b for b, size in enumerate(tab.type().parts) for _ in range(size)]
+    base_exponent = _walk(labels, reduced_word(perm_1A(tab)))
+    out = []
+    for d in coset_reps(row_reading_composition(tab), tab.shape):
+        word = labels.copy()
+        exponent = base_exponent + _walk(word, reduced_word(d))
+        out.append((tuple(word), exponent))
+    return out
 
 
 # ---------------------------------------------------------------------------

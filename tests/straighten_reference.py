@@ -22,11 +22,9 @@ from heckehom import (
     LinComb,
     StraighteningError,
     Tableau,
-    embed_two_row,
-    find_violating_window,
     two_row_straighten_step,
-    weight,
 )
+from heckehom.straighten import embed_two_row, find_violating_window, weight
 
 
 def memo_of_expansions(tab, pair_rule, column_rule, memo):

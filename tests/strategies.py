@@ -1,8 +1,24 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and input enumerators for the test suite."""
+
+from typing import Iterator
 
 from hypothesis import strategies as st
 
 from heckehom import Composition, LaurentPoly, Multiset, Partition, Tableau
+
+
+def iter_compositions(n: int, length: int) -> Iterator[tuple[int, ...]]:
+    """All length-tuples of nonnegative integers summing to n."""
+    if length == 0:
+        if n == 0:
+            yield ()
+        return
+    if length == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in iter_compositions(n - first, length - 1):
+            yield (first,) + rest
 
 
 def laurent_polys(min_exp: int = -4, max_exp: int = 4,

@@ -20,27 +20,24 @@ from heckehom import (
     Multiset,
     Partition,
     Tableau,
-    embed_two_row,
     enumerate_semistandard,
-    find_violating_window,
     garnir_relation,
     image_h3,
-    inversions,
     is_semistandard,
-    iter_compositions,
     iter_fillings,
     iter_partitions,
     iter_valid_data,
-    length_1A,
     parse_tableau,
-    perm_1A,
     quantum_binomial,
     semistandardize,
     specht_check,
     two_row_straighten_step,
     verify_composition_props,
-    coset_reps,
 )
+from heckehom.straighten import embed_two_row, find_violating_window
+
+from .hecke_reference import coset_reps, inversions, length_1A, perm_1A
+from .strategies import iter_compositions
 
 SEED = 20260819
 

@@ -23,7 +23,6 @@ from heckehom import (
     iter_fillings,
     iter_valid_data,
     parse_tableau,
-    straightening_datum,
     two_row_straighten_step,
 )
 
@@ -38,6 +37,7 @@ from .garnir_reference import (
     reference_step,
     split_coefficient,
     split_from_tableau,
+    straightening_datum,
 )
 from .strategies import multisets
 

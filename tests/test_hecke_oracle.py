@@ -21,30 +21,20 @@ from heckehom import (
     OracleCapError,
     Partition,
     TabloidVector,
-    coset_reps,
-    cross_pairs,
-    embed_two_row,
-    find_violating_window,
     image_h3,
-    inversions,
-    iter_compositions,
     iter_fillings,
     iter_partitions,
     iter_valid_data,
     garnir_relation,
-    oracle_cap,
     parse_tableau,
-    perm_mul,
     quantum_binomial,
-    reduced_word,
     semistandardize,
     specht_check,
     two_row_straighten_step,
     verify_composition_props,
-    w_mu,
 )
 from heckehom.cli import main as cli_main
-from heckehom.combinat import Tableau, identity_perm, perm_1A
+from heckehom.combinat import Tableau, cross_pairs, identity_perm, w_mu
 from heckehom.hecke_oracle import (
     PROP_KINDS,
     HeckeElem,
@@ -54,8 +44,11 @@ from heckehom.hecke_oracle import (
     _mul_y_chains,
     _pool_size,
     _prop_instances,
+    oracle_cap,
+    reduced_word,
 )
 from heckehom.qcoeff import _pack, _unpack
+from heckehom.straighten import embed_two_row, find_violating_window
 
 from . import hecke_reference
 from .hecke_reference import (
@@ -63,24 +56,29 @@ from .hecke_reference import (
     TabloidMembershipError,
     algebra_image,
     apply_hom,
+    coset_reps,
     image_h2,
     image_h4,
     image_vector,
+    inversions,
     is_min_coset_rep,
     mul_x_blocks,
     mul_y_blocks,
+    perm_1A,
+    perm_mul,
     reference_check,
     specht_check_tabloid,
     t_from_word,
     t_of_perm,
     tabloid_coords,
     vector_of_packed,
+    walk_image_words,
     word_of,
     x_elem,
     y_elem,
     young_subgroup,
 )
-from .strategies import tableaux
+from .strategies import iter_compositions, tableaux
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.monomial(1)
@@ -314,8 +312,6 @@ class TestImages:
                            if hasattr(obj, "cache_parameters")
                            and obj.__module__ == module.__name__})
         assert {"heckehom.hecke_oracle.reduced_word",
-                "heckehom.hecke_oracle._coset_reps_cached",
-                "heckehom.qcoeff.quantum_factorial",
                 "heckehom.qcoeff.quantum_binomial",
                 "heckehom.qcoeff._packed_binomial"} <= set(caches)
         for name, cached in caches.items():
@@ -441,11 +437,22 @@ class TestTabloidAction:
             a.mul_right_gen(3)
 
 
+def assert_matches_walk(tab):
+    """The row-by-row image words against the walk from 1A and each coset
+    representative: the same words, each walk with exponent 0, and no word
+    twice on either side."""
+    words = _image_words(tab)
+    walked = walk_image_words(tab)
+    assert all(e == 0 for _, e in walked), tab
+    assert len(set(words)) == len(words) == len(walked), tab
+    assert set(words) == {w for w, _ in walked}, tab
+
+
 class TestImageWords:
     def test_one_term_per_representative_up_to_degree_7(self):
-        # The premise of _image_words' proof, checked directly: in 1A, two
-        # cells p, p + 1 of one row appear in that order.  _image_words
-        # itself raises if any letter of a walk would shorten the product.
+        # The premise of the walk's proof, checked directly: in 1A, two
+        # cells p, p + 1 of one row appear in that order.  The walk itself
+        # raises if any of its letters would shorten the product.
         count = 0
         for n in range(1, 8):
             for parts in iter_partitions(n):
@@ -456,16 +463,27 @@ class TestImageWords:
                     one_a = perm_1A(tab)
                     position = {v: k for k, v in enumerate(one_a)}
                     assert all(position[p] < position[p + 1] for p in same_row), tab
-                    words = _image_words(tab)
-                    assert len(words) == len({w for w, _ in words}), tab
+                    assert_matches_walk(tab)
                     count += 1
         assert count == 71715
+
+    def test_matches_walk_on_composition_shapes_up_to_degree_5(self):
+        # Every filling of every composition of each length up to its
+        # degree, internal and trailing zero parts included.
+        count = 0
+        for n in range(1, 6):
+            for length in range(1, n + 1):
+                for parts in iter_compositions(n, length):
+                    for tab in iter_fillings(Composition(parts), 3):
+                        assert_matches_walk(tab)
+                        count += 1
+        assert count == 19818
 
     def test_matches_generator_by_generator_up_to_degree_5(self):
         for n in range(1, 6):
             for parts in iter_partitions(n):
                 for tab in iter_fillings(Partition(parts), 3):
-                    packed = {word: (1 << 8 * e, 1) for word, e in _image_words(tab)}
+                    packed = {word: (1, 1) for word in _image_words(tab)}
                     assert vector_of_packed(packed, tab.type(), 8) == image_vector(tab), tab
 
 
@@ -532,7 +550,7 @@ class TestSpechtCheck:
                 expect = tabloid_coords(algebra_image(tab), tab.type())
                 assert image_h3(tab) == expect, tab
                 assert image_vector(tab) == expect, tab
-                packed = {word: (1 << 8 * e, 1) for word, e in _image_words(tab)}
+                packed = {word: (1, 1) for word in _image_words(tab)}
                 assert vector_of_packed(packed, tab.type(), 8) == expect, tab
             verdict = specht_check(comb)
             assert verdict == _specht_check_in_algebra(comb), comb.to_text()

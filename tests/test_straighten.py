@@ -16,9 +16,7 @@ from heckehom import (
     Partition,
     StraighteningError,
     Tableau,
-    embed_two_row,
     enumerate_semistandard,
-    find_violating_window,
     garnir_relation,
     is_semistandard,
     iter_valid_data,
@@ -26,10 +24,10 @@ from heckehom import (
     semistandardize,
     semistandardize_lincomb,
     two_row_straighten_step,
-    weight,
 )
 
 from heckehom.cli import build_parser
+from heckehom.straighten import embed_two_row, find_violating_window, weight
 from perfbench.workloads import two_row_base, w18_base
 
 from .straighten_reference import laurent_worklist, memo_of_expansions
