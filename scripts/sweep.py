@@ -8,7 +8,9 @@
 garnir       every valid two-row relation datum up to the degree and value
              cap; each relation must vanish on the Specht module.  With
              --reference each relation is also compared, term by term,
-             with the per-split construction in tests/garnir_reference.py.
+             with the per-split construction in tests/garnir_reference.py,
+             and its packed terms at 64 bits, key order included, with the
+             packed recursion there.
 straighten   every filling of every partition shape up to the caps; its
              semistandard expansion must be semistandard and equal the
              input on the Specht module.  With --reference each expansion
@@ -53,6 +55,7 @@ from heckehom import (
     semistandardize,
     specht_check,
 )
+from heckehom.garnir import _count_vector, _relation_from_counts
 from heckehom.hecke_oracle import (
     _check_instance,
     _map_unordered,
@@ -61,7 +64,7 @@ from heckehom.hecke_oracle import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.garnir_reference import reference_relation  # noqa: E402
+from tests.garnir_reference import reference_packed_relation, reference_relation  # noqa: E402
 from tests.hecke_reference import reference_check, specht_check_tabloid  # noqa: E402
 from tests.straighten_reference import laurent_worklist, memo_of_expansions  # noqa: E402
 
@@ -76,11 +79,21 @@ def garnir_instances(args: argparse.Namespace) -> dict[str, list]:
         for d in iter_valid_data(args.degree, args.values)]}
 
 
+def packed_terms_agree(top: tuple, pool: tuple, bottom: tuple, top_len: int) -> bool:
+    """Whether the level-wise builder and the packed recursion give equal
+    terms in equal order at 64 bits."""
+    largest = max(top + pool + bottom)
+    counts = [_count_vector(part, largest) for part in (top, pool, bottom)]
+    return (list(_relation_from_counts(*counts, top_len, 64).items())
+            == list(reference_packed_relation(*counts, top_len, 64).items()))
+
+
 def check_garnir(packed: tuple, reference: bool) -> str | None:
     top, pool, bottom, top_len = packed
     datum = GarnirDatum(Multiset(top), Multiset(pool), Multiset(bottom), top_len)
     rel = garnir_relation(datum)
-    if reference and rel.items() != reference_relation(datum).items():
+    if reference and (rel.items() != reference_relation(datum).items()
+                      or not packed_terms_agree(*packed)):
         return f"FAIL: {packed}"
     verdict = specht_check(rel)
     if not verdict or (reference and verdict != specht_check_tabloid(rel)):
@@ -125,8 +138,9 @@ def check_props(item: tuple, reference: bool) -> str | None:
 
 SWEEPS = {
     "garnir": (garnir_instances, check_garnir, 7,
-               "also compare each relation with the per-split reference "
-               "and each verdict with the reference Specht test"),
+               "also compare each relation with the per-split reference and "
+               "the packed recursion, and each verdict with the reference "
+               "Specht test"),
     "straighten": (straighten_instances, check_straighten, 7,
                    "also compare each expansion with the reference traversals "
                    "and each verdict with the reference Specht test"),

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError, StraighteningError
 from .combinat import (
@@ -41,9 +42,17 @@ from .hecke_oracle import specht_check, verify_composition_props
 
 def _parse_q(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational for --q: {text!r}") from exc
+        if q := Fraction(text):
+            return q
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ParseError(f"bad nonzero rational for --q: {text!r}")
+
+
+def _require_check_cap(check: int | None) -> None:
+    # A cap below 1 would skip every check while reporting success.
+    if check is not None and check < 1:
+        raise ValueError(f"--check must be at least 1, got {check}")
 
 
 def _read_source(source: str) -> str:
@@ -84,6 +93,7 @@ def _report_check(passed: bool, label: str) -> int:
 
 
 def _cmd_straighten(args: argparse.Namespace) -> int:
+    _require_check_cap(args.check)
     text = _read_source(args.tableau) if args.tableau == "-" else args.tableau
     if not args.strict and not rows_are_sorted(text):
         print("warning: rows were not weakly increasing; sorted them "
@@ -103,6 +113,7 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
 
 
 def _cmd_garnir(args: argparse.Namespace) -> int:
+    _require_check_cap(args.check)
     datum = GarnirDatum(parse_multiset(args.fixed_top),
                         parse_multiset(args.pool),
                         parse_multiset(args.fixed_bottom),
@@ -228,9 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parsing leaves no state in the parser.
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

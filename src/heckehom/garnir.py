@@ -12,23 +12,21 @@ as a combination of strictly smaller ones; iterating is what the
 straightening module does.
 
 A relation is built from multiplicity vectors alone.  Write a_v, p_v and
-b_v for the number of copies of the value v in the fixed top part, the
-pool and the fixed bottom part.  A split sends x_v of the pooled v's to the
-top row, and its coefficient factorises over values: the quantum binomials
-[a_v + x_v choose a_v] and [b_v + p_v - x_v choose b_v], times q to the sum
-over v of x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over
-u < v).  One recursion over the pooled values, from the largest take down,
-carries that product and that exponent, so every term costs one step per
-pooled value and no multiset arithmetic; each term's two rows are written
-out as sorted tuples straight from the count vectors.  The straightening
-step feeds that recursion directly: it cuts a tableau's two sorted rows at
-the pivot and counts the slices, with no datum in between.
+b_v for the number of copies of the value v in the fixed top part, the pool
+and the fixed bottom part.  A split sends x_v of the pooled v's to the top
+row, and its coefficient factorises over values: the quantum binomials
+[a_v + x_v choose a_v] and [b_v + p_v - x_v choose b_v], times q to the
+power x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over u < v).
+So each pooled value gets one table indexed by its take x_v, holding that
+factor, its L1 norm (the value at q = 1) and the value's pieces of the two
+sorted rows.  The splits are built level by level, one list comprehension
+per pooled value extending every partial split by each take it allows,
+largest first: no call per term and no multiset arithmetic.
 
-The recursion carries each coefficient packed as one int, its value at
-q = 2**bits (see ``qcoeff``), multiplying by the packed quantum binomials
-and shifting by bits times the exponent, and alongside it the coefficient's
-L1 norm, the same product at q = 1.  The traversal in ``straighten`` takes
-the packed terms as they are; ``garnir_relation`` and
+Each factor is packed as one int, its value at q = 2**bits (see
+``qcoeff``), shifted by bits times its exponent, so a term's coefficient is
+the sign times a product of table entries.  The traversal in
+``straighten`` takes the packed terms as they are; ``garnir_relation`` and
 ``two_row_straighten_step`` unpack them into ``LaurentPoly`` at a width of
 the degree plus 2, where every relation coefficient is exact.
 """
@@ -37,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import comb
 from typing import Iterable, Iterator, Mapping
 
@@ -316,47 +313,36 @@ def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int
     fixed bottom part have the count vectors a, p and b; trusted to be
     valid.  Maps each term's two rows to its coefficient packed at
     q = 2**bits and that coefficient's L1 norm."""
-    top = len(a)
-    # above[i]: fixed top entries larger than the value i + 1; below[i]:
-    # fixed bottom entries smaller than it.
-    above, below = [0] * top, [0] * top
-    for i in range(top - 2, -1, -1):
-        above[i] = above[i + 1] + a[i + 1]
-    for i in range(1, top):
-        below[i] = below[i - 1] + b[i - 1]
-    pooled = [i for i in range(top) if p[i]]
-    room = [0] * (len(pooled) + 1)  # pool entries at or after each pooled value
-    for k in range(len(pooled) - 1, -1, -1):
-        room[k] = room[k + 1] + p[pooled[k]]
-    # Row counts of the current split; each level writes its own value's.
-    upper, lower = list(a), list(b)
-    values = range(1, top + 1)
-    terms: dict[Rows, tuple[int, int]] = {}
-
-    def rec(k: int, remaining: int, coeff: int, norm: int, exponent: int) -> None:
-        if k == len(pooled):
-            rows = (tuple(chain.from_iterable(map(repeat, values, upper))),
-                    tuple(chain.from_iterable(map(repeat, values, lower))))
-            terms[rows] = (coeff << bits * exponent, norm)
-            return
-        i = pooled[k]
+    pooled = [i for i in range(len(a)) if p[i]]
+    uppers, lowers = ([(v,) * n for v, n in enumerate(c, 1)] for c in (a, b))
+    room = sum(p)  # pool entries at or after the current pooled value
+    # Partial splits: (pool entries the top row still needs, packed
+    # coefficient, norm, top row so far, bottom row so far).
+    splits = [(top_len - sum(a), sign, 1,
+               sum(uppers[:pooled[0]], ()), sum(lowers[:pooled[0]], ()))]
+    for i, end in zip(pooled, pooled[1:] + [len(a)]):
         a_i, p_i, b_i = a[i], p[i], b[i]
-        for take in range(min(p_i, remaining), max(0, remaining - room[k + 1]) - 1, -1):
-            term, term_norm = coeff, norm
-            # Binomials have nonnegative coefficients: the norm is the
-            # value at q = 1.
-            if a_i and take:
-                term *= _packed_binomial(a_i + take, a_i, bits)
-                term_norm *= comb(a_i + take, a_i)
-            if b_i and take < p_i:
-                term *= _packed_binomial(b_i + p_i - take, b_i, bits)
-                term_norm *= comb(b_i + p_i - take, b_i)
-            upper[i], lower[i] = a_i + take, b_i + p_i - take
-            rec(k + 1, remaining - take, term, term_norm,
-                exponent + take * above[i] + (p_i - take) * below[i])
-
-    rec(0, top_len - sum(a), sign, 1, 0)
-    return terms
+        # Fixed top entries above the value i + 1; fixed bottom ones below it.
+        above, below = sum(a[i + 1:]), sum(b[:i])
+        room -= p_i
+        up_tail, low_tail = sum(uppers[i + 1:end], ()), sum(lowers[i + 1:end], ())
+        # One entry per take x, from p_i down: the factor of the value
+        # i + 1, its norm (binomials have nonnegative coefficients, so the
+        # value at q = 1), and the row pieces up to the next pooled value.
+        table = [(x, _packed_binomial(a_i + x, a_i, bits)
+                  * _packed_binomial(b_i + p_i - x, b_i, bits)
+                  << bits * (x * above + (p_i - x) * below),
+                  comb(a_i + x, a_i) * comb(b_i + p_i - x, b_i),
+                  (i + 1,) * (a_i + x) + up_tail, (i + 1,) * (b_i + p_i - x) + low_tail)
+                 for x in range(p_i, -1, -1)]
+        # A split that still needs `need` entries takes x from
+        # min(p_i, need) down to max(0, need - room): rows p_i - x of table.
+        splits = [(need - x, coeff * factor, norm * factor_norm, upper + up, lower + low)
+                  for need, coeff, norm, upper, lower in splits
+                  for x, factor, factor_norm, up, low
+                  in table[p_i - need if need < p_i else 0:
+                           p_i + 1 - need + room if need > room else p_i + 1]]
+    return {(upper, lower): (coeff, norm) for _, coeff, norm, upper, lower in splits}
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:

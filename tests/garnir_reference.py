@@ -4,15 +4,20 @@ built through its relation datum, as references.
 ``reference_relation`` is the construction ``garnir_relation`` replaced:
 enumerate the sub-multisets of the pool, and for each one add and subtract
 multisets to get the rows and compute the coefficient from the multisets
-directly.  It shares no code with the count-vector recursion in the
+directly.  It shares no code with the count-vector builder in the
 library, so the tests (and ``scripts/sweep.py garnir --reference``) compare
 the two.
 
 ``reference_relation_from_counts`` is the count-vector recursion with
 ``LaurentPoly`` coefficients that the packed core ``garnir.
-_relation_from_counts`` replaced: the same recursion, multiplying and
-shifting polynomials where the library multiplies and shifts their values
-at q = 2**bits.  The tests compare the two term by term.
+_relation_from_counts`` replaced, multiplying and shifting polynomials
+where the packed core multiplies and shifts their values at q = 2**bits.
+The tests compare the two term by term.
+
+``reference_packed_relation`` is the packed recursion that the level-wise
+builder ``garnir._relation_from_counts`` replaced: one recursive call per
+node of the tree of takes, and every leaf's rows written again from the
+full count vectors.  The tests compare the two, key order included.
 
 ``reference_step`` is the path ``two_row_straighten_step`` replaced: build
 the validated ``straightening_datum`` (kept here) and its full
@@ -24,6 +29,7 @@ with this one.
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from math import comb
 from typing import Iterator
 
 from heckehom import (
@@ -38,7 +44,8 @@ from heckehom import (
     quantum_binomial,
 )
 from heckehom.combinat import cross_pairs, type_composition
-from heckehom.garnir import _pivot_cuts, _two_rows
+from heckehom.garnir import Rows, _pivot_cuts, _two_rows
+from heckehom.qcoeff import _packed_binomial
 
 
 @dataclass(frozen=True)
@@ -175,3 +182,46 @@ def reference_relation_from_counts(a: list[int], p: list[int], b: list[int],
 
     rec(0, top_len - sum(a), LaurentPoly.monomial(0, sign), 0)
     return LinComb._raw(shape, type_, terms)
+
+
+def reference_packed_relation(a: list[int], p: list[int], b: list[int], top_len: int,
+                              bits: int, sign: int = 1) -> dict[Rows, tuple[int, int]]:
+    """The same relation as ``reference_relation_from_counts``, each term's
+    coefficient packed at q = 2**bits with its L1 norm, built by the
+    recursion with one call per node."""
+    top = len(a)
+    above, below = [0] * top, [0] * top
+    for i in range(top - 2, -1, -1):
+        above[i] = above[i + 1] + a[i + 1]
+    for i in range(1, top):
+        below[i] = below[i - 1] + b[i - 1]
+    pooled = [i for i in range(top) if p[i]]
+    room = [0] * (len(pooled) + 1)
+    for k in range(len(pooled) - 1, -1, -1):
+        room[k] = room[k + 1] + p[pooled[k]]
+    upper, lower = list(a), list(b)
+    values = range(1, top + 1)
+    terms: dict[Rows, tuple[int, int]] = {}
+
+    def rec(k: int, remaining: int, coeff: int, norm: int, exponent: int) -> None:
+        if k == len(pooled):
+            rows = (tuple(chain.from_iterable(map(repeat, values, upper))),
+                    tuple(chain.from_iterable(map(repeat, values, lower))))
+            terms[rows] = (coeff << bits * exponent, norm)
+            return
+        i = pooled[k]
+        a_i, p_i, b_i = a[i], p[i], b[i]
+        for take in range(min(p_i, remaining), max(0, remaining - room[k + 1]) - 1, -1):
+            term, term_norm = coeff, norm
+            if a_i and take:
+                term *= _packed_binomial(a_i + take, a_i, bits)
+                term_norm *= comb(a_i + take, a_i)
+            if b_i and take < p_i:
+                term *= _packed_binomial(b_i + p_i - take, b_i, bits)
+                term_norm *= comb(b_i + p_i - take, b_i)
+            upper[i], lower[i] = a_i + take, b_i + p_i - take
+            rec(k + 1, remaining - take, term, term_norm,
+                exponent + take * above[i] + (p_i - take) * below[i])
+
+    rec(0, top_len - sum(a), sign, 1, 0)
+    return terms

@@ -8,9 +8,15 @@ import pytest
 
 import heckehom.straighten
 from heckehom import LinComb, parse_tableau, semistandardize
-from heckehom.cli import main
+from heckehom.cli import build_parser, main
 
 WORKED = "1 2 2 3 4 / 1 3 3 3"
+WORKED_TEXT = [
+    "(1 + q - q^3) * 1 1 2 2 3 / 3 3 3 4",
+    "(-q^2 - q^3) * 1 1 2 2 4 / 3 3 3 3",
+    "(1) * 1 1 2 3 3 / 2 3 3 4",
+]
+RELATION = ["garnir", "--pool", "1 1 2", "--fixed-bottom", "2", "--top-len", "2"]
 
 
 def run(capsys, *argv):
@@ -23,11 +29,7 @@ class TestStraighten:
     def test_worked_example_text(self, capsys):
         code, out, err = run(capsys, "straighten", WORKED)
         assert code == 0
-        assert out.splitlines() == [
-            "(1 + q - q^3) * 1 1 2 2 3 / 3 3 3 4",
-            "(-q^2 - q^3) * 1 1 2 2 4 / 3 3 3 3",
-            "(1) * 1 1 2 3 3 / 2 3 3 4",
-        ]
+        assert out.splitlines() == WORKED_TEXT
 
     def test_specialized_at_one(self, capsys):
         code, out, err = run(capsys, "straighten", WORKED, "--q", "1")
@@ -104,6 +106,70 @@ class TestStraighten:
                                "--column-rule", "rightmost")
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+def rejected_by_argparse(capsys, *argv):
+    """Exit status and stderr of a call that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return exc.value.code, captured.err
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("argv", [
+        ["straighten", "1 1 / 1 1"],  # the answer is 0
+        ["straighten", WORKED],
+        RELATION,
+    ])
+    def test_q_zero_is_a_parse_error(self, capsys, argv):
+        code, err = rejected_by_argparse(capsys, *argv, "--q", "0")
+        assert code == 2
+        assert "error: argument --q: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["straighten", "1 1 / 1", "--check", "-1"],
+        ["straighten", WORKED, "--check", "0"],
+        [*RELATION, "--check", "0"],
+    ])
+    def test_check_below_one_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --check ") and err.count("\n") == 1
+
+
+class TestSharedParser:
+    """main parses with one parser per process; no call leaks into the next."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_options_do_not_carry_over(self, capsys):
+        code, out, err = run(capsys, "straighten", WORKED, "--q", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["q"] == "2"
+        code, out, err = run(capsys, "straighten", WORKED)
+        assert code == 0
+        assert out.splitlines() == WORKED_TEXT
+
+    def test_props_do_not_carry_over(self, capsys, tmp_path):
+        data = {"shape": [2, 1], "type": [2, 1],
+                "terms": [{"coeff": "1", "rows": [[1, 1], [2]]}]}
+        path = tmp_path / "comb.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--props", "2")
+        assert code == 0
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4
+        assert out == "" and err == "check combination on Specht module: FAIL\n"
+
+    def test_call_after_argparse_error(self, capsys):
+        code, err = rejected_by_argparse(capsys, "straighten", WORKED, "--pair-rule", "middle")
+        assert code == 2 and "--pair-rule" in err
+        code, out, err = run(capsys, "straighten", WORKED)
+        assert code == 0
+        assert out.splitlines() == WORKED_TEXT
 
 
 class TestGarnir:

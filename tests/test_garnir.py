@@ -9,6 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heckehom.garnir
 from heckehom import (
     Composition,
     GarnirDatum,
@@ -23,15 +24,17 @@ from heckehom import (
     iter_fillings,
     iter_valid_data,
     parse_tableau,
+    semistandardize,
     two_row_straighten_step,
 )
-
 from heckehom.garnir import _relation_from_counts
+from perfbench.workloads import two_row_base, w18_base
 
 from .garnir_reference import (
     Split,
     build_tableau,
     enumerate_splits,
+    reference_packed_relation,
     reference_relation,
     reference_relation_from_counts,
     reference_step,
@@ -56,6 +59,13 @@ def large_data(draw, max_n: int = 16, max_value: int = 6) -> GarnirDatum:
     parts = [draw(multisets(max_size=k, min_size=k, max_value=max_value))
              for k in (r_size, s_size, n - r_size - s_size)]
     return GarnirDatum(*parts, top_len)
+
+
+def count_vectors(datum: GarnirDatum) -> list[list[int]]:
+    """The count vectors a, p and b of the datum's three multisets."""
+    top = max(ms.max_value() for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
+    return [[ms.count(v) for v in range(1, top + 1)]
+            for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom)]
 
 
 class TestDatumValidation:
@@ -158,9 +168,7 @@ class TestPackedCore:
 
     @staticmethod
     def _assert_matches_reference(datum):
-        top = max(ms.max_value() for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
-        a, p, b = ([ms.count(v) for v in range(1, top + 1)]
-                   for ms in (datum.fixed_top, datum.pool, datum.fixed_bottom))
+        a, p, b = count_vectors(datum)
         for sign in (1, -1):
             ref = reference_relation_from_counts(a, p, b, datum.top_len, sign)
             for bits in (datum.n + 2, 64):
@@ -190,6 +198,47 @@ class TestPackedCore:
                                                  datum.top_len)
             assert garnir_relation(datum).items() == ref.items()
             assert max(abs(c) for _, coeff in ref.items() for _, c in coeff.items()) > 2 ** 25
+
+
+class TestLevelWiseBuilder:
+    """The level-wise builder against the packed recursion it replaced:
+    equal dicts, key order included, for both signs at the edge width and
+    at 64 bits."""
+
+    @staticmethod
+    def _assert_matches_recursion(a, p, b, top_len):
+        n = sum(a) + sum(p) + sum(b)
+        for sign in (1, -1):
+            for bits in (n + 2, 64):
+                core = _relation_from_counts(a, p, b, top_len, bits, sign)
+                ref = reference_packed_relation(a, p, b, top_len, bits, sign)
+                assert list(core.items()) == list(ref.items()), (a, p, b, top_len, bits, sign)
+
+    def test_matches_recursion_on_valid_data(self):
+        for datum in iter_valid_data(7, 4):
+            self._assert_matches_recursion(*count_vectors(datum), datum.top_len)
+
+    @given(large_data())
+    @settings(deadline=None)
+    def test_matches_recursion_up_to_degree_16(self, datum):
+        self._assert_matches_recursion(*count_vectors(datum), datum.top_len)
+
+    @pytest.mark.parametrize("base", [w18_base, two_row_base])
+    def test_matches_recursion_on_benchmark_batches(self, monkeypatch, base):
+        built = {}
+        build = heckehom.garnir._relation_from_counts
+
+        def recorded(a, p, b, top_len, bits, sign=1):
+            built[tuple(a), tuple(p), tuple(b), top_len] = None
+            return build(a, p, b, top_len, bits, sign)
+
+        monkeypatch.setattr(heckehom.garnir, "_relation_from_counts", recorded)
+        for rows in base():
+            semistandardize(Tableau([len(row) for row in rows], rows))
+        monkeypatch.undo()
+        assert len(built) > 1000
+        for a, p, b, top_len in built:
+            self._assert_matches_recursion(list(a), list(p), list(b), top_len)
 
 
 class TestStraighteningDatum:

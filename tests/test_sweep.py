@@ -81,6 +81,8 @@ def failing_lines(out):
      lambda comb: False, "FAIL: "),
     (["props", "--degree", "2", "--values", "2", "--reference"], "reference_check",
      lambda item: "differs", "DISAGREE: "),
+    (["garnir", "--degree", "4", "--values", "2", "--reference"], "reference_packed_relation",
+     lambda a, p, b, top_len, bits: {}, "FAIL: "),
 ])
 def test_broken_check_or_reference_fails(capsys, monkeypatch, argv, name,
                                          replacement, prefix):
