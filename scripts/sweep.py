@@ -17,8 +17,9 @@ straighten   every filling of every partition shape up to the caps; its
              is also compared with the two traversals in
              tests/straighten_reference.py: the memo of expansions run
              with the topmost pair and leftmost column, which is also a
-             check across strategies, and the worklist with LaurentPoly
-             coefficients on the default rules.
+             check across strategies, and, on the default rules, the
+             worklist with LaurentPoly coefficients and the worklist on
+             row tuples, whose items() order must match too.
 props        the four composition identities on the packed tabloid kernel,
              every instance up to the caps or, with --samples, a seeded
              sample per identity.  With --reference every instance is also
@@ -66,7 +67,11 @@ from heckehom.hecke_oracle import (
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.garnir_reference import reference_packed_relation, reference_relation  # noqa: E402
 from tests.hecke_reference import reference_check, specht_check_tabloid  # noqa: E402
-from tests.straighten_reference import laurent_worklist, memo_of_expansions  # noqa: E402
+from tests.straighten_reference import (  # noqa: E402
+    laurent_worklist,
+    memo_of_expansions,
+    tuple_worklist,
+)
 
 # Each sweep is a function from the parsed arguments to its instances, per
 # group (a label the header counts), and a check that takes one instance
@@ -113,10 +118,13 @@ def check_straighten(packed: tuple, reference: bool) -> str | None:
     shape, rows = packed
     tab = Tableau(Composition(shape), [Multiset(r) for r in rows])
     result = semistandardize(tab)
-    if reference and (result != memo_of_expansions(tab, "topmost", "leftmost", {})
-                      or result != laurent_worklist(LinComb.single(tab),
-                                                    "bottommost", "leftmost")):
-        return f"FAIL: {packed}"
+    if reference:
+        single = LinComb.single(tab)
+        tuples = tuple_worklist(single, "bottommost", "leftmost")
+        if (result != memo_of_expansions(tab, "topmost", "leftmost", {})
+                or result != laurent_worklist(single, "bottommost", "leftmost")
+                or result != tuples or result.items() != tuples.items()):
+            return f"FAIL: {packed}"
     diff = LinComb.single(tab) - result
     verdict = specht_check(diff)
     if (not all(is_semistandard(t) for t, _ in result.items()) or not verdict

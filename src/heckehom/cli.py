@@ -41,12 +41,14 @@ from .hecke_oracle import specht_check, verify_composition_props
 
 
 def _parse_q(text: str) -> Fraction:
+    # argparse prints an ArgumentTypeError's message; any other error it
+    # replaces with this function's name.
     try:
         if q := Fraction(text):
             return q
     except (ValueError, ZeroDivisionError):
         pass
-    raise ParseError(f"bad nonzero rational for --q: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a nonzero rational: {text!r}")
 
 
 def _require_check_cap(check: int | None) -> None:

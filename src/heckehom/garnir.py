@@ -18,24 +18,34 @@ row, and its coefficient factorises over values: the quantum binomials
 [a_v + x_v choose a_v] and [b_v + p_v - x_v choose b_v], times q to the
 power x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over u < v).
 So each pooled value gets one table indexed by its take x_v, holding that
-factor, its L1 norm (the value at q = 1) and the value's pieces of the two
-sorted rows.  The splits are built level by level, one list comprehension
-per pooled value extending every partial split by each take it allows,
-largest first: no call per term and no multiset arithmetic.
+factor and its L1 norm (the value at q = 1); tables are cached on the
+value's counts and the fixed entries around it.  The splits are built level
+by level, one list comprehension per pooled value extending every partial
+split by each take it allows, largest first: no call per term and no
+multiset arithmetic.  A split carries no rows either, only one int: the
+caller gives an int piece per value, and each take x_v adds x_v times the
+value's piece (``_relation_terms``).  The edges (``garnir_relation``,
+``two_row_straighten_step``) take pieces that count the value in the top
+row and decode the sum into the two rows; the worklist in ``straighten``
+takes pieces that move the value between two rows of its packed tableau,
+so the sum is the change to that tableau.
 
 Each factor is packed as one int, its value at q = 2**bits (see
 ``qcoeff``), shifted by bits times its exponent, so a term's coefficient is
 the sign times a product of table entries.  The traversal in
-``straighten`` takes the packed terms as they are; ``garnir_relation`` and
-``two_row_straighten_step`` unpack them into ``LaurentPoly`` at a width of
-the degree plus 2, where every relation coefficient is exact.
+``straighten`` takes the packed terms as they are; the edges unpack them
+into ``LaurentPoly`` at a width of the degree plus 2, where every relation
+coefficient is exact.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
 from math import comb
+from operator import sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, StraighteningError
@@ -44,6 +54,7 @@ from .combinat import (
     IntoComposition,
     Multiset,
     Tableau,
+    _breaks_columns,
     as_composition,
     format_tableau_inline,
     iter_multisets,
@@ -52,6 +63,8 @@ from .combinat import (
 from .qcoeff import IntoPoly, LaurentPoly, _as_poly, _packed_binomial, _unpack
 
 Rows = tuple[tuple[int, ...], ...]
+
+COLUMN_RULES = ("leftmost", "rightmost")
 
 
 # ---------------------------------------------------------------------------
@@ -307,42 +320,71 @@ def _count_vector(values: Iterable[int], top: int) -> list[int]:
     return counts
 
 
-def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int,
-                          bits: int, sign: int = 1) -> dict[Rows, tuple[int, int]]:
+_FACTOR_TABLE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_FACTOR_TABLE_CACHE_SIZE)
+def _factor_table(a_v: int, p_v: int, b_v: int, above: int, below: int,
+                  bits: int) -> tuple[tuple[int, int, int], ...]:
+    """Per take x of a pooled value, from p_v down to 0: x, the value's
+    packed factor and its L1 norm (binomials have nonnegative coefficients,
+    so the value at q = 1).  above counts the fixed top entries above the
+    value, below the fixed bottom entries below it."""
+    return tuple((x, _packed_binomial(a_v + x, a_v, bits)
+                  * _packed_binomial(b_v + p_v - x, b_v, bits)
+                  << bits * (x * above + (p_v - x) * below),
+                  comb(a_v + x, a_v) * comb(b_v + p_v - x, b_v))
+                 for x in range(p_v, -1, -1))
+
+
+def _relation_terms(a: list[int], p: list[int], b: list[int], top_len: int, bits: int,
+                    pieces: list[int], start: int, sign: int) -> list[tuple[int, int, int]]:
     """sign times the relation of the datum whose fixed top part, pool and
     fixed bottom part have the count vectors a, p and b; trusted to be
-    valid.  Maps each term's two rows to its coefficient packed at
-    q = 2**bits and that coefficient's L1 norm."""
-    pooled = [i for i in range(len(a)) if p[i]]
-    uppers, lowers = ([(v,) * n for v, n in enumerate(c, 1)] for c in (a, b))
+    valid.  Per term, in order: start plus x_v * pieces[v - 1] summed over
+    the pooled values v, where x_v is how many pooled v's the split sends
+    to the top row; its coefficient packed at q = 2**bits; and that
+    coefficient's L1 norm."""
     room = sum(p)  # pool entries at or after the current pooled value
-    # Partial splits: (pool entries the top row still needs, packed
-    # coefficient, norm, top row so far, bottom row so far).
-    splits = [(top_len - sum(a), sign, 1,
-               sum(uppers[:pooled[0]], ()), sum(lowers[:pooled[0]], ()))]
-    for i, end in zip(pooled, pooled[1:] + [len(a)]):
-        a_i, p_i, b_i = a[i], p[i], b[i]
-        # Fixed top entries above the value i + 1; fixed bottom ones below it.
-        above, below = sum(a[i + 1:]), sum(b[:i])
+    # Partial splits: (pool entries the top row still needs, piece sum,
+    # packed coefficient, norm).
+    splits = [(top_len - sum(a), start, sign, 1)]
+    for i, p_i in enumerate(p):
+        if not p_i:
+            continue
         room -= p_i
-        up_tail, low_tail = sum(uppers[i + 1:end], ()), sum(lowers[i + 1:end], ())
-        # One entry per take x, from p_i down: the factor of the value
-        # i + 1, its norm (binomials have nonnegative coefficients, so the
-        # value at q = 1), and the row pieces up to the next pooled value.
-        table = [(x, _packed_binomial(a_i + x, a_i, bits)
-                  * _packed_binomial(b_i + p_i - x, b_i, bits)
-                  << bits * (x * above + (p_i - x) * below),
-                  comb(a_i + x, a_i) * comb(b_i + p_i - x, b_i),
-                  (i + 1,) * (a_i + x) + up_tail, (i + 1,) * (b_i + p_i - x) + low_tail)
-                 for x in range(p_i, -1, -1)]
+        piece = pieces[i]
+        table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm
+                 in _factor_table(a[i], p_i, b[i], sum(a[i + 1:]), sum(b[:i]), bits)]
         # A split that still needs `need` entries takes x from
         # min(p_i, need) down to max(0, need - room): rows p_i - x of table.
-        splits = [(need - x, coeff * factor, norm * factor_norm, upper + up, lower + low)
-                  for need, coeff, norm, upper, lower in splits
-                  for x, factor, factor_norm, up, low
+        splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
+                  for need, total, coeff, norm in splits
+                  for x, part, factor, factor_norm
                   in table[p_i - need if need < p_i else 0:
                            p_i + 1 - need + room if need > room else p_i + 1]]
-    return {(upper, lower): (coeff, norm) for _, coeff, norm, upper, lower in splits}
+    return [(total, coeff, norm) for _, total, coeff, norm in splits]
+
+
+def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int,
+                          bits: int, sign: int = 1) -> dict[Rows, tuple[int, int]]:
+    """``_relation_terms`` with each term keyed by its two rows: the piece
+    of the value v counts one v in the top row, and the piece sum is the
+    top row's count vector, read off fields wide enough for its length."""
+    width = top_len.bit_length()
+    mask = (1 << width) - 1
+    fields = range(0, width * len(a), width)
+    start = sum(n << at for n, at in zip(a, fields))
+    content = [a_v + p_v + b_v for a_v, p_v, b_v in zip(a, p, b)]
+    values = range(1, len(a) + 1)
+    terms: dict[Rows, tuple[int, int]] = {}
+    for top, coeff, norm in _relation_terms(a, p, b, top_len, bits,
+                                            [1 << at for at in fields], start, sign):
+        upper = [top >> at & mask for at in fields]
+        terms[tuple(chain.from_iterable(map(repeat, values, upper))),
+              tuple(chain.from_iterable(map(repeat, values, map(sub, content, upper))))] \
+            = (coeff, norm)
+    return terms
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
@@ -376,45 +418,33 @@ def _two_rows(tab: Tableau) -> Rows:
     return tab.row_lists()
 
 
-def _pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
-                column_rule: str) -> tuple[int, int]:
-    """Where the pivot cuts the sorted rows of a non-semistandard two-row
-    tableau: entries of the top row before the first cut and of the bottom
-    row from the second cut on stay put; everything between is pooled."""
+def _window_counts(upper: list[int], lower: list[int],
+                   column_rule: str) -> tuple[int, list[int], list[int], list[int]]:
+    """The pivot and the count vectors a, p and b of the relation that
+    rewrites a two-row window whose columns break, from the prefix counts
+    of its rows: upper[v] entries of the top row are at most v, for v from
+    0 (none) to the largest value, and lower[v] of the bottom row.
+
+    The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
+    bottom entry is at most v and whose top entry is at least v, so they
+    are the broken columns of the values v with lower[v] > upper[v - 1].
+    The pivot is the top entry of the column the column rule picks.  Top
+    entries below it stay in the top row, bottom entries above it stay in
+    the bottom row, and everything else is pooled.
+    """
+    broken = [v for v in range(1, len(upper)) if lower[v] > upper[v - 1]]
     if column_rule == "leftmost":
-        columns = range(len(bottom))
-    elif column_rule == "rightmost":
-        columns = range(len(bottom) - 1, -1, -1)
+        column = upper[broken[0] - 1] + 1
     else:
-        raise ValueError(f"unknown column rule {column_rule!r}")
-    col = next((c for c in columns if bottom[c] <= top[c]), None)
-    if col is None:
-        raise ValueError("tableau is already semistandard; nothing to rewrite")
-    pivot = top[col]
-    # Rows are sorted, so each part is a slice at the pivot.
-    return bisect_left(top, pivot), bisect_right(bottom, pivot)
-
-
-def _packed_step(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str,
-                 bits: int) -> list[tuple[Rows, int, int, int]]:
-    """The rewrite of the two-row window with sorted rows top and bottom,
-    trusted to be of partition shape, packed at q = 2**bits: per term, the
-    new window rows, the weight change, the packed coefficient and its L1
-    norm.  The input's own term is dropped."""
-    cut_top, cut_bottom = _pivot_cuts(top, bottom, column_rule)
-    largest = max(top[-1], bottom[-1])
-    # Built negated: dropping the input's own term, -1, leaves the rewrite.
-    terms = _relation_from_counts(
-        _count_vector(top[:cut_top], largest),
-        _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
-        _count_vector(bottom[cut_bottom:], largest), len(top), bits, -1)
-    # Norm 1 and value -1 pin the polynomial to -1 at any width.
-    if terms.pop((top, bottom), None) != (-1, 1):
-        window = Tableau._raw(Composition((len(top), len(bottom))), (top, bottom), None)
-        raise StraighteningError(f"identity split coefficient is not 1 for {window!r}")
-    upper_sum = sum(top)
-    return [(rows, upper_sum - sum(rows[0]), coeff, norm)
-            for rows, (coeff, norm) in terms.items()]
+        column = lower[broken[-1]]
+    pivot = next(v for v in range(1, len(upper)) if upper[v] >= column)
+    a, p, b = [], [], []
+    for v in range(1, len(upper)):
+        top, bottom = upper[v] - upper[v - 1], lower[v] - lower[v - 1]
+        a.append(top if v < pivot else 0)
+        p.append((top if v >= pivot else 0) + (bottom if v <= pivot else 0))
+        b.append(bottom if v > pivot else 0)
+    return pivot, a, p, b
 
 
 def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:
@@ -426,14 +456,26 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
     the bottom entry fails to exceed the top one, and the pivot is the top
     entry there.  Entries strictly below the pivot stay in the top row,
     entries strictly above it stay in the bottom row, and everything else is
-    pooled.  The relation is built straight from the row tuples cut at the
-    pivot, without a ``GarnirDatum``.
+    pooled.  The relation is built straight from the rows' prefix counts,
+    without a ``GarnirDatum``.
     The split reproducing the input always carries coefficient exactly 1, so
     no division is ever needed; StraighteningError is raised if it does not.
     """
     top, bottom = _two_rows(tab)
-    shape, type_ = Composition((len(top), len(bottom))), tab.type()
+    if column_rule not in COLUMN_RULES:
+        raise ValueError(f"unknown column rule {column_rule!r}")
+    if not _breaks_columns(top, bottom):
+        raise ValueError("tableau is already semistandard; nothing to rewrite")
+    values = range(max(top[-1], bottom[-1]) + 1)
+    _, a, p, b = _window_counts([bisect_right(top, v) for v in values],
+                                [bisect_right(bottom, v) for v in values], column_rule)
     bits = _edge_bits(len(top) + len(bottom))
+    # Built negated: dropping the input's own term, -1, leaves the rewrite.
+    terms = _relation_from_counts(a, p, b, len(top), bits, -1)
+    # Norm 1 and value -1 pin the polynomial to -1 at any width.
+    if terms.pop((top, bottom), None) != (-1, 1):
+        raise StraighteningError(f"identity split coefficient is not 1 for {tab!r}")
+    shape, type_ = Composition((len(top), len(bottom))), tab.type()
     return LinComb._raw(shape, type_, {
         Tableau._raw(shape, rows, type_): _unpack(coeff, bits)
-        for rows, _, coeff, _ in _packed_step(top, bottom, column_rule, bits)})
+        for rows, (coeff, _) in terms.items()})

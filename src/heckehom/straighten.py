@@ -16,15 +16,25 @@ parents are merged, and a coefficient that cancels to zero prunes the whole
 subtree below it.  Rewrites are memoized on the two-row window they act on,
 for the length of one call.
 
-Inside the traversal a tableau is its rows, a tuple of sorted int tuples: a
-child is its parent's rows with one window swapped, and its weight is the
-parent's plus a change read off the window once.  A coefficient is one int,
-its value at q = 2**bits after the inputs are shifted by their smallest
-exponent, carried with an upper bound on its L1 norm: children get the
-product of the parent's coefficient and the step's, and the product of the
-bounds, and merging adds both.  While a bound stays below 2**(bits - 1),
+Inside the traversal a tableau is one int, its key (``_Packing``): each
+row owns a group of fields, field v counting the row's entries that are at
+most v, and the weight sits above the rows, so the heap orders plain ints.
+Guard bits on the fields let one subtraction check every pair of adjacent
+rows for a broken column.  A window's rewrite is memoized on the window's
+bits as moves: an int to add to the key, which changes the two rows and
+the weight together, with the move's coefficient.  The pivot is read off
+the prefix counts, and the relation is built by ``garnir._relation_terms``
+summing one int per pooled value and take; only the emitted keys are
+decoded into rows.
+
+A coefficient is one int, its value at q = 2**bits after the inputs are
+shifted by their smallest exponent, carried with an upper bound on its L1
+norm: children get the product of the parent's coefficient and the step's,
+and the product of the bounds, and merging adds both.  While a bound stays below 2**(bits - 1),
 the zero test and the final unpacking into ``LaurentPoly`` are exact; a
-tableau popped with a larger bound restarts the call at a wider width.
+tableau popped with a larger bound restarts the call at a wider width, and
+one about to be rewritten with a bound near that gets its true norm as its
+bound instead.
 
 Two knobs choose which violation to attack first; every choice yields the
 same canonical form, which the test suite checks by comparing strategies.
@@ -38,13 +48,23 @@ column rule picks the pivot column inside that pair and defaults to
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
+from itertools import chain, repeat
+from operator import sub
 from typing import Iterable
 
 from .combinat import Composition, Tableau, _breaks_columns
 from .errors import StraighteningError
 # two_row_straighten_step is not called here; it is imported so that code
 # that looks it up in this module (perfbench/tracer.py) finds it.
-from .garnir import LinComb, Rows, _packed_step, two_row_straighten_step  # noqa: F401
+from .garnir import (  # noqa: F401
+    COLUMN_RULES,
+    LinComb,
+    Rows,
+    _relation_terms,
+    _window_counts,
+    two_row_straighten_step,
+)
 from .qcoeff import (
     _START_BITS,
     LaurentPoly,
@@ -57,7 +77,6 @@ from .qcoeff import (
 )
 
 PAIR_RULES = ("topmost", "bottommost")
-COLUMN_RULES = ("leftmost", "rightmost")
 DEFAULT_PAIR_RULE = "bottommost"
 
 
@@ -146,60 +165,166 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
     return _widening(run, _START_BITS)
 
 
+class _Packing:
+    """How the worklist packs a tableau of one shape and type into one int.
+
+    Row r (from 0) owns a group of S = V * w bits at bit r * S, V being the
+    number of values.  Field v - 1 of the group, w bits wide, holds how many
+    entries of the row are at most v.  A count is at most the longest row,
+    below 2**(w - 1), so the top bit of every field, its guard, is 0.  The
+    weight sits at bit B, above one spare group: keys order by weight first,
+    and the row part of a move, which spans two groups, never reaches it.
+    """
+
+    __slots__ = ("shape", "type", "width", "group", "weight_at", "guards",
+                 "shifted", "windows", "lifts")
+
+    def __init__(self, shape: Composition, type_: Composition):
+        nrows = len(shape.stripped)
+        self.shape, self.type = shape, type_
+        self.width = w = shape.part(0).bit_length() + 1
+        self.group = S = len(type_.stripped) * w
+        self.weight_at = (nrows + 1) * S
+        ones = sum(1 << at for at in range(0, S, w))  # 1 in every field of a group
+        pairs = sum(1 << r * S for r in range(nrows - 1))  # 1 per upper row of a pair
+        # The guard bits, and every field but the first, of each upper row.
+        self.guards = (ones << w - 1) * pairs
+        self.shifted = ((1 << S) - (1 << w)) * pairs
+        # The bits of rows r and r + 1: a window, which a memo entry acts on.
+        self.windows = [((1 << 2 * S) - 1) << r * S for r in range(nrows - 1)]
+        # Moving one v from row r + 1 up to row r, at r = 0: the counts of
+        # the values from v on grow by 1 in the upper group, shrink in the
+        # lower one.
+        self.lifts = [(ones >> at << at) * (1 - (1 << S)) for at in range(0, S, w)]
+
+    def key(self, tab: Tableau) -> int:
+        w, S = self.width, self.group
+        values = range(1, len(self.type.stripped) + 1)
+        return sum(bisect_right(row, v) << r * S + (v - 1) * w
+                   for r, row in enumerate(tab.row_lists()) for v in values) \
+            + (weight(tab) << self.weight_at)
+
+    def broken(self, key: int) -> int:
+        """Nonzero iff the packed tableau breaks a column.
+
+        Rows r and r + 1 break a column iff, for some v, the lower row has
+        more entries at most v than the upper row has below v.  Field v - 1
+        of row r's group then computes, as one guarded subtraction,
+        2**(w - 1) + (entries of row r below v) - (entries of row r + 1 at
+        most v), which clears its guard; the guards keep fields from
+        borrowing from each other.  The result has a guard bit set for each
+        such v of each pair of rows.
+        """
+        return self.guards & ~((key << self.width & self.shifted | self.guards)
+                               - (key >> self.group))
+
+    def prefixes(self, bits: int) -> list[int]:
+        """[0, entries at most 1, ..., entries at most V] of the row whose
+        group is at the low end of bits: its prefix counts."""
+        mask = (1 << self.width - 1) - 1
+        return [0] + [bits >> at & mask for at in range(0, self.group, self.width)]
+
+    def rows(self, key: int) -> Rows:
+        values = range(1, len(self.type.stripped) + 1)
+        rows = []
+        for at in range(0, len(self.shape.stripped) * self.group, self.group):
+            prefix = self.prefixes(key >> at)
+            rows.append(tuple(chain.from_iterable(
+                map(repeat, values, map(sub, prefix[1:], prefix)))))
+        return tuple(rows)
+
+
+def _window_moves(pack: _Packing, key: int, r: int, column_rule: str,
+                  bits: int) -> list[tuple[int, int, int]]:
+    """The rewrite of rows r and r + 1 (from 0) of a packed tableau, at
+    q = 2**bits: per term other than the input's own, the change to the key,
+    the packed coefficient and its L1 norm."""
+    at = r * pack.group
+    upper, lower = pack.prefixes(key >> at), pack.prefixes(key >> at + pack.group)
+    pivot, a, p, b = _window_counts(upper, lower, column_rule)
+    # Moving a v up changes the rows by the lift and the weight by -v.
+    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in enumerate(pack.lifts, 1)]
+    start = -sum((upper[v] - upper[v - 1]) * pieces[v - 1] for v in range(pivot, len(upper)))
+    # Started at minus the input's own split, the piece sum of each term is
+    # the change to the key; built negated, so that dropping the input's own
+    # term, -1, leaves the rewrite.  Called through module globals so that
+    # the tests can wrap it.
+    terms = _relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)
+    moves = [term for term in terms if term[0]]
+    # Norm 1 and value -1 pin the polynomial to -1 at any width.
+    if [term[1:] for term in terms if not term[0]] != [(-1, 1)]:
+        top, bottom = pack.rows(key)[r: r + 2]
+        window = Tableau._raw(Composition((len(top), len(bottom))), (top, bottom), None)
+        raise StraighteningError(f"identity split coefficient is not 1 for {window!r}")
+    # A change of weight of at least 1 is a change of the key of at least
+    # 2**(B - 1), its row part being far smaller.  This check is also what
+    # makes the heap order sound: nothing can add to a tableau once it has
+    # been popped.
+    if moves and min(moves)[0] < 1 << pack.weight_at - 1:
+        tab = Tableau._raw(pack.shape, pack.rows(key), pack.type)
+        raise StraighteningError(f"rewrite failed to increase weight at {tab!r}")
+    return moves
+
+
 def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
               type_: Composition, pair_rule: str, column_rule: str,
               bits: int) -> dict[Rows, int]:
     """The worklist on (tableau, packed coefficient, norm bound) inputs, at
     q = 2**bits: the packed output; raises _Widen when some bound reaches
-    half the width."""
+    half the width.
+
+    A bound below 2**(bits - 1) bounds every coefficient of the polynomial
+    below that too, so the packed value determines the polynomial; a bound
+    above 2**(bits - 25) is then replaced by the polynomial's own L1 norm,
+    read back with ``_unpack``, before the children multiply it.  The true
+    norm is at most the bound, and the bounds of the children and of every
+    later merge are built from it as before, so each stays an upper bound
+    on its coefficient's norm; it only grows more slowly.
+    """
+    pack = _Packing(shape, type_)
     limit = 1 << (bits - 1)
-    # Per row tuple: (packed coefficient, bound on its L1 norm).
-    pending: dict[Rows, tuple[int, int]] = {}
-    heap: list[tuple[int, Rows]] = []
-    for tab, coeff, bound in terms:
-        pending[tab.row_lists()] = (coeff, bound)
-        heap.append((weight(tab), tab.row_lists()))
+    exact = limit >> 24
+    # Per key: (packed coefficient, bound on its L1 norm).
+    pending: dict[int, tuple[int, int]] = {
+        pack.key(tab): (coeff, bound) for tab, coeff, bound in terms}
+    heap = list(pending)
     heapq.heapify(heap)
-    # Per window: (new window rows, weight change, packed coefficient, norm)
-    # per term of its rewrite.
-    moves: dict[Rows, list[tuple[Rows, int, int, int]]] = {}
-    out: dict[Rows, int] = {}
+    # Per window: (change to the key, packed coefficient, norm) per term of
+    # its rewrite.
+    moves: dict[int, list[tuple[int, int, int]]] = {}
+    out: dict[int, int] = {}
+    broken_columns, group, windows = pack.broken, pack.group, pack.windows
+    topmost = pair_rule == "topmost"
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        tab_weight, rows = heapq.heappop(heap)
-        coeff, bound = pending.pop(rows)
+        key = heappop(heap)
+        coeff, bound = pending.pop(key)
         # Below the limit, the zero test and the final unpacking are exact.
         if bound >= limit:
             raise _Widen(_wider(bits, bound))
         if not coeff:
             continue
-        tab = Tableau._raw(shape, rows, type_)
-        # Called through module globals so that perfbench/tracer.py and the
-        # tests can wrap them.
-        l = find_violating_window(tab, pair_rule)
-        if l is None:
-            out[rows] = coeff
+        broken = broken_columns(key)
+        if not broken:
+            out[key] = coeff
             continue
-        key = rows[l - 1: l + 1]
-        window_moves = moves.get(key)
+        r = ((broken & -broken if topmost else broken).bit_length() - 1) // group
+        window = key & windows[r]
+        window_moves = moves.get(window)
         if window_moves is None:
-            window_moves = moves[key] = _packed_step(key[0], key[1], column_rule, bits)
-        before, after = rows[: l - 1], rows[l + 1:]
-        for pair, change, step_coeff, norm in window_moves:
-            child = before + pair + after
-            # This check is also what makes the heap order sound: nothing
-            # can add to a tableau once it has been popped.
-            child_weight = tab_weight + change
-            if child_weight <= tab_weight:
-                raise StraighteningError(
-                    f"rewrite failed to increase weight at {tab!r}")
+            window_moves = moves[window] = _window_moves(pack, key, r, column_rule, bits)
+        if bound > exact:
+            bound = _norm(_unpack(coeff, bits))
+        for change, step_coeff, norm in window_moves:
+            child = key + change
             earlier = pending.get(child)
             if earlier is None:
                 pending[child] = (coeff * step_coeff, bound * norm)
-                heapq.heappush(heap, (child_weight, child))
+                heappush(heap, child)
             else:
                 pending[child] = (earlier[0] + coeff * step_coeff,
                                   earlier[1] + bound * norm)
-    return out
+    return {pack.rows(key): coeff for key, coeff in out.items()}
 
 
 def semistandardize(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE,

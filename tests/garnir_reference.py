@@ -23,10 +23,15 @@ full count vectors.  The tests compare the two, key order included.
 the validated ``straightening_datum`` (kept here) and its full
 ``garnir_relation``, then
 drop the input's own term and negate the rest.  The library step now goes
-from the row tuples straight to count vectors, and the tests compare it
-with this one.
+from the rows' prefix counts straight to count vectors, and the tests
+compare it with this one.
+
+``pivot_cuts`` is the pivot rule the library read off the row tuples
+before it read the pivot off prefix counts (``garnir._window_counts``):
+the first broken column in the rule's direction, found by scanning.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import comb
@@ -44,7 +49,7 @@ from heckehom import (
     quantum_binomial,
 )
 from heckehom.combinat import cross_pairs, type_composition
-from heckehom.garnir import Rows, _pivot_cuts, _two_rows
+from heckehom.garnir import Rows, _two_rows
 from heckehom.qcoeff import _packed_binomial
 
 
@@ -113,6 +118,25 @@ def reference_relation(datum: GarnirDatum) -> LinComb:
                     for split in enumerate_splits(datum)})
 
 
+def pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
+               column_rule: str) -> tuple[int, int]:
+    """Where the pivot cuts the sorted rows of a non-semistandard two-row
+    tableau: entries of the top row before the first cut and of the bottom
+    row from the second cut on stay put; everything between is pooled."""
+    if column_rule == "leftmost":
+        columns = range(len(bottom))
+    elif column_rule == "rightmost":
+        columns = range(len(bottom) - 1, -1, -1)
+    else:
+        raise ValueError(f"unknown column rule {column_rule!r}")
+    col = next((c for c in columns if bottom[c] <= top[c]), None)
+    if col is None:
+        raise ValueError("tableau is already semistandard; nothing to rewrite")
+    pivot = top[col]
+    # Rows are sorted, so each part is a slice at the pivot.
+    return bisect_left(top, pivot), bisect_right(bottom, pivot)
+
+
 def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDatum:
     """The relation datum that rewrites a non-semistandard two-row tableau.
 
@@ -123,7 +147,7 @@ def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDa
     everything else is pooled.
     """
     top, bottom = _two_rows(tab)
-    cut_top, cut_bottom = _pivot_cuts(top, bottom, column_rule)
+    cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
     return GarnirDatum(Multiset(top[:cut_top]),
                        Multiset(top[cut_top:] + bottom[:cut_bottom]),
                        Multiset(bottom[cut_bottom:]), len(top))

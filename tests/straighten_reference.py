@@ -12,10 +12,19 @@ coefficients that the packed worklist replaced: the same traversal, with
 each pending coefficient a polynomial and each step taken from the public
 ``two_row_straighten_step``.  The tests compare the two, on inputs whose
 coefficients have negative exponents, huge magnitudes and cancellations.
+
+``tuple_worklist`` is the packed-coefficient worklist as it was before each
+tableau became one int: a tableau is its rows, a tuple of sorted int
+tuples, the heap orders (weight, rows) pairs, a pair of rows is checked
+with ``find_violating_window`` on a ``Tableau`` built per pop, and a
+window's rewrite (``tuple_step``) cuts its row tuples at the pivot and
+keys the relation's terms by their rows.  The tests compare it with the
+library, ``items()`` order included.
 """
 
 import heapq
 
+import heckehom.straighten
 
 from heckehom import (
     Composition,
@@ -24,7 +33,11 @@ from heckehom import (
     Tableau,
     two_row_straighten_step,
 )
+from heckehom.garnir import _count_vector, _relation_from_counts
+from heckehom.qcoeff import _norm, _pack, _unpack, _Widen, _widening, _wider
 from heckehom.straighten import embed_two_row, find_violating_window, weight
+
+from .garnir_reference import pivot_cuts
 
 
 def memo_of_expansions(tab, pair_rule, column_rule, memo):
@@ -95,3 +108,89 @@ def laurent_worklist(comb, pair_rule, column_rule):
             else:
                 pending[child] = earlier + contribution
     return LinComb._raw(shape, type_, out)
+
+
+def tuple_step(top, bottom, column_rule, bits):
+    """The rewrite of the two-row window with sorted rows top and bottom,
+    packed at q = 2**bits: per term, the new window rows, the weight change,
+    the packed coefficient and its L1 norm.  The input's own term is
+    dropped."""
+    cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
+    largest = max(top[-1], bottom[-1])
+    terms = _relation_from_counts(
+        _count_vector(top[:cut_top], largest),
+        _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
+        _count_vector(bottom[cut_bottom:], largest), len(top), bits, -1)
+    if terms.pop((top, bottom), None) != (-1, 1):
+        window = Tableau._raw(Composition((len(top), len(bottom))), (top, bottom), None)
+        raise StraighteningError(f"identity split coefficient is not 1 for {window!r}")
+    upper_sum = sum(top)
+    return [(rows, upper_sum - sum(rows[0]), coeff, norm)
+            for rows, (coeff, norm) in terms.items()]
+
+
+def _tuple_traverse(terms, shape, type_, pair_rule, column_rule, bits):
+    limit = 1 << (bits - 1)
+    # Per row tuple: (packed coefficient, bound on its L1 norm).
+    pending = {}
+    heap = []
+    for tab, coeff, bound in terms:
+        pending[tab.row_lists()] = (coeff, bound)
+        heap.append((weight(tab), tab.row_lists()))
+    heapq.heapify(heap)
+    # Per window: (new window rows, weight change, packed coefficient, norm)
+    # per term of its rewrite.
+    moves = {}
+    out = {}
+    while heap:
+        tab_weight, rows = heapq.heappop(heap)
+        coeff, bound = pending.pop(rows)
+        if bound >= limit:
+            raise _Widen(_wider(bits, bound))
+        if not coeff:
+            continue
+        tab = Tableau._raw(shape, rows, type_)
+        l = find_violating_window(tab, pair_rule)
+        if l is None:
+            out[rows] = coeff
+            continue
+        key = rows[l - 1: l + 1]
+        window_moves = moves.get(key)
+        if window_moves is None:
+            window_moves = moves[key] = tuple_step(key[0], key[1], column_rule, bits)
+        before, after = rows[: l - 1], rows[l + 1:]
+        for pair, change, step_coeff, norm in window_moves:
+            child = before + pair + after
+            child_weight = tab_weight + change
+            if child_weight <= tab_weight:
+                raise StraighteningError(
+                    f"rewrite failed to increase weight at {tab!r}")
+            earlier = pending.get(child)
+            if earlier is None:
+                pending[child] = (coeff * step_coeff, bound * norm)
+                heapq.heappush(heap, (child_weight, child))
+            else:
+                pending[child] = (earlier[0] + coeff * step_coeff,
+                                  earlier[1] + bound * norm)
+    return out
+
+
+def tuple_worklist(comb, pair_rule, column_rule):
+    """Reference traversal: the canonical form of a combination, with the
+    packed-coefficient worklist on row tuples, started at the library's
+    ``_START_BITS`` and restarted wider by the library's rule."""
+    shape, type_ = comb.shape, comb.type
+    terms = list(comb._terms.items())
+    if not terms:
+        return LinComb._raw(shape, type_, {})
+    low = min(coeff.min_exponent() for _, coeff in terms)
+
+    def run(bits):
+        out = _tuple_traverse([(tab, _pack(coeff.shift(-low), bits), _norm(coeff))
+                               for tab, coeff in terms],
+                              shape, type_, pair_rule, column_rule, bits)
+        return LinComb._raw(shape, type_, {
+            Tableau._raw(shape, rows, type_): _unpack(coeff, bits).shift(low)
+            for rows, coeff in out.items()})
+
+    return _widening(run, heckehom.straighten._START_BITS)

@@ -89,9 +89,11 @@ class TestStraighten:
         assert out.strip() == "(-1) * 1 / 2"
 
     def test_engine_invariant_exit_code(self, capsys, monkeypatch):
-        # A rewrite that gives the window back makes a child equal to its parent.
-        monkeypatch.setattr(heckehom.straighten, "_packed_step",
-                            lambda top, bottom, column_rule, bits: [((top, bottom), 0, 1, 1)])
+        # A rewrite that moves entries up instead of down makes children
+        # lighter than their parent.
+        relation = heckehom.straighten._relation_terms
+        monkeypatch.setattr(heckehom.straighten, "_relation_terms", lambda *args: [
+            (-change, coeff, norm) for change, coeff, norm in relation(*args)])
         code, out, err = run(capsys, "straighten", "2 / 1")
         assert code == 5
         assert out == ""
@@ -127,6 +129,14 @@ class TestArgumentRanges:
         code, err = rejected_by_argparse(capsys, *argv, "--q", "0")
         assert code == 2
         assert "error: argument --q: " in err
+
+    @pytest.mark.parametrize("text", ["x", "0", "1/0"])
+    def test_bad_q_message_names_the_text(self, capsys, text):
+        code, err = rejected_by_argparse(capsys, "straighten", "2 / 1", "--q", text)
+        assert code == 2
+        assert err.splitlines()[-1].endswith(
+            f"error: argument --q: not a nonzero rational: {text!r}")
+        assert "_parse_q" not in err
 
     @pytest.mark.parametrize("argv", [
         ["straighten", "1 1 / 1", "--check", "-1"],

@@ -9,7 +9,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import heckehom.garnir
+import heckehom.straighten
 from heckehom import (
     Composition,
     GarnirDatum,
@@ -27,7 +27,7 @@ from heckehom import (
     semistandardize,
     two_row_straighten_step,
 )
-from heckehom.garnir import _relation_from_counts
+from heckehom.garnir import _relation_from_counts, _relation_terms
 from perfbench.workloads import two_row_base, w18_base
 
 from .garnir_reference import (
@@ -202,17 +202,37 @@ class TestPackedCore:
 
 class TestLevelWiseBuilder:
     """The level-wise builder against the packed recursion it replaced:
-    equal dicts, key order included, for both signs at the edge width and
-    at 64 bits."""
+    equal terms in equal order, for both signs at the edge width and at
+    64 bits.  The core's piece sums are decoded here into rows, with one
+    piece per value that counts it in base n + 1."""
 
     @staticmethod
-    def _assert_matches_recursion(a, p, b, top_len):
+    def _decoded_core(a, p, b, top_len, bits, sign):
+        base = sum(a) + sum(p) + sum(b) + 1
+        pieces = [base ** i for i in range(len(a))]
+        values = range(1, len(a) + 1)
+        terms = {}
+        for total, coeff, norm in _relation_terms(
+                a, p, b, top_len, bits, pieces,
+                sum(n * piece for n, piece in zip(a, pieces)), sign):
+            upper = [total // piece % base for piece in pieces]
+            lower = [a_v + p_v + b_v - n for a_v, p_v, b_v, n in zip(a, p, b, upper)]
+            rows = tuple(tuple(v for v, n in zip(values, counts) for _ in range(n))
+                         for counts in (upper, lower))
+            assert rows not in terms
+            terms[rows] = (coeff, norm)
+        return terms
+
+    @classmethod
+    def _assert_matches_recursion(cls, a, p, b, top_len):
         n = sum(a) + sum(p) + sum(b)
         for sign in (1, -1):
             for bits in (n + 2, 64):
-                core = _relation_from_counts(a, p, b, top_len, bits, sign)
-                ref = reference_packed_relation(a, p, b, top_len, bits, sign)
-                assert list(core.items()) == list(ref.items()), (a, p, b, top_len, bits, sign)
+                ref = list(reference_packed_relation(a, p, b, top_len, bits, sign).items())
+                core = cls._decoded_core(a, p, b, top_len, bits, sign)
+                assert list(core.items()) == ref, (a, p, b, top_len, bits, sign)
+                edge = _relation_from_counts(a, p, b, top_len, bits, sign)
+                assert list(edge.items()) == ref, (a, p, b, top_len, bits, sign)
 
     def test_matches_recursion_on_valid_data(self):
         for datum in iter_valid_data(7, 4):
@@ -225,14 +245,15 @@ class TestLevelWiseBuilder:
 
     @pytest.mark.parametrize("base", [w18_base, two_row_base])
     def test_matches_recursion_on_benchmark_batches(self, monkeypatch, base):
+        # The relations the worklist builds, with its own pieces.
         built = {}
-        build = heckehom.garnir._relation_from_counts
+        build = heckehom.straighten._relation_terms
 
-        def recorded(a, p, b, top_len, bits, sign=1):
+        def recorded(a, p, b, top_len, bits, pieces, start, sign):
             built[tuple(a), tuple(p), tuple(b), top_len] = None
-            return build(a, p, b, top_len, bits, sign)
+            return build(a, p, b, top_len, bits, pieces, start, sign)
 
-        monkeypatch.setattr(heckehom.garnir, "_relation_from_counts", recorded)
+        monkeypatch.setattr(heckehom.straighten, "_relation_terms", recorded)
         for rows in base():
             semistandardize(Tableau([len(row) for row in rows], rows))
         monkeypatch.undo()

@@ -6,7 +6,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import heckehom.garnir
 import heckehom.straighten
 from heckehom import (
     Composition,
@@ -27,10 +26,18 @@ from heckehom import (
 )
 
 from heckehom.cli import build_parser
-from heckehom.straighten import embed_two_row, find_violating_window, weight
-from perfbench.workloads import two_row_base, w18_base
+from heckehom.combinat import _breaks_columns
+from heckehom.garnir import _count_vector, _window_counts
+from heckehom.straighten import (
+    _Packing,
+    embed_two_row,
+    find_violating_window,
+    weight,
+)
+from perfbench.workloads import relabel_rows, relabelling, two_row_base, w18_base
 
-from .straighten_reference import laurent_worklist, memo_of_expansions
+from .garnir_reference import pivot_cuts
+from .straighten_reference import laurent_worklist, memo_of_expansions, tuple_worklist
 from .strategies import tableaux
 
 RULES = list(itertools.product(("topmost", "bottommost"), ("leftmost", "rightmost")))
@@ -177,26 +184,22 @@ class TestSemistandardize:
         assert semistandardize(tab) == semistandardize(tab, "topmost", "leftmost")
 
     def test_weight_not_increasing_raises(self, monkeypatch):
-        # A rewrite that gives the window back makes a child equal to its parent.
-        monkeypatch.setattr(heckehom.straighten, "_packed_step",
-                            lambda top, bottom, column_rule, bits: [((top, bottom), 0, 1, 1)])
-        with pytest.raises(StraighteningError):
+        # A rewrite that moves entries up instead of down makes children
+        # lighter than their parent; the input's own term keeps change 0.
+        relation = heckehom.straighten._relation_terms
+        monkeypatch.setattr(heckehom.straighten, "_relation_terms", lambda *args: [
+            (-change, coeff, norm) for change, coeff, norm in relation(*args)])
+        with pytest.raises(StraighteningError, match="failed to increase weight"):
             semistandardize(parse_tableau("2 / 1"))
 
     def test_identity_coefficient_not_one_raises(self, monkeypatch):
-        # The step builds its relation with the count-vector core that
-        # garnir_relation also uses; doubling the input's own term there
-        # breaks the identity coefficient.
-        relation = heckehom.garnir._relation_from_counts
-
-        def doubled(*args):
-            terms = relation(*args)
-            coeff, norm = terms[(2,), (1,)]
-            terms[(2,), (1,)] = (2 * coeff, 2 * norm)
-            return terms
-
-        monkeypatch.setattr(heckehom.garnir, "_relation_from_counts", doubled)
-        with pytest.raises(StraighteningError):
+        # The worklist builds each window's rewrite with the relation core
+        # that garnir_relation also uses; doubling every term there breaks
+        # the identity coefficient.
+        relation = heckehom.straighten._relation_terms
+        monkeypatch.setattr(heckehom.straighten, "_relation_terms", lambda *args: [
+            (change, 2 * coeff, 2 * norm) for change, coeff, norm in relation(*args)])
+        with pytest.raises(StraighteningError, match="identity split coefficient"):
             semistandardize(parse_tableau("2 / 1"))
 
 
@@ -240,19 +243,6 @@ class TestPackedWorklist:
             assert semistandardize(tab) == laurent_worklist(
                 LinComb.single(tab), heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
 
-    @pytest.fixture
-    def widths(self, monkeypatch):
-        """The packing width of every traversal run while the test runs."""
-        widths = []
-        traverse = heckehom.straighten._traverse
-
-        def recorded(*args):
-            widths.append(args[-1])
-            return traverse(*args)
-
-        monkeypatch.setattr(heckehom.straighten, "_traverse", recorded)
-        return widths
-
     def test_narrow_start_restarts_with_identical_answers(self, monkeypatch, widths):
         tabs = [Tableau([len(row) for row in rows], rows) for rows in w18_base()]
         comb = LinComb.single(tabs[0], LaurentPoly.parse("3q^-2 - 5"))
@@ -263,6 +253,32 @@ class TestPackedWorklist:
         assert got == want
         assert widths[0] == 2 and len(widths) > len(got)
 
+    @pytest.mark.parametrize("start", [2, 30])
+    @given(comb=laurent_combinations())
+    @settings(deadline=None, max_examples=50)
+    def test_tightened_bounds_match_laurent_worklist(self, start, comb):
+        # From 2 bits up to 25, every popped bound above 0 is tightened; at
+        # 30 bits, every one above 2**5.
+        want = laurent_worklist(comb, heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heckehom.straighten, "_START_BITS", start)
+            assert semistandardize_lincomb(comb) == want
+
+    def test_tightening_keeps_the_narrow_width(self, monkeypatch, widths):
+        # At 24 bits every popped bound is tightened.  Left untightened, the
+        # bounds of these tableaux outgrow the width and restart the call.
+        tabs = benchmark_tableaux(w18_base, None)[:20]
+        want = [semistandardize(tab) for tab in tabs]
+        unpacked = []
+        unpack = heckehom.straighten._unpack
+        monkeypatch.setattr(heckehom.straighten, "_unpack",
+                            lambda *args: unpacked.append(args) or unpack(*args))
+        monkeypatch.setattr(heckehom.straighten, "_START_BITS", 24)
+        widths.clear()
+        assert [semistandardize(tab) for tab in tabs] == want
+        assert set(widths) == {24}
+        assert len(unpacked) > sum(map(len, want))
+
     def test_huge_coefficient_restarts(self, widths):
         tab = parse_tableau("2 3 4 / 1 2 4 / 1 3")
         coeff = LaurentPoly.monomial(-3, 10**30)
@@ -271,6 +287,127 @@ class TestPackedWorklist:
         assert semistandardize_lincomb(LinComb.single(tab, coeff)) == want
         assert widths[0] == heckehom.straighten._START_BITS and len(widths) > 1
         assert 10**30 < 2 ** (widths[-1] - 1)
+
+
+def benchmark_tableaux(base, seed):
+    """A benchmark batch as drawn (seed None) or relabelled by a seed."""
+    batch = base()
+    if seed is not None:
+        phi = relabelling(seed, max(v for rows in batch for row in rows for v in row))
+        batch = [relabel_rows(rows, phi) for rows in batch]
+    return [Tableau([len(row) for row in rows], rows) for rows in batch]
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The packing width of every traversal run while the test runs."""
+    widths = []
+    traverse = heckehom.straighten._traverse
+
+    def recorded(*args):
+        widths.append(args[-1])
+        return traverse(*args)
+
+    monkeypatch.setattr(heckehom.straighten, "_traverse", recorded)
+    return widths
+
+
+class TestTupleWorklist:
+    """The worklist on packed keys against the worklist on row tuples it
+    replaced: equal combinations, in equal ``items()`` order."""
+
+    @staticmethod
+    def _assert_same(comb, pair_rule, column_rule):
+        got = semistandardize_lincomb(comb, pair_rule, column_rule)
+        want = tuple_worklist(comb, pair_rule, column_rule)
+        assert got == want
+        assert got.items() == want.items()
+
+    @pytest.mark.parametrize("seed", [None, 1, 7])
+    @pytest.mark.parametrize("base", [w18_base, two_row_base])
+    def test_benchmark_batches(self, base, seed):
+        for tab in benchmark_tableaux(base, seed):
+            self._assert_same(LinComb.single(tab),
+                              heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
+
+    @pytest.mark.parametrize("pair_rule,column_rule", RULES)
+    def test_w18_under_every_rule(self, pair_rule, column_rule):
+        for tab in benchmark_tableaux(w18_base, 3)[::4]:
+            self._assert_same(LinComb.single(tab), pair_rule, column_rule)
+
+    @pytest.mark.parametrize("pair_rule,column_rule", RULES)
+    @given(comb=laurent_combinations())
+    @settings(deadline=None, max_examples=50)
+    def test_laurent_combinations(self, pair_rule, column_rule, comb):
+        self._assert_same(comb, pair_rule, column_rule)
+
+    def test_narrow_start_restarts_with_identical_answers(self, monkeypatch, widths):
+        monkeypatch.setattr(heckehom.straighten, "_START_BITS", 2)
+        tabs = benchmark_tableaux(w18_base, None)[::3]
+        combs = [LinComb.single(tab) for tab in tabs]
+        combs.append(LinComb.single(tabs[0], LaurentPoly.parse("3q^-2 - 5")))
+        for comb in combs:
+            widths.clear()
+            self._assert_same(comb, heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
+            assert widths[0] == 2 and len(widths) > 1
+
+
+def two_row_windows(longest=5, largest=5):
+    """Every two-row tableau of sorted rows, the upper of length 1 to
+    longest, the lower no longer, with values 1 to largest."""
+    for upper_len in range(1, longest + 1):
+        for lower_len in range(upper_len + 1):
+            for top in itertools.combinations_with_replacement(range(1, largest + 1),
+                                                               upper_len):
+                for bottom in itertools.combinations_with_replacement(
+                        range(1, largest + 1), lower_len):
+                    yield Tableau._raw(Composition((upper_len, lower_len) if lower_len
+                                                   else (upper_len,)),
+                                       (top, bottom) if lower_len else (top,), None)
+
+
+class TestPackedRows:
+    """The packed key, its column check, and the pivot and count vectors
+    read from its prefix counts, against the row tuples and the pivot rule
+    that scans them, on every small two-row window."""
+
+    def test_every_small_window(self):
+        checked = broken = 0
+        for tab in two_row_windows():
+            pack = _Packing(tab.shape, tab.type())
+            key = pack.key(tab)
+            assert pack.rows(key) == tab.row_lists()
+            assert key >> pack.weight_at == weight(tab)
+            rows = tab.row_lists()
+            breaks = len(rows) == 2 and _breaks_columns(*rows)
+            assert bool(pack.broken(key)) == breaks, tab
+            checked += 1
+            if not breaks:
+                continue
+            broken += 1
+            top, bottom = rows
+            upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
+            for column_rule in ("leftmost", "rightmost"):
+                pivot, a, p, b = _window_counts(upper, lower, column_rule)
+                cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
+                assert (upper[pivot - 1], lower[pivot]) == (cut_top, cut_bottom), \
+                    (tab, column_rule)
+                largest = len(upper) - 1
+                assert (a, p, b) == (_count_vector(top[:cut_top], largest),
+                                     _count_vector(top[cut_top:] + bottom[:cut_bottom],
+                                                   largest),
+                                     _count_vector(bottom[cut_bottom:], largest))
+        assert broken > 10000 and checked - broken > 1000
+
+    def test_pivot_where_equal_lower_entries_straddle_a_good_column(self):
+        # The lower row's 3s sit under 2 (fine) and 4 (broken): the pivot
+        # is 4, the top entry of column 2, not 2.
+        tab = parse_tableau("2 4 5 5 5 / 3 3 4 5")
+        pack = _Packing(tab.shape, tab.type())
+        key = pack.key(tab)
+        upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
+        assert _window_counts(upper, lower, "leftmost")[0] == 4
+        assert _window_counts(upper, lower, "rightmost")[0] == 5
 
 
 class TestSemistandardizeLincomb:

@@ -83,6 +83,8 @@ def failing_lines(out):
      lambda item: "differs", "DISAGREE: "),
     (["garnir", "--degree", "4", "--values", "2", "--reference"], "reference_packed_relation",
      lambda a, p, b, top_len, bits: {}, "FAIL: "),
+    (["straighten", "--degree", "3", "--values", "2", "--reference"], "tuple_worklist",
+     lambda comb, pair_rule, column_rule: comb.scale(2), "FAIL: "),
 ])
 def test_broken_check_or_reference_fails(capsys, monkeypatch, argv, name,
                                          replacement, prefix):
