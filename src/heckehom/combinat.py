@@ -541,12 +541,22 @@ def tableau_to_json(tab: Tableau) -> dict:
     }
 
 
+def _json_ints(value: object, what: str) -> None:
+    """Reject anything but a parsed JSON list of integers; a float or a
+    bool is not one."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ParseError(f"{what} must be a list of integers, got {value!r}")
+
+
 def tableau_from_json(data: object) -> Tableau:
     if not isinstance(data, dict) or "shape" not in data or "rows" not in data:
         raise ParseError("tableau JSON needs 'shape' and 'rows' keys")
     shape, rows = data["shape"], data["rows"]
-    if not isinstance(shape, list) or not isinstance(rows, list):
-        raise ParseError("tableau JSON 'shape' and 'rows' must be lists")
+    if not isinstance(rows, list):
+        raise ParseError("tableau JSON 'rows' must be a list")
+    _json_ints(shape, "tableau JSON 'shape'")
+    for row in rows:
+        _json_ints(row, "each tableau JSON row")
     try:
         return Tableau(Composition(shape), [Multiset(r) for r in rows])
     except (ValueError, TypeError) as exc:

@@ -55,6 +55,7 @@ from .combinat import (
     Multiset,
     Tableau,
     _breaks_columns,
+    _json_ints,
     as_composition,
     format_tableau_inline,
     iter_multisets,
@@ -212,6 +213,8 @@ class LinComb:
             if key not in data:
                 raise ParseError(f"linear combination JSON needs {key!r}")
         shape, type_, raw_terms = data["shape"], data["type"], data["terms"]
+        _json_ints(shape, "linear combination JSON 'shape'")
+        _json_ints(type_, "linear combination JSON 'type'")
         if not isinstance(raw_terms, list):
             raise ParseError("'terms' must be a list")
         terms: dict[Tableau, LaurentPoly] = {}

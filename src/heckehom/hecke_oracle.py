@@ -18,14 +18,20 @@ n!/|Young subgroup| coordinates instead of the algebra's n!.
 * The Specht test (``specht_check``) and the four composition identities
   (``verify_composition_props``) run on that kernel.  A cancellation that
   its width cannot certify restarts the computation wider.
+* The one shortcut: the Specht test does not multiply by the alternating
+  element y of the conjugate shape.  Since T_i y = -y for s_i in y's
+  column group, x T_d y is 0 or ± x T_u y for u the column-sorted word of
+  d, and those are independent, so ``_fold_columns`` decides whether the
+  product vanishes in one pass over the words.
 
 ``HeckeElem``, an algebra element in the standard basis, is not used by
 any library or command-line path.  The standard-basis model that the tests
-compare this module with is ``tests/hecke_reference.py``.
+compare this module with is ``tests/hecke_reference.py``; it also keeps the
+generator-by-generator product by y that the fold replaced.
 
-Nothing is clever beyond that; that is the point.  The fast combinatorial
-straightening in the other modules is verified against this model at
-small sizes.
+Apart from the fold, every step applies the algebra's defining rules one
+generator at a time.  The fast combinatorial straightening in the other
+modules is verified against this model at small sizes.
 
 A degree cap (default 8, overridable through the HECKEHOM_ORACLE_CAP
 environment variable) guards against accidentally asking for a basis with
@@ -353,17 +359,20 @@ def _mul_gen(vec: Packed, i: int, bits: int) -> Packed:
     return out
 
 
-def _arrangements(labels: Word) -> list[Word]:
+# Every image is built from these; one oracle benchmark pass asks for 124
+# distinct rows.
+@lru_cache(maxsize=1024)
+def _arrangements(labels: Word) -> tuple[Word, ...]:
     """Every distinct ordering of a sorted tuple, in lexicographic order."""
     if not labels:
-        return [()]
-    out = []
+        return ((),)
+    out: list[Word] = []
     for k, first in enumerate(labels):
         if k and labels[k - 1] == first:
             continue
         out.extend((first,) + tail
                    for tail in _arrangements(labels[:k] + labels[k + 1:]))
-    return out
+    return tuple(out)
 
 
 def _image_words(tab: Tableau) -> list[Word]:
@@ -456,31 +465,55 @@ def image_h3(tab: Tableau) -> TabloidVector:
                                 for word in _image_words(tab)})
 
 
-def _mul_y_chains(vec: Packed, comp: Composition, bits: int) -> Packed:
-    """Right multiplication by the y element of a composition, times a
-    power of q.
+def _sorted_block(block: Word) -> tuple[Word, int] | None:
+    """A block of labels sorted, with the parity of the sort, or None when
+    two labels are equal."""
+    if len(set(block)) < len(block):
+        return None
+    odd = sum(a > b for k, a in enumerate(block) for b in block[k + 1:]) & 1
+    return tuple(sorted(block)), odd
 
-    The y element factorises into descending generator chains, block by
-    block: for each block and 2 <= m <= its size, the factor sum of
-    (-q)^(-k) T_(g_1) ... T_(g_k) over 0 <= k < m.  Each factor is
-    multiplied by q^(m - 1) to make it polynomial.  The product is a unit
-    times the y element, so it is zero exactly when the y element's is.
+
+def _fold_columns(vec: Packed, conj: Composition, bits: int) -> Packed:
+    """A packed vector whose emptiness decides whether vec times the y
+    element of conj is zero: each word folded onto its column-sorted word.
+
+    For s_i in the column group, T_i y = -y.  If two positions of one block
+    of conj hold equal labels, move them next to each other by swaps of
+    distinct labels (below); at that pair, x T_d T_i = q x T_d, so
+    (1 + q) x T_d y = 0, and x T_d y = 0 because the module is free.  A
+    swap of distinct labels at positions i, i + 1 of one block turns d
+    into d s_i or back, and T_i y = -y then negates x T_d y.  So
+    x T_d y = ±x T_u y, where u is d's word with every block sorted and the
+    sign is the parity of that sort.  Each x T_u y has x T_u with
+    coefficient 1 and its support in u's orbit under the column group, so
+    the x T_u y are independent, and vec times y is zero exactly when
+    every signed sum collected at a u is.
+
+    A word with a repeated label in a block is dropped, which is exact; any
+    other word goes to its u with coefficient ±1 through ``_add_term``, so
+    a cancellation is dropped only when its bound certifies it.
     """
-    offset = 0
-    for size in comp.parts:
-        for m in range(2, size + 1):
-            total: Packed = {}
-            cur = vec
-            for k in range(m):
-                if k:
-                    cur = _mul_gen(cur, offset + m - k, bits)
-                shift = bits * (m - 1 - k)
-                for word, (coeff, bound) in cur.items():
-                    coeff <<= shift
-                    _add_term(total, word, -coeff if k & 1 else coeff, bound, bits)
-            vec = total
-        offset += size
-    return vec
+    cuts = list(itertools.accumulate(conj.parts, initial=0))
+    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    sorts: dict[Word, tuple[Word, int] | None] = {}
+    out: Packed = {}
+    for word, (coeff, bound) in vec.items():
+        folded = list(word)
+        odd = 0
+        for lo, hi in blocks:
+            block = word[lo:hi]
+            try:
+                hit = sorts[block]
+            except KeyError:
+                hit = sorts[block] = _sorted_block(block)
+            if hit is None:
+                break
+            folded[lo:hi] = hit[0]
+            odd ^= hit[1]
+        else:
+            _add_term(out, tuple(folded), -coeff if odd else coeff, bound, bits)
+    return out
 
 
 def _packed_specht(images: list[tuple[list[Word], LaurentPoly, int]],
@@ -495,7 +528,7 @@ def _packed_specht(images: list[tuple[list[Word], LaurentPoly, int]],
             _add_term(total, word, packed, norm, bits)
     for i in reduced_word(w_mu(shape)):
         total = _mul_gen(total, i, bits)
-    return not _mul_y_chains(total, Partition(shape.stripped).conjugate(), bits)
+    return not _fold_columns(total, Partition(shape.stripped).conjugate(), bits)
 
 
 def specht_check(comb: LinComb) -> bool:
@@ -504,9 +537,15 @@ def specht_check(comb: LinComb) -> bool:
     The Specht module inside the shape's permutation module is generated by
     one element, so the combination vanishes exactly when the weighted sum
     of images, multiplied by the basis element of the shape's column-reading
-    permutation and then by the alternating element of the conjugate shape,
-    is zero.  The images all lie in the permutation module of the common
-    type, so the whole computation runs there, in tabloid coordinates.
+    permutation and then by the alternating element y of the conjugate
+    shape, is zero.  The images all lie in the permutation module of the
+    common type, so the whole computation runs there, in tabloid
+    coordinates.  The product by y is never formed: a word with a repeated
+    label in one column block contributes 0, every other word contributes
+    ± the y-multiple of its column-sorted word, and those multiples are
+    independent, so the test folds each word onto its column-sorted word
+    with the sign of the sort and asks whether every sum is zero (see
+    ``_fold_columns``).
 
     The coefficients, shifted by their smallest exponent, are packed at
     q = 2**bits.  Evaluation there is a ring map, so a coordinate left

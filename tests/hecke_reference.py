@@ -25,6 +25,11 @@ coset representatives (``perm_1A``, ``coset_reps``), and so does
 letter from 1A and each representative, which the library's row-by-row
 ``_image_words`` is tested against.
 
+``mul_y_chains`` runs on that kernel instead: it multiplies a packed
+vector by the y element through its descending generator chains, the
+product the library's Specht test ran before it folded words onto
+column-sorted ones (``_fold_columns``), which is tested against it.
+
 ``word_of`` and ``vector_of_packed`` translate between the library's
 keys (block-label words) and the coordinates here.
 """
@@ -44,7 +49,14 @@ from heckehom import (
     quantum_binomial,
 )
 from heckehom.combinat import as_composition, cross_pairs, identity_perm, w_mu
-from heckehom.hecke_oracle import HeckeElem, _add_into, _require_within_cap, reduced_word
+from heckehom.hecke_oracle import (
+    HeckeElem,
+    _add_into,
+    _add_term,
+    _mul_gen,
+    _require_within_cap,
+    reduced_word,
+)
 from heckehom.qcoeff import _as_poly, _unpack
 
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
@@ -645,6 +657,34 @@ def mul_y_blocks(elem, comp):
             elem = total
         offset += size
     return elem
+
+
+def mul_y_chains(vec, comp, bits):
+    """Right multiplication of a packed vector (``heckehom.hecke_oracle``'s
+    words and packed coefficients) by the y element of a composition,
+    times q**N, where N is the sum of s(s - 1)/2 over the blocks.
+
+    The y element factorises into descending generator chains, block by
+    block: for each block and 2 <= m <= its size, the factor sum of
+    (-q)^(-k) T_(g_1) ... T_(g_k) over 0 <= k < m.  Each factor is
+    multiplied by q^(m - 1) to make it polynomial.  The library's Specht
+    test used this product before ``_fold_columns``.
+    """
+    offset = 0
+    for size in comp.parts:
+        for m in range(2, size + 1):
+            total = {}
+            cur = vec
+            for k in range(m):
+                if k:
+                    cur = _mul_gen(cur, offset + m - k, bits)
+                shift = bits * (m - 1 - k)
+                for word, (coeff, bound) in cur.items():
+                    coeff <<= shift
+                    _add_term(total, word, -coeff if k & 1 else coeff, bound, bits)
+            vec = total
+        offset += size
+    return vec
 
 
 def image_vector(tab):

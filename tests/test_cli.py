@@ -252,6 +252,28 @@ class TestVerify:
         assert code == 4
         assert "FAIL" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("rows", [[1.5, 1], [2]]),
+        ("shape", [2.9, 1]),
+        ("type", [2, 1.2]),
+        ("rows", [[True, 1], [2]]),
+    ])
+    def test_non_integer_json_is_rejected(self, capsys, tmp_path, field, value):
+        # Read with int(), these would be a valid combination that fails.
+        data = {"shape": [2, 1], "type": [2, 1],
+                "terms": [{"coeff": "1", "rows": [[1, 1], [2]]}]}
+        if field == "rows":
+            data["terms"][0]["rows"] = value
+        else:
+            data[field] = value
+        path = tmp_path / "comb.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a list of integers" in err
+
     def test_bad_json_exit_code(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
