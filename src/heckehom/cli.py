@@ -17,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, StraighteningError
 from .combinat import (
@@ -39,10 +39,16 @@ from .straighten import (
 )
 from .hecke_oracle import specht_check, verify_composition_props
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _parse_q(text: str) -> Fraction:
     # argparse prints an ArgumentTypeError's message; any other error it
-    # replaces with this function's name.
+    # replaces with this function's name.  fractions is imported here, as
+    # in LaurentPoly.specialize: only --q needs it.
+    from fractions import Fraction
+
     try:
         if q := Fraction(text):
             return q

@@ -41,7 +41,6 @@ coefficient is exact.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
@@ -238,7 +237,6 @@ class LinComb:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GarnirDatum:
     """Data for one two-row relation.
 
@@ -246,15 +244,16 @@ class GarnirDatum:
     row, and ``pool`` is divided between them so that the top row has
     exactly ``top_len`` entries.  Validity demands that the pool be strictly
     larger than the top row, that the fixed top part fit inside the top row,
-    and that the top row be at least as long as the bottom one.
+    and that the top row be at least as long as the bottom one.  A datum is
+    immutable and hashable.
     """
 
-    fixed_top: Multiset
-    pool: Multiset
-    fixed_bottom: Multiset
-    top_len: int
+    __slots__ = ("fixed_top", "pool", "fixed_bottom", "top_len")
 
-    def __post_init__(self) -> None:
+    def __init__(self, fixed_top: Multiset, pool: Multiset, fixed_bottom: Multiset,
+                 top_len: int) -> None:
+        for name, value in zip(self.__slots__, (fixed_top, pool, fixed_bottom, top_len)):
+            object.__setattr__(self, name, value)
         if self.top_len < 1:
             raise ValueError(f"top row length must be positive, got {self.top_len}")
         if self.pool.size <= self.top_len:
@@ -268,6 +267,30 @@ class GarnirDatum:
             raise ValueError(
                 f"top row length {self.top_len} shorter than bottom "
                 f"row length {self.n - self.top_len}")
+
+    def _fields(self) -> tuple:
+        return self.fixed_top, self.pool, self.fixed_bottom, self.top_len
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GarnirDatum, self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"GarnirDatum(fixed_top={self.fixed_top!r}, pool={self.pool!r}, "
+                f"fixed_bottom={self.fixed_bottom!r}, top_len={self.top_len!r})")
 
     @property
     def n(self) -> int:

@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import os
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -428,23 +426,39 @@ def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class TabloidVector:
     """An element of a permutation module written in the tabloid basis.
 
     coords maps each minimal coset representative d to its coefficient;
     the basis element at d is the composition's x element times the basis
-    element of d.  ``image_h3`` returns one.
+    element of d.  ``image_h3`` returns one.  Its fields cannot be
+    reassigned.
     """
 
-    composition: Composition
-    coords: dict[Perm, LaurentPoly]
+    __slots__ = ("composition", "coords")
+
+    def __init__(self, composition: Composition, coords: dict[Perm, LaurentPoly]) -> None:
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.composition, self.coords)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TabloidVector):
             return NotImplemented
         return (self.composition == other.composition
                 and self.coords == other.coords)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(composition={self.composition!r}, "
+                f"coords={self.coords!r})")
 
     @property
     def is_zero(self) -> bool:
@@ -574,12 +588,23 @@ def specht_check(comb: LinComb) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PropsReport:
     """Outcome of a composition-identity sweep, per identity kind."""
 
-    checked: dict[str, int] = field(default_factory=dict)
-    failures: dict[str, list[str]] = field(default_factory=dict)
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked: dict[str, int] | None = None,
+                 failures: dict[str, list[str]] | None = None) -> None:
+        self.checked = {} if checked is None else checked
+        self.failures = {} if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.checked, self.failures) == (other.checked, other.failures)
+
+    def __repr__(self) -> str:
+        return f"PropsReport(checked={self.checked!r}, failures={self.failures!r})"
 
     @property
     def ok(self) -> bool:
@@ -790,11 +815,15 @@ def _map_unordered(fn: Callable[[_A], _R], work: list[_A], jobs: int) -> Iterato
     """fn over every item of work, results in any order: in this process
     when _pool_size allows one worker, otherwise over that many worker
     processes, 16 items per message.  This is the one place that starts
-    worker processes, for verify_composition_props and scripts/sweep.py."""
+    worker processes, for verify_composition_props and scripts/sweep.py.
+    It is also the one place that imports multiprocessing, which is slow to
+    import and which no single-process call needs."""
     workers = _pool_size(jobs, len(work))
     if workers == 1:
         yield from map(fn, work)
         return
+    import multiprocessing
+
     with multiprocessing.Pool(workers) as pool:
         yield from pool.imap_unordered(fn, work, chunksize=16)
 

@@ -22,11 +22,13 @@ the same rule (``_START_BITS``, ``_wider``) in the same restart loop
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import ParseError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 IntoPoly = Union["LaurentPoly", int]
 
@@ -208,6 +210,10 @@ class LaurentPoly:
         >>> LaurentPoly.parse("q^-1").specialize(2)
         Fraction(1, 2)
         """
+        # Imported here: fractions (with decimal) is slow to import, and
+        # only this and the CLI's --q use it.
+        from fractions import Fraction
+
         v = Fraction(value)
         if v == 0:
             raise ValueError("cannot specialize at q = 0: negative exponents occur")

@@ -17,8 +17,10 @@ subtree below it.  Rewrites are memoized on the two-row window they act on,
 for the length of one call.
 
 Inside the traversal a tableau is one int, its key (``_Packing``): each
-row owns a group of fields, field v counting the row's entries that are at
-most v, and the weight sits above the rows, so the heap orders plain ints.
+row owns a group of fields, one per value v that occurs, counting the row's
+entries that are at most v, and the weight sits above the rows, so the heap
+orders plain ints.  The work per window grows with the number of distinct
+values, not with the largest.
 Guard bits on the fields let one subtraction check every pair of adjacent
 rows for a broken column.  A window's rewrite is memoized on the window's
 bits as moves: an int to add to the key, which changes the two rows and
@@ -168,22 +170,30 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
 class _Packing:
     """How the worklist packs a tableau of one shape and type into one int.
 
-    Row r (from 0) owns a group of S = V * w bits at bit r * S, V being the
-    number of values.  Field v - 1 of the group, w bits wide, holds how many
-    entries of the row are at most v.  A count is at most the longest row,
-    below 2**(w - 1), so the top bit of every field, its guard, is 0.  The
-    weight sits at bit B, above one spare group: keys order by weight first,
-    and the row part of a move, which spans two groups, never reaches it.
+    Only the values that occur get a field: ``values`` lists them, and the
+    value of rank k (from 1) is values[k - 1].  Row r (from 0) owns a group
+    of S = V * w bits at bit r * S, V being the number of distinct values.
+    Field k - 1 of the group, w bits wide, holds how many entries of the
+    row are at most the value of rank k.  No value lies between two
+    consecutive ones, so the entries below the value of rank k are those at
+    most the value of rank k - 1, and the prefix counts by rank take the
+    place of those by value everywhere: the column check, the pivot and
+    the count vectors.  A count is at most the longest row, below
+    2**(w - 1), so the top bit of every field, its guard, is 0.  The
+    weight, in the values themselves, sits at bit B, above one spare
+    group: keys order by weight first, and the row part of a move, which
+    spans two groups, never reaches it.
     """
 
-    __slots__ = ("shape", "type", "width", "group", "weight_at", "guards",
+    __slots__ = ("shape", "type", "values", "width", "group", "weight_at", "guards",
                  "shifted", "windows", "lifts")
 
     def __init__(self, shape: Composition, type_: Composition):
         nrows = len(shape.stripped)
         self.shape, self.type = shape, type_
+        self.values = [v for v, count in enumerate(type_.stripped, 1) if count]
         self.width = w = shape.part(0).bit_length() + 1
-        self.group = S = len(type_.stripped) * w
+        self.group = S = len(self.values) * w
         self.weight_at = (nrows + 1) * S
         ones = sum(1 << at for at in range(0, S, w))  # 1 in every field of a group
         pairs = sum(1 << r * S for r in range(nrows - 1))  # 1 per upper row of a pair
@@ -192,40 +202,41 @@ class _Packing:
         self.shifted = ((1 << S) - (1 << w)) * pairs
         # The bits of rows r and r + 1: a window, which a memo entry acts on.
         self.windows = [((1 << 2 * S) - 1) << r * S for r in range(nrows - 1)]
-        # Moving one v from row r + 1 up to row r, at r = 0: the counts of
-        # the values from v on grow by 1 in the upper group, shrink in the
-        # lower one.
+        # Moving one value of rank k from row r + 1 up to row r, at r = 0:
+        # the counts from rank k on grow by 1 in the upper group, shrink in
+        # the lower one.
         self.lifts = [(ones >> at << at) * (1 - (1 << S)) for at in range(0, S, w)]
 
     def key(self, tab: Tableau) -> int:
         w, S = self.width, self.group
-        values = range(1, len(self.type.stripped) + 1)
-        return sum(bisect_right(row, v) << r * S + (v - 1) * w
-                   for r, row in enumerate(tab.row_lists()) for v in values) \
+        return sum(bisect_right(row, v) << r * S + k * w
+                   for r, row in enumerate(tab.row_lists())
+                   for k, v in enumerate(self.values)) \
             + (weight(tab) << self.weight_at)
 
     def broken(self, key: int) -> int:
         """Nonzero iff the packed tableau breaks a column.
 
-        Rows r and r + 1 break a column iff, for some v, the lower row has
-        more entries at most v than the upper row has below v.  Field v - 1
-        of row r's group then computes, as one guarded subtraction,
-        2**(w - 1) + (entries of row r below v) - (entries of row r + 1 at
-        most v), which clears its guard; the guards keep fields from
-        borrowing from each other.  The result has a guard bit set for each
-        such v of each pair of rows.
+        Rows r and r + 1 break a column iff, for some value v, the lower row
+        has more entries at most v than the upper row has below v.  Field
+        k - 1 of row r's group, v being the value of rank k, then computes,
+        as one guarded subtraction, 2**(w - 1) + (entries of row r below v)
+        - (entries of row r + 1 at most v), which clears its guard; the
+        guards keep fields from borrowing from each other.  The result has
+        a guard bit set for each such v of each pair of rows.
         """
         return self.guards & ~((key << self.width & self.shifted | self.guards)
                                - (key >> self.group))
 
     def prefixes(self, bits: int) -> list[int]:
-        """[0, entries at most 1, ..., entries at most V] of the row whose
-        group is at the low end of bits: its prefix counts."""
+        """[0, entries at most the value of rank 1, ..., entries at most the
+        value of rank V] of the row whose group is at the low end of bits:
+        its prefix counts by rank."""
         mask = (1 << self.width - 1) - 1
         return [0] + [bits >> at & mask for at in range(0, self.group, self.width)]
 
     def rows(self, key: int) -> Rows:
-        values = range(1, len(self.type.stripped) + 1)
+        values = self.values
         rows = []
         for at in range(0, len(self.shape.stripped) * self.group, self.group):
             prefix = self.prefixes(key >> at)
@@ -242,9 +253,10 @@ def _window_moves(pack: _Packing, key: int, r: int, column_rule: str,
     at = r * pack.group
     upper, lower = pack.prefixes(key >> at), pack.prefixes(key >> at + pack.group)
     pivot, a, p, b = _window_counts(upper, lower, column_rule)
-    # Moving a v up changes the rows by the lift and the weight by -v.
-    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in enumerate(pack.lifts, 1)]
-    start = -sum((upper[v] - upper[v - 1]) * pieces[v - 1] for v in range(pivot, len(upper)))
+    # The pivot and the count vectors are by rank.  Moving a v up changes
+    # the rows by the lift of its rank and the weight by -v.
+    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
+    start = -sum((upper[k] - upper[k - 1]) * pieces[k - 1] for k in range(pivot, len(upper)))
     # Started at minus the input's own split, the piece sum of each term is
     # the change to the key; built negated, so that dropping the input's own
     # term, -1, leaves the rewrite.  Called through module globals so that

@@ -1,8 +1,8 @@
 """Fixtures shared by several test files."""
 
-import pytest
+import multiprocessing
 
-import heckehom.hecke_oracle
+import pytest
 
 
 @pytest.fixture
@@ -24,5 +24,7 @@ def pool_sizes(monkeypatch):
         def imap_unordered(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(heckehom.hecke_oracle.multiprocessing, "Pool", RecordingPool)
+    # hecke_oracle imports multiprocessing only when it starts a pool, so
+    # the pool is patched where that import finds it.
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return sizes

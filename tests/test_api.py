@@ -3,7 +3,11 @@ rely on."""
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -82,3 +86,23 @@ def test_tracer_installs_and_uninstalls():
             instrument.uninstall()
         assert any(patched) and patched[-1] is wraps_window
         assert [vars(owner)[attr] for owner, attr in seams] == before
+
+
+def loaded_modules(code):
+    """The modules loaded after running code in a fresh interpreter that
+    finds this checkout's package."""
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport json, sys\n"
+                          "print(json.dumps(sorted(sys.modules)))"],
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, check=True).stdout
+    return set(json.loads(out))
+
+
+def test_start_up_skips_slow_modules():
+    # Importing the package and its CLI loads nothing that only a worker
+    # pool, --q or a dataclass would need; each of these costs milliseconds
+    # at every start-up.
+    added = loaded_modules("import heckehom, heckehom.cli") - loaded_modules("pass")
+    assert "heckehom.cli" in added
+    slow = {"multiprocessing", "dataclasses", "inspect", "fractions", "decimal"}
+    assert not added & slow, sorted(added & slow)

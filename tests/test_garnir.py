@@ -5,6 +5,7 @@ Split-level properties are checked on the per-split reference in
 """
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +88,24 @@ class TestDatumValidation:
         assert datum.shape == Composition((3, 2))
         assert datum.take_size == 2
         assert datum.n == 5
+
+    def test_value_semantics(self):
+        # Equality, hashing, immutability, repr and pickling as a frozen
+        # dataclass would give them.
+        datum = GarnirDatum(Multiset((1,)), Multiset((1, 2, 2)), Multiset(()), 2)
+        same = GarnirDatum(Multiset((1,)), Multiset((1, 2, 2)), Multiset(()), 2)
+        assert datum == same and hash(datum) == hash(same)
+        assert len({datum, same}) == 1
+        assert datum != GarnirDatum(Multiset(()), Multiset((1, 2, 2)), Multiset(()), 2)
+        assert datum != (datum.fixed_top, datum.pool, datum.fixed_bottom, datum.top_len)
+        assert repr(datum) == ("GarnirDatum(fixed_top=Multiset([1]), pool=Multiset([1, 2, 2]), "
+                               "fixed_bottom=Multiset([]), top_len=2)")
+        with pytest.raises(AttributeError):
+            datum.top_len = 3
+        with pytest.raises(AttributeError):
+            del datum.pool
+        assert datum.top_len == 2
+        assert pickle.loads(pickle.dumps(datum)) == datum
 
 
 class TestSplits:

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import os
+import pickle
 import pkgutil
 import random
 from pathlib import Path
@@ -38,6 +39,7 @@ from heckehom.combinat import Tableau, cross_pairs, identity_perm, w_mu
 from heckehom.hecke_oracle import (
     PROP_KINDS,
     HeckeElem,
+    PropsReport,
     _add_term,
     _apply_hom,
     _fold_columns,
@@ -775,6 +777,40 @@ class TestPackedSpecht:
             expect = case["expect_exit"] == 0
             assert specht_check(comb) is expect, case
             assert specht_check_tabloid(comb) is expect, case
+
+
+class TestValueClasses:
+    """TabloidVector and PropsReport keep the equality, repr and
+    immutability they had as dataclasses."""
+
+    def test_tabloid_vector(self):
+        vec = image_h3(parse_tableau("1 2 / 1"))
+        assert repr(vec) == ("TabloidVector(composition=Composition([2, 1]), coords={"
+                             "(1, 3, 2): LaurentPoly.parse('1'), "
+                             "(2, 3, 1): LaurentPoly.parse('1')})")
+        assert vec == TabloidVector(vec.composition, dict(vec.coords))
+        assert vec != TabloidVector(vec.composition, {})
+        assert vec != TabloidVector(Composition((1, 2)), vec.coords)
+        with pytest.raises(AttributeError):
+            vec.coords = {}
+        with pytest.raises(TypeError):
+            hash(vec)
+        assert pickle.loads(pickle.dumps(vec)) == vec
+        # The subclass in the reference module names itself.
+        assert repr(ReferenceTabloidVector(vec.composition, {})).startswith(
+            "ReferenceTabloidVector(composition=")
+
+    def test_props_report(self):
+        empty, other = PropsReport(), PropsReport()
+        assert repr(empty) == "PropsReport(checked={}, failures={})"
+        assert empty == other and empty.ok
+        empty.checked["row_merge"] = 1
+        assert other.checked == {} and empty != other
+        report = PropsReport({"row_merge": 2}, {"row_merge": ["x"]})
+        assert repr(report) == ("PropsReport(checked={'row_merge': 2}, "
+                                "failures={'row_merge': ['x']})")
+        assert report == PropsReport({"row_merge": 2}, {"row_merge": ["x"]})
+        assert not report.ok
 
 
 class TestCompositionProps:

@@ -125,6 +125,19 @@ class TestSemistandardize:
         assert dict(result.items()) == {
             parse_tableau("1 1 / 2 2 / 3"): LaurentPoly.parse("-1 - q")}
 
+    @pytest.mark.parametrize("text,far", [
+        ("2 2 / 1 1", {1: 1, 2: 2000}),
+        ("1 2 2 3 4 / 1 3 3 3", {1: 1, 2: 2000, 3: 2001, 4: 40000}),
+    ])
+    def test_gap_in_values_is_the_relabelled_answer(self, text, far):
+        # The answer depends on the order of the values only: straightening
+        # with gaps between the values is straightening without, mapped back.
+        want = {tuple(tuple(far[v] for v in row) for row in tab.row_lists()): coeff
+                for tab, coeff in semistandardize(parse_tableau(text)).items()}
+        spread = " ".join(str(far[int(v)]) if v != "/" else v for v in text.split())
+        got = semistandardize(parse_tableau(spread))
+        assert {tab.row_lists(): coeff for tab, coeff in got.items()} == want
+
     @given(tableaux(max_n=6))
     def test_fixpoint_on_semistandard(self, tab):
         if not is_semistandard(tab):
@@ -369,7 +382,9 @@ def two_row_windows(longest=5, largest=5):
 class TestPackedRows:
     """The packed key, its column check, and the pivot and count vectors
     read from its prefix counts, against the row tuples and the pivot rule
-    that scans them, on every small two-row window."""
+    that scans them, on every small two-row window.  The packing has a
+    field per value that occurs, so the pivot and the count vectors are by
+    rank among those values."""
 
     def test_every_small_window(self):
         checked = broken = 0
@@ -387,17 +402,29 @@ class TestPackedRows:
             broken += 1
             top, bottom = rows
             upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
+            largest = pack.values[-1]
+            assert len(upper) == len(pack.values) + 1
             for column_rule in ("leftmost", "rightmost"):
                 pivot, a, p, b = _window_counts(upper, lower, column_rule)
                 cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
                 assert (upper[pivot - 1], lower[pivot]) == (cut_top, cut_bottom), \
                     (tab, column_rule)
-                largest = len(upper) - 1
-                assert (a, p, b) == (_count_vector(top[:cut_top], largest),
-                                     _count_vector(top[cut_top:] + bottom[:cut_bottom],
-                                                   largest),
-                                     _count_vector(bottom[cut_bottom:], largest))
+                assert pack.values[pivot - 1] == top[cut_top]
+                by_rank = [[counts[v - 1] for v in pack.values] for counts in (
+                    _count_vector(top[:cut_top], largest),
+                    _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
+                    _count_vector(bottom[cut_bottom:], largest))]
+                assert [a, p, b] == by_rank
         assert broken > 10000 and checked - broken > 1000
+
+    def test_fields_only_for_the_values_that_occur(self):
+        for text in ("1 2000", "2 4 5 5 5 / 3 3 4 5", "1 7 9 / 4 4", "30000 / 1"):
+            tab = parse_tableau(text)
+            pack = _Packing(tab.shape, tab.type())
+            distinct = sorted(set(itertools.chain.from_iterable(tab.row_lists())))
+            assert pack.values == distinct
+            assert pack.group == len(distinct) * pack.width
+            assert pack.rows(pack.key(tab)) == tab.row_lists()
 
     def test_pivot_where_equal_lower_entries_straddle_a_good_column(self):
         # The lower row's 3s sit under 2 (fine) and 4 (broken): the pivot
@@ -406,8 +433,9 @@ class TestPackedRows:
         pack = _Packing(tab.shape, tab.type())
         key = pack.key(tab)
         upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
-        assert _window_counts(upper, lower, "leftmost")[0] == 4
-        assert _window_counts(upper, lower, "rightmost")[0] == 5
+        # The pivot is a rank among the values 2, 3, 4 and 5.
+        assert pack.values[_window_counts(upper, lower, "leftmost")[0] - 1] == 4
+        assert pack.values[_window_counts(upper, lower, "rightmost")[0] - 1] == 5
 
 
 class TestSemistandardizeLincomb:
