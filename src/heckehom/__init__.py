@@ -35,11 +35,11 @@ from .garnir import (
     LinComb,
     garnir_relation,
     iter_valid_data,
-    two_row_straighten_step,
 )
 from .straighten import (
     semistandardize,
     semistandardize_lincomb,
+    two_row_straighten_step,
 )
 from .hecke_oracle import (
     PropsReport,

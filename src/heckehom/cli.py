@@ -8,14 +8,16 @@ Four subcommands:
   verify       check a stored combination, or sweep composition identities
 
 Exit codes: 0 success, 2 parse error, 3 precondition failure (bad shape,
-cap exceeded, invalid relation data), 4 verification failure, 5 an
-invariant of the straightening engine failed (a bug, never bad input).
+cap exceeded, invalid relation data, an entry above ``MAX_ENTRY``), 4
+verification failure, 5 an invariant of the straightening engine failed (a
+bug, never bad input), 141 stdout was closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -41,6 +43,7 @@ from .hecke_oracle import specht_check, verify_composition_props
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Callable
 
 
 def _parse_q(text: str) -> Fraction:
@@ -100,6 +103,17 @@ def _report_check(passed: bool, label: str) -> int:
     return 0 if passed else 4
 
 
+def _check(cap: int | None, n: int, comb: Callable[[], LinComb], label: str) -> int:
+    """The exit code of --check N on a command whose answer has degree n:
+    comb() must vanish on the Specht module, checked when n <= N."""
+    if cap is None:
+        return 0
+    if n > cap:
+        print(f"check skipped: degree {n} exceeds --check {cap}", file=sys.stderr)
+        return 0
+    return _report_check(specht_check(comb()), label)
+
+
 def _cmd_straighten(args: argparse.Namespace) -> int:
     _require_check_cap(args.check)
     text = _read_source(args.tableau) if args.tableau == "-" else args.tableau
@@ -110,14 +124,8 @@ def _cmd_straighten(args: argparse.Namespace) -> int:
     result = semistandardize(tab, pair_rule=args.pair_rule,
                              column_rule=args.column_rule)
     print(_render_lincomb(result, args.format, args.q))
-    if args.check is not None:
-        if tab.n > args.check:
-            print(f"check skipped: degree {tab.n} exceeds --check {args.check}",
-                  file=sys.stderr)
-            return 0
-        return _report_check(specht_check(LinComb.single(tab) - result),
-                             "input minus expansion")
-    return 0
+    return _check(args.check, tab.n, lambda: LinComb.single(tab) - result,
+                  "input minus expansion")
 
 
 def _cmd_garnir(args: argparse.Namespace) -> int:
@@ -128,13 +136,7 @@ def _cmd_garnir(args: argparse.Namespace) -> int:
                         args.top_len)
     rel = garnir_relation(datum)
     print(_render_lincomb(rel, args.format, args.q))
-    if args.check is not None:
-        if datum.n > args.check:
-            print(f"check skipped: degree {datum.n} exceeds --check {args.check}",
-                  file=sys.stderr)
-            return 0
-        return _report_check(specht_check(rel), "relation on Specht module")
-    return 0
+    return _check(args.check, datum.n, lambda: rel, "relation on Specht module")
 
 
 def _parse_composition(text: str, label: str) -> Composition:
@@ -254,7 +256,16 @@ _parser = lru_cache(maxsize=1)(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, before or during the flush above.
+        # Pointing stdout at devnull keeps the interpreter's final flush
+        # quiet; 141 is 128 + SIGPIPE, the code of a process that the
+        # closed pipe killed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

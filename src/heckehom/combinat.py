@@ -129,8 +129,14 @@ def iter_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, 
 # ---------------------------------------------------------------------------
 
 
+# The largest entry a multiset, and so a tableau, may hold.  A tableau's
+# type has one part per value up to its largest entry, so the entries are
+# bounded to keep that list, and the JSON that carries it, bounded.
+MAX_ENTRY = 10**6
+
+
 class Multiset:
-    """An immutable multiset of positive integers."""
+    """An immutable multiset of integers from 1 to ``MAX_ENTRY``."""
 
     __slots__ = ("_counts", "_elements")
 
@@ -141,15 +147,15 @@ class Multiset:
                 v, m = int(v), int(m)
                 if m < 0:
                     raise ValueError(f"negative multiplicity for {v}")
-                if v < 1:
-                    raise ValueError(f"multiset values must be >= 1, got {v}")
+                if not 1 <= v <= MAX_ENTRY:
+                    raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {v}")
                 if m:
                     counts[v] = counts.get(v, 0) + m
         else:
             for v in values:
                 v = int(v)
-                if v < 1:
-                    raise ValueError(f"multiset values must be >= 1, got {v}")
+                if not 1 <= v <= MAX_ENTRY:
+                    raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {v}")
                 counts[v] = counts.get(v, 0) + 1
         self._counts = counts
         self._elements = _sorted_elements(counts)

@@ -24,17 +24,19 @@ by level, one list comprehension per pooled value extending every partial
 split by each take it allows, largest first: no call per term and no
 multiset arithmetic.  A split carries no rows either, only one int: the
 caller gives an int piece per value, and each take x_v adds x_v times the
-value's piece (``_relation_terms``).  The edges (``garnir_relation``,
-``two_row_straighten_step``) take pieces that count the value in the top
-row and decode the sum into the two rows; the worklist in ``straighten``
-takes pieces that move the value between two rows of its packed tableau,
-so the sum is the change to that tableau.
+value's piece (``_relation_terms``).  Both callers pack tableaux as one
+int, a field per row and per value that occurs (``_Packing``), with pieces
+that move one copy of a value up a row: ``garnir_relation`` starts at the
+key of (fixed top | everything else) and decodes each term's key, and the
+worklist in ``straighten`` starts at minus the input's own split, so each
+sum is the change to its tableau.
 
 Each factor is packed as one int, its value at q = 2**bits (see
 ``qcoeff``), shifted by bits times its exponent, so a term's coefficient is
 the sign times a product of table entries.  The traversal in
-``straighten`` takes the packed terms as they are; the edges unpack them
-into ``LaurentPoly`` at a width of the degree plus 2, where every relation
+``straighten`` takes the packed terms as they are; ``garnir_relation`` and
+``straighten.two_row_straighten_step`` unpack them into ``LaurentPoly`` at
+a width of the degree plus 2 (``_edge_bits``), where every relation
 coefficient is exact.
 """
 
@@ -47,13 +49,12 @@ from math import comb
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ParseError, StraighteningError
+from .errors import ParseError
 from .combinat import (
     Composition,
     IntoComposition,
     Multiset,
     Tableau,
-    _breaks_columns,
     _json_ints,
     as_composition,
     format_tableau_inline,
@@ -63,8 +64,6 @@ from .combinat import (
 from .qcoeff import IntoPoly, LaurentPoly, _as_poly, _packed_binomial, _unpack
 
 Rows = tuple[tuple[int, ...], ...]
-
-COLUMN_RULES = ("leftmost", "rightmost")
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +393,20 @@ def _relation_terms(a: list[int], p: list[int], b: list[int], top_len: int, bits
 
 def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int,
                           bits: int, sign: int = 1) -> dict[Rows, tuple[int, int]]:
-    """``_relation_terms`` with each term keyed by its two rows: the piece
-    of the value v counts one v in the top row, and the piece sum is the
-    top row's count vector, read off fields wide enough for its length."""
-    width = top_len.bit_length()
-    mask = (1 << width) - 1
-    fields = range(0, width * len(a), width)
-    start = sum(n << at for n, at in zip(a, fields))
+    """``_relation_terms`` with each term keyed by its two rows.  The piece
+    of a value is the two-row packing's lift of its rank, which moves one
+    copy up, and the sum starts at the key of the rows (fixed top |
+    everything else).  That start's bottom row can be longer than the
+    shape's, but keys add like their counts, so every term's key is exact."""
     content = [a_v + p_v + b_v for a_v, p_v, b_v in zip(a, p, b)]
+    pack = _Packing(Composition((top_len, sum(content) - top_len)), Composition(content))
+    lifts = iter(pack.lifts)
+    pieces = [next(lifts) if count else 0 for count in content]
     values = range(1, len(a) + 1)
-    terms: dict[Rows, tuple[int, int]] = {}
-    for top, coeff, norm in _relation_terms(a, p, b, top_len, bits,
-                                            [1 << at for at in fields], start, sign):
-        upper = [top >> at & mask for at in fields]
-        terms[tuple(chain.from_iterable(map(repeat, values, upper))),
-              tuple(chain.from_iterable(map(repeat, values, map(sub, content, upper))))] \
-            = (coeff, norm)
-    return terms
+    start = pack.key((tuple(chain.from_iterable(map(repeat, values, a))),
+                      tuple(chain.from_iterable(map(repeat, values, map(sub, content, a))))))
+    return {pack.rows(total): (coeff, norm) for total, coeff, norm
+            in _relation_terms(a, p, b, top_len, bits, pieces, start, sign)}
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
@@ -431,77 +427,98 @@ def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
 
 
 # ---------------------------------------------------------------------------
-# one straightening step
+# a tableau packed into one int
 # ---------------------------------------------------------------------------
 
 
-def _two_rows(tab: Tableau) -> Rows:
-    """The rows of a tableau, checked to be two rows of partition shape."""
-    if tab.nrows != 2:
-        raise ValueError(f"need exactly two rows, got {tab.nrows}")
-    if not tab.shape.is_partition:
-        raise ValueError(f"top row must be at least as long: shape {tab.shape}")
-    return tab.row_lists()
+def weight(tab: Tableau) -> int:
+    """Sum over rows of (row index) times (sum of row entries), top row 1.
 
-
-def _window_counts(upper: list[int], lower: list[int],
-                   column_rule: str) -> tuple[int, list[int], list[int], list[int]]:
-    """The pivot and the count vectors a, p and b of the relation that
-    rewrites a two-row window whose columns break, from the prefix counts
-    of its rows: upper[v] entries of the top row are at most v, for v from
-    0 (none) to the largest value, and lower[v] of the bottom row.
-
-    The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
-    bottom entry is at most v and whose top entry is at least v, so they
-    are the broken columns of the values v with lower[v] > upper[v - 1].
-    The pivot is the top entry of the column the column rule picks.  Top
-    entries below it stay in the top row, bottom entries above it stay in
-    the bottom row, and everything else is pooled.
+    Each rewrite pushes entry mass strictly downward, so this weight
+    strictly increases; it is bounded on the finitely many tableaux of a
+    given shape and content, which forces termination.
     """
-    broken = [v for v in range(1, len(upper)) if lower[v] > upper[v - 1]]
-    if column_rule == "leftmost":
-        column = upper[broken[0] - 1] + 1
-    else:
-        column = lower[broken[-1]]
-    pivot = next(v for v in range(1, len(upper)) if upper[v] >= column)
-    a, p, b = [], [], []
-    for v in range(1, len(upper)):
-        top, bottom = upper[v] - upper[v - 1], lower[v] - lower[v - 1]
-        a.append(top if v < pivot else 0)
-        p.append((top if v >= pivot else 0) + (bottom if v <= pivot else 0))
-        b.append(bottom if v > pivot else 0)
-    return pivot, a, p, b
+    return _weight(tab.row_lists())
 
 
-def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:
-    """Rewrite one non-semistandard two-row tableau via its relation.
+def _weight(rows: Rows) -> int:
+    return sum(r * sum(row) for r, row in enumerate(rows, start=1))
 
-    Returns the combination equal to the given tableau's homomorphism on the
-    Specht submodule: a relation with the input's own term dropped and every
-    other term negated.  ``column_rule`` picks the violating column, where
-    the bottom entry fails to exceed the top one, and the pivot is the top
-    entry there.  Entries strictly below the pivot stay in the top row,
-    entries strictly above it stay in the bottom row, and everything else is
-    pooled.  The relation is built straight from the rows' prefix counts,
-    without a ``GarnirDatum``.
-    The split reproducing the input always carries coefficient exactly 1, so
-    no division is ever needed; StraighteningError is raised if it does not.
+
+class _Packing:
+    """How a tableau of one shape and type packs into one int, its key.
+
+    Only the values that occur get a field: ``values`` lists them, and the
+    value of rank k (from 1) is values[k - 1].  Row r (from 0) owns a group
+    of S = V * w bits at bit r * S, V being the number of distinct values.
+    Field k - 1 of the group, w bits wide, holds how many entries of the
+    row are at most the value of rank k.  No value lies between two
+    consecutive ones, so the entries below the value of rank k are those at
+    most the value of rank k - 1, and the prefix counts by rank take the
+    place of those by value everywhere: the column check, the pivot and
+    the count vectors.  A count is at most the longest row, below
+    2**(w - 1), so the top bit of every field, its guard, is 0.  The
+    weight, in the values themselves, sits at bit B, above one spare
+    group: keys order by weight first, and the row part of a move, which
+    spans two groups, never reaches it.  Keys add like their counts, so a
+    key plus the changes that a rewrite makes is the key of the result.
     """
-    top, bottom = _two_rows(tab)
-    if column_rule not in COLUMN_RULES:
-        raise ValueError(f"unknown column rule {column_rule!r}")
-    if not _breaks_columns(top, bottom):
-        raise ValueError("tableau is already semistandard; nothing to rewrite")
-    values = range(max(top[-1], bottom[-1]) + 1)
-    _, a, p, b = _window_counts([bisect_right(top, v) for v in values],
-                                [bisect_right(bottom, v) for v in values], column_rule)
-    bits = _edge_bits(len(top) + len(bottom))
-    # Built negated: dropping the input's own term, -1, leaves the rewrite.
-    terms = _relation_from_counts(a, p, b, len(top), bits, -1)
-    # Norm 1 and value -1 pin the polynomial to -1 at any width.
-    if terms.pop((top, bottom), None) != (-1, 1):
-        raise StraighteningError(f"identity split coefficient is not 1 for {tab!r}")
-    shape, type_ = Composition((len(top), len(bottom))), tab.type()
-    return LinComb._raw(shape, type_, {
-        Tableau._raw(shape, rows, type_): _unpack(coeff, bits)
-        for rows, (coeff, _) in terms.items()})
+
+    __slots__ = ("shape", "type", "values", "width", "group", "weight_at", "guards",
+                 "shifted", "windows", "lifts")
+
+    def __init__(self, shape: Composition, type_: Composition):
+        nrows = len(shape.stripped)
+        self.shape, self.type = shape, type_
+        self.values = [v for v, count in enumerate(type_.stripped, 1) if count]
+        self.width = w = shape.part(0).bit_length() + 1
+        self.group = S = len(self.values) * w
+        self.weight_at = (nrows + 1) * S
+        ones = sum(1 << at for at in range(0, S, w))  # 1 in every field of a group
+        pairs = sum(1 << r * S for r in range(nrows - 1))  # 1 per upper row of a pair
+        # The guard bits, and every field but the first, of each upper row.
+        self.guards = (ones << w - 1) * pairs
+        self.shifted = ((1 << S) - (1 << w)) * pairs
+        # The bits of rows r and r + 1: a window, which a memo entry acts on.
+        self.windows = [((1 << 2 * S) - 1) << r * S for r in range(nrows - 1)]
+        # Moving one value of rank k from row r + 1 up to row r, at r = 0:
+        # the counts from rank k on grow by 1 in the upper group, shrink in
+        # the lower one.
+        self.lifts = [(ones >> at << at) * (1 - (1 << S)) for at in range(0, S, w)]
+
+    def key(self, rows: Rows) -> int:
+        w, S = self.width, self.group
+        return sum(bisect_right(row, v) << r * S + k * w
+                   for r, row in enumerate(rows)
+                   for k, v in enumerate(self.values)) \
+            + (_weight(rows) << self.weight_at)
+
+    def broken(self, key: int) -> int:
+        """Nonzero iff the packed tableau breaks a column.
+
+        Rows r and r + 1 break a column iff, for some value v, the lower row
+        has more entries at most v than the upper row has below v.  Field
+        k - 1 of row r's group, v being the value of rank k, then computes,
+        as one guarded subtraction, 2**(w - 1) + (entries of row r below v)
+        - (entries of row r + 1 at most v), which clears its guard; the
+        guards keep fields from borrowing from each other.  The result has
+        a guard bit set for each such v of each pair of rows.
+        """
+        return self.guards & ~((key << self.width & self.shifted | self.guards)
+                               - (key >> self.group))
+
+    def prefixes(self, bits: int) -> list[int]:
+        """[0, entries at most the value of rank 1, ..., entries at most the
+        value of rank V] of the row whose group is at the low end of bits:
+        its prefix counts by rank."""
+        mask = (1 << self.width - 1) - 1
+        return [0] + [bits >> at & mask for at in range(0, self.group, self.width)]
+
+    def rows(self, key: int) -> Rows:
+        values = self.values
+        rows = []
+        for at in range(0, len(self.shape.stripped) * self.group, self.group):
+            prefix = self.prefixes(key >> at)
+            rows.append(tuple(chain.from_iterable(
+                map(repeat, values, map(sub, prefix[1:], prefix)))))
+        return tuple(rows)

@@ -16,18 +16,19 @@ parents are merged, and a coefficient that cancels to zero prunes the whole
 subtree below it.  Rewrites are memoized on the two-row window they act on,
 for the length of one call.
 
-Inside the traversal a tableau is one int, its key (``_Packing``): each
-row owns a group of fields, one per value v that occurs, counting the row's
-entries that are at most v, and the weight sits above the rows, so the heap
-orders plain ints.  The work per window grows with the number of distinct
-values, not with the largest.
+Inside the traversal a tableau is one int, its key (``garnir._Packing``):
+each row owns a group of fields, one per value v that occurs, counting the
+row's entries that are at most v, and the weight sits above the rows, so
+the heap orders plain ints.  The work per window grows with the number of
+distinct values, not with the largest.
 Guard bits on the fields let one subtraction check every pair of adjacent
-rows for a broken column.  A window's rewrite is memoized on the window's
-bits as moves: an int to add to the key, which changes the two rows and
-the weight together, with the move's coefficient.  The pivot is read off
-the prefix counts, and the relation is built by ``garnir._relation_terms``
-summing one int per pooled value and take; only the emitted keys are
-decoded into rows.
+rows for a broken column.  A window's rewrite (``_window_moves``) is
+memoized on the window's bits as moves: an int to add to the key, which
+changes the two rows and the weight together, with the move's coefficient.
+The pivot is read off the prefix counts, and the relation is built by
+``garnir._relation_terms`` summing one int per pooled value and take; only
+the emitted keys are decoded into rows.  ``two_row_straighten_step`` is
+the same rewrite on a two-row tableau, with each move's key decoded.
 
 A coefficient is one int, its value at q = 2**bits after the inputs are
 shifted by their smallest exponent, carried with an upper bound on its L1
@@ -50,23 +51,11 @@ column rule picks the pivot column inside that pair and defaults to
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
-from itertools import chain, repeat
-from operator import sub
 from typing import Iterable
 
 from .combinat import Composition, Tableau, _breaks_columns
 from .errors import StraighteningError
-# two_row_straighten_step is not called here; it is imported so that code
-# that looks it up in this module (perfbench/tracer.py) finds it.
-from .garnir import (  # noqa: F401
-    COLUMN_RULES,
-    LinComb,
-    Rows,
-    _relation_terms,
-    _window_counts,
-    two_row_straighten_step,
-)
+from .garnir import LinComb, Rows, _edge_bits, _Packing, _relation_terms
 from .qcoeff import (
     _START_BITS,
     LaurentPoly,
@@ -80,16 +69,7 @@ from .qcoeff import (
 
 PAIR_RULES = ("topmost", "bottommost")
 DEFAULT_PAIR_RULE = "bottommost"
-
-
-def weight(tab: Tableau) -> int:
-    """Sum over rows of (row index) times (sum of row entries), top row 1.
-
-    Each rewrite pushes entry mass strictly downward, so this weight
-    strictly increases; it is bounded on the finitely many tableaux of a
-    given shape and content, which forces termination.
-    """
-    return sum(r * sum(row) for r, row in enumerate(tab.row_lists(), start=1))
+COLUMN_RULES = ("leftmost", "rightmost")
 
 
 def find_violating_window(tab: Tableau, pair_rule: str = DEFAULT_PAIR_RULE) -> int | None:
@@ -167,82 +147,33 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
     return _widening(run, _START_BITS)
 
 
-class _Packing:
-    """How the worklist packs a tableau of one shape and type into one int.
+def _window_counts(upper: list[int], lower: list[int],
+                   column_rule: str) -> tuple[int, list[int], list[int], list[int]]:
+    """The pivot and the count vectors a, p and b of the relation that
+    rewrites a two-row window whose columns break, from the prefix counts
+    of its rows: upper[v] entries of the top row are at most v, for v from
+    0 (none) to the largest value, and lower[v] of the bottom row.
 
-    Only the values that occur get a field: ``values`` lists them, and the
-    value of rank k (from 1) is values[k - 1].  Row r (from 0) owns a group
-    of S = V * w bits at bit r * S, V being the number of distinct values.
-    Field k - 1 of the group, w bits wide, holds how many entries of the
-    row are at most the value of rank k.  No value lies between two
-    consecutive ones, so the entries below the value of rank k are those at
-    most the value of rank k - 1, and the prefix counts by rank take the
-    place of those by value everywhere: the column check, the pivot and
-    the count vectors.  A count is at most the longest row, below
-    2**(w - 1), so the top bit of every field, its guard, is 0.  The
-    weight, in the values themselves, sits at bit B, above one spare
-    group: keys order by weight first, and the row part of a move, which
-    spans two groups, never reaches it.
+    The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
+    bottom entry is at most v and whose top entry is at least v, so they
+    are the broken columns of the values v with lower[v] > upper[v - 1].
+    The pivot is the top entry of the column the column rule picks.  Top
+    entries below it stay in the top row, bottom entries above it stay in
+    the bottom row, and everything else is pooled.
     """
-
-    __slots__ = ("shape", "type", "values", "width", "group", "weight_at", "guards",
-                 "shifted", "windows", "lifts")
-
-    def __init__(self, shape: Composition, type_: Composition):
-        nrows = len(shape.stripped)
-        self.shape, self.type = shape, type_
-        self.values = [v for v, count in enumerate(type_.stripped, 1) if count]
-        self.width = w = shape.part(0).bit_length() + 1
-        self.group = S = len(self.values) * w
-        self.weight_at = (nrows + 1) * S
-        ones = sum(1 << at for at in range(0, S, w))  # 1 in every field of a group
-        pairs = sum(1 << r * S for r in range(nrows - 1))  # 1 per upper row of a pair
-        # The guard bits, and every field but the first, of each upper row.
-        self.guards = (ones << w - 1) * pairs
-        self.shifted = ((1 << S) - (1 << w)) * pairs
-        # The bits of rows r and r + 1: a window, which a memo entry acts on.
-        self.windows = [((1 << 2 * S) - 1) << r * S for r in range(nrows - 1)]
-        # Moving one value of rank k from row r + 1 up to row r, at r = 0:
-        # the counts from rank k on grow by 1 in the upper group, shrink in
-        # the lower one.
-        self.lifts = [(ones >> at << at) * (1 - (1 << S)) for at in range(0, S, w)]
-
-    def key(self, tab: Tableau) -> int:
-        w, S = self.width, self.group
-        return sum(bisect_right(row, v) << r * S + k * w
-                   for r, row in enumerate(tab.row_lists())
-                   for k, v in enumerate(self.values)) \
-            + (weight(tab) << self.weight_at)
-
-    def broken(self, key: int) -> int:
-        """Nonzero iff the packed tableau breaks a column.
-
-        Rows r and r + 1 break a column iff, for some value v, the lower row
-        has more entries at most v than the upper row has below v.  Field
-        k - 1 of row r's group, v being the value of rank k, then computes,
-        as one guarded subtraction, 2**(w - 1) + (entries of row r below v)
-        - (entries of row r + 1 at most v), which clears its guard; the
-        guards keep fields from borrowing from each other.  The result has
-        a guard bit set for each such v of each pair of rows.
-        """
-        return self.guards & ~((key << self.width & self.shifted | self.guards)
-                               - (key >> self.group))
-
-    def prefixes(self, bits: int) -> list[int]:
-        """[0, entries at most the value of rank 1, ..., entries at most the
-        value of rank V] of the row whose group is at the low end of bits:
-        its prefix counts by rank."""
-        mask = (1 << self.width - 1) - 1
-        return [0] + [bits >> at & mask for at in range(0, self.group, self.width)]
-
-    def rows(self, key: int) -> Rows:
-        values = self.values
-        rows = []
-        for at in range(0, len(self.shape.stripped) * self.group, self.group):
-            prefix = self.prefixes(key >> at)
-            rows.append(tuple(chain.from_iterable(
-                map(repeat, values, map(sub, prefix[1:], prefix)))))
-        return tuple(rows)
+    broken = [v for v in range(1, len(upper)) if lower[v] > upper[v - 1]]
+    if column_rule == "leftmost":
+        column = upper[broken[0] - 1] + 1
+    else:
+        column = lower[broken[-1]]
+    pivot = next(v for v in range(1, len(upper)) if upper[v] >= column)
+    a, p, b = [], [], []
+    for v in range(1, len(upper)):
+        top, bottom = upper[v] - upper[v - 1], lower[v] - lower[v - 1]
+        a.append(top if v < pivot else 0)
+        p.append((top if v >= pivot else 0) + (bottom if v <= pivot else 0))
+        b.append(bottom if v > pivot else 0)
+    return pivot, a, p, b
 
 
 def _window_moves(pack: _Packing, key: int, r: int, column_rule: str,
@@ -278,6 +209,37 @@ def _window_moves(pack: _Packing, key: int, r: int, column_rule: str,
     return moves
 
 
+def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinComb:
+    """Rewrite one non-semistandard two-row tableau via its relation.
+
+    Returns the combination equal to the given tableau's homomorphism on the
+    Specht submodule: a relation with the input's own term dropped and every
+    other term negated.  ``column_rule`` picks the violating column, where
+    the bottom entry fails to exceed the top one, and the pivot is the top
+    entry there.  Entries strictly below the pivot stay in the top row,
+    entries strictly above it stay in the bottom row, and everything else is
+    pooled.  This is the worklist's rewrite of the tableau's one window,
+    unpacked: each move's key is decoded into rows.
+    The split reproducing the input always carries coefficient exactly 1, so
+    no division is ever needed; StraighteningError is raised if it does not.
+    """
+    if tab.nrows != 2:
+        raise ValueError(f"need exactly two rows, got {tab.nrows}")
+    if not tab.shape.is_partition:
+        raise ValueError(f"top row must be at least as long: shape {tab.shape}")
+    if column_rule not in COLUMN_RULES:
+        raise ValueError(f"unknown column rule {column_rule!r}")
+    if not _breaks_columns(*tab.row_lists()):
+        raise ValueError("tableau is already semistandard; nothing to rewrite")
+    shape, type_ = tab.shape, tab.type()
+    pack = _Packing(shape, type_)
+    key = pack.key(tab.row_lists())
+    bits = _edge_bits(tab.n)
+    return LinComb._raw(shape, type_, {
+        Tableau._raw(shape, pack.rows(key + change), type_): _unpack(coeff, bits)
+        for change, coeff, _ in _window_moves(pack, key, 0, column_rule, bits)})
+
+
 def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
               type_: Composition, pair_rule: str, column_rule: str,
               bits: int) -> dict[Rows, int]:
@@ -298,7 +260,7 @@ def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
     exact = limit >> 24
     # Per key: (packed coefficient, bound on its L1 norm).
     pending: dict[int, tuple[int, int]] = {
-        pack.key(tab): (coeff, bound) for tab, coeff, bound in terms}
+        pack.key(tab.row_lists()): (coeff, bound) for tab, coeff, bound in terms}
     heap = list(pending)
     heapq.heapify(heap)
     # Per window: (change to the key, packed coefficient, norm) per term of

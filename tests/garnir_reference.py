@@ -22,12 +22,12 @@ full count vectors.  The tests compare the two, key order included.
 ``reference_step`` is the path ``two_row_straighten_step`` replaced: build
 the validated ``straightening_datum`` (kept here) and its full
 ``garnir_relation``, then
-drop the input's own term and negate the rest.  The library step now goes
-from the rows' prefix counts straight to count vectors, and the tests
-compare it with this one.
+drop the input's own term and negate the rest.  The library step is now
+the worklist's window rewrite (``straighten._window_moves``) on the packed
+tableau, and the tests compare it with this one.
 
 ``pivot_cuts`` is the pivot rule the library read off the row tuples
-before it read the pivot off prefix counts (``garnir._window_counts``):
+before it read the pivot off prefix counts (``straighten._window_counts``):
 the first broken column in the rule's direction, found by scanning.
 """
 
@@ -49,7 +49,7 @@ from heckehom import (
     quantum_binomial,
 )
 from heckehom.combinat import cross_pairs, type_composition
-from heckehom.garnir import Rows, _two_rows
+from heckehom.garnir import Rows
 from heckehom.qcoeff import _packed_binomial
 
 
@@ -146,7 +146,11 @@ def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDa
     the top row, entries strictly above it stay in the bottom row, and
     everything else is pooled.
     """
-    top, bottom = _two_rows(tab)
+    if tab.nrows != 2:
+        raise ValueError(f"need exactly two rows, got {tab.nrows}")
+    if not tab.shape.is_partition:
+        raise ValueError(f"top row must be at least as long: shape {tab.shape}")
+    top, bottom = tab.row_lists()
     cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
     return GarnirDatum(Multiset(top[:cut_top]),
                        Multiset(top[cut_top:] + bottom[:cut_bottom]),

@@ -33,9 +33,9 @@ from heckehom import (
     Tableau,
     two_row_straighten_step,
 )
-from heckehom.garnir import _count_vector, _relation_from_counts
+from heckehom.garnir import _count_vector, _relation_from_counts, weight
 from heckehom.qcoeff import _norm, _pack, _unpack, _Widen, _widening, _wider
-from heckehom.straighten import embed_two_row, find_violating_window, weight
+from heckehom.straighten import embed_two_row, find_violating_window
 
 from .garnir_reference import pivot_cuts
 

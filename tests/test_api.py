@@ -68,9 +68,9 @@ def test_script_and_benchmark_imports_resolve():
 
 def test_tracer_installs_and_uninstalls():
     # The tracer patches its boundaries by name (among them
-    # straighten.embed_two_row, the two_row_straighten_step that straighten
-    # re-imports, straighten.find_violating_window, hecke_oracle.image_h3
-    # and HeckeElem's methods), so installing it fails if one has gone.
+    # straighten.embed_two_row, straighten.two_row_straighten_step,
+    # straighten.find_violating_window, hecke_oracle.image_h3 and
+    # HeckeElem's methods), so installing it fails if one has gone.
     from perfbench import tracer
 
     seams = [(owner, attr) for owner, attr, _ in tracer.BOUNDARIES]

@@ -9,6 +9,7 @@ import pytest
 import heckehom.straighten
 from heckehom import LinComb, parse_tableau, semistandardize
 from heckehom.cli import build_parser, main
+from heckehom.combinat import MAX_ENTRY
 
 WORKED = "1 2 2 3 4 / 1 3 3 3"
 WORKED_TEXT = [
@@ -150,6 +151,41 @@ class TestArgumentRanges:
         assert err.startswith("error: --check ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("argv", [
+        ["straighten", "300000000 / 1"],
+        ["straighten", "99999999999999999999 / 1"],
+        ["garnir", "--pool", "1 300000000", "--top-len", "1"],
+    ])
+    def test_entry_above_the_limit_is_rejected(self, capsys, argv):
+        # The type has one part per value up to the largest entry; without
+        # the limit these ran out of memory.
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: multiset values must be from 1 to ")
+        assert err.count("\n") == 1 and str(MAX_ENTRY) in err
+
+    def test_largest_entry_is_accepted(self, capsys):
+        code, out, err = run(capsys, "straighten", f"{MAX_ENTRY} / 1")
+        assert code == 0
+        assert out == f"(-1) * 1 / {MAX_ENTRY}\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # About 180 KB of JSON, more than a pipe holds, so a write meets the
+    # closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "heckehom.cli", "straighten", "20000 / 1", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert len(head) == 300
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
 class TestSharedParser:
     """main parses with one parser per process; no call leaks into the next."""
 
@@ -273,6 +309,16 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a list of integers" in err
+
+    def test_entry_above_the_limit_in_json_is_a_parse_error(self, capsys, tmp_path):
+        data = {"shape": [1, 1], "type": [1],
+                "terms": [{"coeff": "1", "rows": [[MAX_ENTRY + 1], [1]]}]}
+        path = tmp_path / "comb.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad tableau JSON: ") and err.count("\n") == 1
 
     def test_bad_json_exit_code(self, capsys, monkeypatch):
         import io

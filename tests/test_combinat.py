@@ -18,6 +18,7 @@ from heckehom import (
     parse_tableau,
 )
 from heckehom.combinat import (
+    MAX_ENTRY,
     cross_pairs,
     format_tableau_inline,
     iter_multisets,
@@ -106,6 +107,12 @@ class TestMultiset:
                 tuple(sorted(c))
                 for c in itertools.combinations(m.elements(), k))
             assert set(keys) == expected
+
+    def test_entries_are_bounded(self):
+        assert Multiset([1, MAX_ENTRY]).max_value() == MAX_ENTRY
+        for values in ([MAX_ENTRY + 1], {MAX_ENTRY + 1: 1}, [0], {0: 2}, [-1]):
+            with pytest.raises(ValueError, match=f"from 1 to {MAX_ENTRY}"):
+                Multiset(values)
 
     def test_sub_multisets_order_pinned(self):
         m = Multiset((1, 1, 2))

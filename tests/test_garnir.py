@@ -169,6 +169,16 @@ class TestRelation:
     def test_relation_matches_per_split_reference_up_to_degree_16(self, datum):
         self._assert_matches_reference(datum)
 
+    def test_relation_matches_per_split_reference_on_sparse_large_values(self):
+        # Only the values that occur get a field, so a value of 300000 is
+        # no costlier than a 3; the start row (fixed top | everything else)
+        # is longer than the top row here.
+        for datum in (
+                GarnirDatum(Multiset([1]), Multiset([1, 2, 2, 300000, 300000]),
+                            Multiset([2, 300000]), 4),
+                GarnirDatum(Multiset(), Multiset([1, 300000]), Multiset(), 1)):
+            self._assert_matches_reference(datum)
+
     def test_relation_never_empty(self):
         datum = GarnirDatum(Multiset(()), Multiset((1, 2)), Multiset(()), 1)
         rel = garnir_relation(datum)
@@ -347,6 +357,12 @@ class TestTwoRowStep:
         if is_semistandard(tab):
             return
         self._assert_matches_reference(tab, column_rule)
+
+    @pytest.mark.parametrize("text", ["5 9000 / 1 7", "30000 / 1",
+                                      "2 300000 300000 / 1 300000"])
+    @pytest.mark.parametrize("column_rule", ["leftmost", "rightmost"])
+    def test_matches_datum_reference_on_sparse_large_values(self, text, column_rule):
+        self._assert_matches_reference(parse_tableau(text), column_rule)
 
     def test_worked_example_first_step(self):
         tab = parse_tableau("1 2 2 3 4 / 1 3 3 3")

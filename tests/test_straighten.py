@@ -27,13 +27,8 @@ from heckehom import (
 
 from heckehom.cli import build_parser
 from heckehom.combinat import _breaks_columns
-from heckehom.garnir import _count_vector, _window_counts
-from heckehom.straighten import (
-    _Packing,
-    embed_two_row,
-    find_violating_window,
-    weight,
-)
+from heckehom.garnir import _count_vector, _Packing, weight
+from heckehom.straighten import _window_counts, embed_two_row, find_violating_window
 from perfbench.workloads import relabel_rows, relabelling, two_row_base, w18_base
 
 from .garnir_reference import pivot_cuts
@@ -390,7 +385,7 @@ class TestPackedRows:
         checked = broken = 0
         for tab in two_row_windows():
             pack = _Packing(tab.shape, tab.type())
-            key = pack.key(tab)
+            key = pack.key(tab.row_lists())
             assert pack.rows(key) == tab.row_lists()
             assert key >> pack.weight_at == weight(tab)
             rows = tab.row_lists()
@@ -424,14 +419,14 @@ class TestPackedRows:
             distinct = sorted(set(itertools.chain.from_iterable(tab.row_lists())))
             assert pack.values == distinct
             assert pack.group == len(distinct) * pack.width
-            assert pack.rows(pack.key(tab)) == tab.row_lists()
+            assert pack.rows(pack.key(tab.row_lists())) == tab.row_lists()
 
     def test_pivot_where_equal_lower_entries_straddle_a_good_column(self):
         # The lower row's 3s sit under 2 (fine) and 4 (broken): the pivot
         # is 4, the top entry of column 2, not 2.
         tab = parse_tableau("2 4 5 5 5 / 3 3 4 5")
         pack = _Packing(tab.shape, tab.type())
-        key = pack.key(tab)
+        key = pack.key(tab.row_lists())
         upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
         # The pivot is a rank among the values 2, 3, 4 and 5.
         assert pack.values[_window_counts(upper, lower, "leftmost")[0] - 1] == 4
