@@ -16,7 +16,9 @@ n!/|Young subgroup| coordinates instead of the algebra's n!.
   from C's rows, ``_apply_hom`` applies the map to a packed vector, and
   ``image_h3`` unpacks an image into a ``TabloidVector``.
 * The Specht test (``specht_check``) and the four composition identities
-  (``verify_composition_props``) run on that kernel.  A cancellation that
+  (``verify_composition_props``) run on that kernel.  Each identity is
+  data, tableau maps composed on the left and a combination of them on
+  the right, for one evaluator, ``_identity_holds``.  A cancellation that
   its width cannot certify restarts the computation wider.
 * The one shortcut: the Specht test does not multiply by the alternating
   element y of the conjugate shape.  Since T_i y = -y for s_i in y's
@@ -41,11 +43,10 @@ billions of elements.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import OracleCapError
 from .combinat import (
@@ -72,16 +73,23 @@ from .qcoeff import (
     _as_poly,
     _norm,
     _pack,
-    _packed_binomial,
     _Widen,
     _widening,
     _wider,
+    quantum_binomial,
 )
 
 DEFAULT_CAP = 8
 CAP_ENV_VAR = "HECKEHOM_ORACLE_CAP"
 
+_ONE = LaurentPoly.one()
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
+
+# The widest span of exponents over a combination's coefficients that
+# specht_check packs: the oracle benchmark's three degree-8 combinations,
+# each widened to span 1000, check in 0.07 s in total with a 31 MB peak on
+# a 2-vCPU VM, while a span of 10^8 exhausts memory.
+MAX_EXPONENT_SPAN = 1000
 
 
 def oracle_cap() -> int:
@@ -299,6 +307,7 @@ Word = tuple[int, ...]
 # Per word: (coefficient packed at q = 2**bits, bound on its L1 norm).  No
 # coefficient stored is 0.
 Packed = dict[Word, tuple[int, int]]
+Image = tuple[list[Word], LaurentPoly, int]
 
 
 def _add_term(vec: Packed, word: Word, coeff: int, bound: int, bits: int) -> None:
@@ -403,10 +412,6 @@ def _rep_of(word: Word, comp: Composition) -> Perm:
     return tuple(v for block in blocks for v in block)
 
 
-def _packed_image(tab: Tableau) -> Packed:
-    return {word: (1, 1) for word in _image_words(tab)}
-
-
 def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
     """The map of tab on a packed vector of the permutation module of its
     shape, landing in the module of its type.
@@ -415,7 +420,7 @@ def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
     sum over the vector's words of the coefficient times the image
     multiplied, letter by letter, by a reduced word of the word's d.
     """
-    image = _packed_image(tab)
+    image = dict.fromkeys(_image_words(tab), (1, 1))
     out: Packed = {}
     for word, (coeff, bound) in vec.items():
         term = image
@@ -474,9 +479,7 @@ def image_h3(tab: Tableau) -> TabloidVector:
     """
     _require_within_cap(tab.n)
     comp = tab.type()
-    one = LaurentPoly.one()
-    return TabloidVector(comp, {_rep_of(word, comp): one
-                                for word in _image_words(tab)})
+    return TabloidVector(comp, {_rep_of(word, comp): _ONE for word in _image_words(tab)})
 
 
 def _sorted_block(block: Word) -> tuple[Word, int] | None:
@@ -530,16 +533,21 @@ def _fold_columns(vec: Packed, conj: Composition, bits: int) -> Packed:
     return out
 
 
-def _packed_specht(images: list[tuple[list[Word], LaurentPoly, int]],
-                   shape: Composition, bits: int) -> bool:
-    """The Specht test at q = 2**bits on (image words, coefficient, norm)
-    triples, each coefficient a polynomial; raises _Widen when a
-    cancellation cannot be certified at this width."""
-    total: Packed = {}
+def _add_images(vec: Packed, images: Iterable[Image], bits: int) -> None:
+    """For each (image words, coefficient, norm bound) triple, add the
+    coefficient, a polynomial packed at q = 2**bits, times the sum of the
+    words to vec."""
     for words, coeff, norm in images:
         packed = _pack(coeff, bits)
         for word in words:
-            _add_term(total, word, packed, norm, bits)
+            _add_term(vec, word, packed, norm, bits)
+
+
+def _packed_specht(images: list[Image], shape: Composition, bits: int) -> bool:
+    """The Specht test at q = 2**bits on images for _add_images; raises
+    _Widen when a cancellation cannot be certified at this width."""
+    total: Packed = {}
+    _add_images(total, images, bits)
     for i in reduced_word(w_mu(shape)):
         total = _mul_gen(total, i, bits)
     return not _fold_columns(total, Partition(shape.stripped).conjugate(), bits)
@@ -566,7 +574,8 @@ def specht_check(comb: LinComb) -> bool:
     nonzero proves the answer False at any width.  A coordinate is dropped
     only when it cancels with a norm bound that certifies the cancellation,
     so an empty result proves True; a cancellation that cannot be certified
-    restarts the test at a wider width.
+    restarts the test at a wider width.  A span of exponents above
+    ``MAX_EXPONENT_SPAN`` raises ValueError before anything is packed.
     """
     shape = comb.shape
     if not shape.is_partition:
@@ -577,6 +586,10 @@ def specht_check(comb: LinComb) -> bool:
         return True
     terms = comb.items()
     low = min(coeff.min_exponent() for _, coeff in terms)
+    span = max(coeff.max_exponent() for _, coeff in terms) - low
+    if span > MAX_EXPONENT_SPAN:
+        raise ValueError(f"the coefficients' exponents span {span}, "
+                         f"more than the limit {MAX_EXPONENT_SPAN}")
     images = [(_image_words(tab), coeff.shift(-low), _norm(coeff))
               for tab, coeff in terms]
     # Called through the module global so that the tests can wrap it.
@@ -620,9 +633,11 @@ class PropsReport:
         return out
 
 
-PROP_KINDS = ("row_merge", "pair_merge", "row_split", "garnir_factorization")
-
 Instance = tuple[str, tuple]
+Terms = list[tuple[Tableau, LaurentPoly]]
+# An identity as data: the tableaux whose maps compose to its left-hand side,
+# its right-hand side as (tableau, coefficient) pairs, its failure message.
+Identity = tuple[list[Tableau], Terms, str]
 
 
 def _iter_row_merge(n_cap: int, value_cap: int) -> Iterator[Instance]:
@@ -664,127 +679,109 @@ def _iter_garnir_factorization(n_cap: int, value_cap: int) -> Iterator[Instance]
                 datum.fixed_bottom.elements(), datum.top_len))
 
 
-def _constant_rows(sizes_and_values: list[tuple[int, int]]) -> list[Multiset]:
-    return [Multiset([value] * size) for size, value in sizes_and_values]
+def _tab(rows: Sequence[tuple[int, ...]]) -> Tableau:
+    """The tableau with these sorted rows of positive entries, unchecked;
+    trailing empty rows are dropped, as ``Tableau`` drops them."""
+    rows = tuple(rows)
+    while rows and not rows[-1]:
+        rows = rows[:-1]
+    return Tableau._raw(Composition(map(len, rows)), rows, None)
 
 
-def _merge_scalar(pairs: list[tuple[Multiset, Multiset]], bits: int) -> tuple[int, int]:
-    """The scalar of a merge of each (upper, lower) pair of rows, packed,
-    with its norm: the product over the pairs of q^cross_pairs(upper, lower)
-    and, per value v of upper, the quantum binomial [upper_v + lower_v
-    choose upper_v].  Those have nonnegative coefficients, so the norm is
-    the product of the ordinary binomials."""
-    coeff, norm, exponent = 1, 1, 0
-    for upper, lower in pairs:
-        for v in upper.support():
-            total, r = upper.count(v) + lower.count(v), upper.count(v)
-            coeff *= _packed_binomial(total, r, bits)
-            norm *= math.comb(total, r)
-        exponent += cross_pairs(upper, lower)
-    return coeff << bits * exponent, norm
+def _merge_map(sizes: Sequence[int]) -> Tableau:
+    """The map that merges each consecutive pair of rows of a tableau with
+    these row sizes: row k holds 2k + 1 sizes[2k] times, then 2k + 2
+    sizes[2k + 1] times."""
+    return _tab([(2 * k + 1,) * a + (2 * k + 2,) * b
+                 for k, (a, b) in enumerate(zip(sizes[::2], sizes[1::2]))])
 
 
-def _subtract_image(diff: Packed, tab: Tableau, coeff: int, norm: int,
-                    bits: int) -> None:
-    """Subtract coeff times the image of tab from diff."""
-    for word in _image_words(tab):
-        _add_term(diff, word, -coeff, norm, bits)
+def _split_map(r: int, u: int, v: int, t: int) -> Tableau:
+    """The map that splits the middle row of a tableau with row sizes
+    (r, u + v, t) into rows of u and v entries."""
+    return _tab(((1,) * r, (2,) * u, (2,) * v, (3,) * t))
 
 
-# Each check takes its instance's parameters and a packing width, builds
-# lhs - rhs of its identity in one packed vector over the module of the
-# type, and returns a counterexample message unless the vector is empty.
+def _merge(rows: Sequence[tuple[int, ...]]) -> tuple[list[Tableau], Terms]:
+    """Merging each consecutive (upper, lower) pair of rows: the merge map
+    followed by the map of these rows is a scalar times the map of the
+    merged rows.  The scalar is the product over the pairs of
+    q^cross_pairs(upper, lower) and, per value v of upper, the quantum
+    binomial [upper_v + lower_v choose upper_v]."""
+    scalar, merged = _ONE, []
+    for upper, lower in zip(rows[::2], rows[1::2]):
+        up, low = Multiset(upper), Multiset(lower)
+        for v, count in up.counts():
+            scalar *= quantum_binomial(count + low.count(v), count)
+        scalar = scalar.shift(cross_pairs(up, low))
+        merged.append(tuple(sorted(upper + lower)))
+    return ([_merge_map([len(row) for row in rows]), _tab(rows)],
+            [(_tab(merged), scalar)])
 
 
-def _check_row_merge(params: tuple, bits: int) -> str | None:
-    top_elems, bottom_elems, m = params
-    top, bottom = Multiset(top_elems), Multiset(bottom_elems)
-    r = top.size
-    merge_b = Tableau((m,), [Multiset([1] * r + [2] * (m - r))])
-    tab_c = Tableau((r, m - r), [top, bottom])
-    diff = _apply_hom(_packed_image(merge_b), tab_c, bits)
-    coeff, norm = _merge_scalar([(top, bottom)], bits)
-    _subtract_image(diff, Tableau((m,), [top + bottom]), coeff, norm, bits)
-    if diff:
-        return f"row merge failed for rows {top_elems}/{bottom_elems}, m={m}"
-    return None
+def _row_merge(params: tuple) -> Identity:
+    top, bottom, m = params
+    return (*_merge((top, bottom)), f"row merge failed for rows {top}/{bottom}, m={m}")
 
 
-def _check_pair_merge(params: tuple, bits: int) -> str | None:
-    (rows_elems,) = params
-    rows = [Multiset(e) for e in rows_elems]
-    r, u, v, t = (row.size for row in rows)
-    merge_b = Tableau((r + u, v + t),
-                      [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
-    diff = _apply_hom(_packed_image(merge_b), Tableau((r, u, v, t), rows), bits)
-    coeff, norm = _merge_scalar([(rows[0], rows[1]), (rows[2], rows[3])], bits)
-    merged = Tableau((r + u, v + t), [rows[0] + rows[1], rows[2] + rows[3]])
-    _subtract_image(diff, merged, coeff, norm, bits)
-    if diff:
-        return f"pair merge failed for rows {rows_elems}"
-    return None
+def _pair_merge(params: tuple) -> Identity:
+    (rows,) = params
+    return (*_merge(rows), f"pair merge failed for rows {rows}")
 
 
-def _check_row_split(params: tuple, bits: int) -> str | None:
-    rows_elems, u = params
-    rows = [Multiset(e) for e in rows_elems]
-    r, w, t = (row.size for row in rows)
-    quad = (r, u, w - u, t)
-    split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (w - u, 2), (t, 3)]))
-    diff = _apply_hom(_packed_image(split_d), Tableau((r, w, t), rows), bits)
-    for mid_top in rows[1].sub_multisets(u):
-        tab = Tableau(quad, [rows[0], mid_top, rows[1] - mid_top, rows[2]])
-        _subtract_image(diff, tab, 1, 1, bits)
-    if diff:
-        return f"row split failed for rows {rows_elems}, split size {u}"
-    return None
+def _row_split(params: tuple) -> Identity:
+    """The split map followed by the map of the rows is the sum of the maps
+    of every way to split the middle row into u and w - u entries."""
+    rows, u = params
+    (r, w, t), middle = map(len, rows), Multiset(rows[1])
+    rhs = [(_tab((rows[0], part.elements(), (middle - part).elements(), rows[2])), _ONE)
+           for part in middle.sub_multisets(u)]
+    return ([_split_map(r, u, w - u, t), _tab(rows)], rhs,
+            f"row split failed for rows {rows}, split size {u}")
 
 
-def _check_garnir_factorization(params: tuple, bits: int) -> str | None:
-    top_elems, pool_elems, bottom_elems, top_len = params
-    datum = GarnirDatum(Multiset(top_elems), Multiset(pool_elems),
-                        Multiset(bottom_elems), top_len)
-    r = datum.fixed_top.size
-    s = datum.pool.size
-    t = datum.fixed_bottom.size
-    u = datum.take_size
-    v = datum.bottom_len - t
-    quad = (r, u, v, t)
-    merge_b = Tableau(datum.shape,
-                      [Multiset([1] * r + [2] * u), Multiset([3] * v + [4] * t)])
-    split_d = Tableau(quad, _constant_rows([(r, 1), (u, 2), (v, 2), (t, 3)]))
-    tab_e = Tableau((r, s, t), [datum.fixed_top, datum.pool, datum.fixed_bottom])
-    mid = _apply_hom(_packed_image(merge_b), split_d, bits)
-    diff = _apply_hom(mid, tab_e, bits)
-    # Relation coefficients are quantum binomials times powers of q with
-    # nonnegative exponents, so they pack as they stand.
-    for tab, coeff in garnir_relation(datum).items():
-        _subtract_image(diff, tab, _pack(coeff, bits), _norm(coeff), bits)
-    if diff:
-        return (f"relation factorisation failed for "
-                f"{top_elems}|{pool_elems}|{bottom_elems}, top length {top_len}")
-    return None
+def _garnir_factorization(params: tuple) -> Identity:
+    """The merge map, then the split map, then the map of (fixed top | pool
+    | fixed bottom) is the two-row relation of the datum."""
+    top, pool, bottom, top_len = params
+    datum = GarnirDatum(Multiset(top), Multiset(pool), Multiset(bottom), top_len)
+    quad = (len(top), datum.take_size, datum.bottom_len - len(bottom), len(bottom))
+    maps = [_merge_map(quad), _split_map(*quad), _tab((top, pool, bottom))]
+    return (maps, garnir_relation(datum).items(),
+            f"relation factorisation failed for {top}|{pool}|{bottom}, "
+            f"top length {top_len}")
 
 
-_CHECKERS = {
-    "row_merge": _check_row_merge,
-    "pair_merge": _check_pair_merge,
-    "row_split": _check_row_split,
-    "garnir_factorization": _check_garnir_factorization,
+# Per identity: its instances up to the caps, and the builder of its data.
+_IDENTITIES = {
+    "row_merge": (_iter_row_merge, _row_merge),
+    "pair_merge": (_iter_pair_merge, _pair_merge),
+    "row_split": (_iter_row_split, _row_split),
+    "garnir_factorization": (_iter_garnir_factorization, _garnir_factorization),
 }
 
-_GENERATORS = {
-    "row_merge": _iter_row_merge,
-    "pair_merge": _iter_pair_merge,
-    "row_split": _iter_row_split,
-    "garnir_factorization": _iter_garnir_factorization,
-}
+PROP_KINDS = tuple(_IDENTITIES)
+
+
+def _identity_holds(maps: list[Tableau], rhs: Terms, bits: int) -> bool:
+    """Whether an identity holds at q = 2**bits: the image of maps[0],
+    carried through the map of each later tableau in turn, minus each
+    right-hand coefficient (quantum binomials times q^k, k >= 0, so it packs
+    as it stands) times the image of its tableau, is empty.  Raises _Widen
+    when a cancellation cannot be certified at this width."""
+    diff = dict.fromkeys(_image_words(maps[0]), (1, 1))
+    for tab in maps[1:]:
+        diff = _apply_hom(diff, tab, bits)
+    _add_images(diff, [(_image_words(tab), -c, _norm(c)) for tab, c in rhs], bits)
+    return not diff
 
 
 def _check_instance(item: Instance) -> tuple[str, str | None]:
     kind, params = item
-    check = _CHECKERS[kind]
-    return kind, _widening(lambda bits: check(params, bits), _START_BITS)
+    maps, rhs, message = _IDENTITIES[kind][1](params)
+    # Both looked up as module globals, which the tests wrap and narrow.
+    holds = _widening(lambda bits: _identity_holds(maps, rhs, bits), _START_BITS)
+    return kind, None if holds else message
 
 
 def _reservoir(stream: Iterator[Instance], k: int,
@@ -834,7 +831,7 @@ def _prop_instances(n_cap: int, value_cap: int, samples: int | None,
     or a seeded uniform sample of that many of each."""
     out = {}
     for kind in PROP_KINDS:
-        stream = _GENERATORS[kind](n_cap, value_cap)
+        stream = _IDENTITIES[kind][0](n_cap, value_cap)
         if samples is None:
             out[kind] = list(stream)
         else:
@@ -845,7 +842,9 @@ def _prop_instances(n_cap: int, value_cap: int, samples: int | None,
 def verify_composition_props(n_cap: int, value_cap: int = 4,
                              samples: int | None = None, seed: int = 0,
                              jobs: int = 1) -> PropsReport:
-    """Check the four composition identities in the tabloid basis.
+    """Check the four composition identities (row merge, pair merge, row
+    split and relation factorisation) in the tabloid basis.  A builder per
+    identity turns each instance into data that ``_identity_holds`` checks.
 
     With samples=None every instance up to the caps is checked; otherwise a
     seeded uniform sample of that many instances per identity.  jobs > 1

@@ -310,6 +310,19 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a list of integers" in err
 
+    def test_exponent_span_above_the_limit_exits_3(self, capsys, tmp_path):
+        # Packed whole, this coefficient would exhaust memory.
+        data = {"shape": [2, 1], "type": [2, 1],
+                "terms": [{"coeff": "q^100000000", "rows": [[1, 1], [2]]},
+                          {"coeff": "1", "rows": [[1, 2], [1]]}]}
+        path = tmp_path / "comb.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "span 100000000" in err
+
     def test_entry_above_the_limit_in_json_is_a_parse_error(self, capsys, tmp_path):
         data = {"shape": [1, 1], "type": [1],
                 "terms": [{"coeff": "1", "rows": [[MAX_ENTRY + 1], [1]]}]}

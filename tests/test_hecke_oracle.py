@@ -1,5 +1,6 @@
 """The brute-force algebra model and everything verified against it."""
 
+import hashlib
 import importlib
 import itertools
 import json
@@ -37,6 +38,7 @@ from heckehom import (
 from heckehom.cli import main as cli_main
 from heckehom.combinat import Tableau, cross_pairs, identity_perm, w_mu
 from heckehom.hecke_oracle import (
+    MAX_EXPONENT_SPAN,
     PROP_KINDS,
     HeckeElem,
     PropsReport,
@@ -47,6 +49,7 @@ from heckehom.hecke_oracle import (
     _mul_gen,
     _pool_size,
     _prop_instances,
+    _tab,
     oracle_cap,
     reduced_word,
 )
@@ -768,6 +771,18 @@ class TestPackedSpecht:
         assert widths[0] == heckehom.hecke_oracle._START_BITS and len(widths) > 1
         assert 10**30 < 2 ** (widths[-1] - 1)
 
+    def test_exponent_span_is_bounded(self):
+        datum = GarnirDatum(Multiset(), Multiset([1, 1, 1, 2]), Multiset([2, 2]), 3)
+        rel = garnir_relation(datum)
+        coeffs = [coeff for _, coeff in rel.items()]
+        span = max(c.max_exponent() for c in coeffs) - min(c.min_exponent() for c in coeffs)
+        assert 0 < span < MAX_EXPONENT_SPAN == 1000
+        widest = rel + rel.scale(LaurentPoly.monomial(MAX_EXPONENT_SPAN - span))
+        assert specht_check(widest) is True
+        too_wide = rel + rel.scale(LaurentPoly.monomial(MAX_EXPONENT_SPAN + 1 - span))
+        with pytest.raises(ValueError, match="span 1001, more than the limit 1000"):
+            specht_check(too_wide)
+
     def test_benchmark_combinations(self):
         # Every stored combination of the oracle benchmark (read only), at
         # degree 7 and 8, against its known verdict and the reference.
@@ -914,14 +929,69 @@ class TestCompositionProps:
         patch_both("garnir_relation", short_relation)
         both_fail("garnir_factorization")
 
+    def test_perturbed_left_hand_sides_fail(self, monkeypatch):
+        # The merge and split maps each get one entry of their first and last
+        # nonempty rows swapped, which keeps their shape and type, and the
+        # library check must object on instances whose maps that changes.
+        # The standard-basis reference is not patched.
+        oracle = heckehom.hecke_oracle
+        instances = _prop_instances(4, 3, None, 0)
+        rng = random.Random(13)
+
+        def left_side(item):
+            return oracle._IDENTITIES[item[0]][1](item[1])[0]
+
+        real = {kind: list(map(left_side, items)) for kind, items in instances.items()}
+
+        def mislabelled(helper):
+            def wrong(*args):
+                tab = helper(*args)
+                rows = [list(row) for row in tab.row_lists()]
+                full = [row for row in rows if row]
+                full[0][-1], full[-1][0] = full[-1][0], full[0][-1]
+                return Tableau(tab.shape, rows)
+            return wrong
+
+        monkeypatch.setattr(oracle, "_merge_map", mislabelled(oracle._merge_map))
+        monkeypatch.setattr(oracle, "_split_map", mislabelled(oracle._split_map))
+        for kind in ("pair_merge", "row_split", "garnir_factorization"):
+            changed = [item for item, maps in zip(instances[kind], real[kind])
+                       if left_side(item) != maps]
+            assert len(changed) > 100, kind
+            for item in rng.sample(changed, 5):
+                assert oracle._check_instance(item)[1] is not None, item
+
+    def test_instance_order_is_pinned(self):
+        # A full sweep, and criterion 4's seeded sample, keep checking the
+        # same instances in the same order.
+        for args, digest in [
+                ((3, 3, None, 0),
+                 "99e45d4ac95f55c9fe1c141688f116a0cb0600f73b8816eff9971819f42714c0"),
+                ((6, 4, 60, 20260819),
+                 "adea0bda8a8ca9836d7493234cdc39fce1e36284c9329db2ed0e9e7276a2c2b2")]:
+            text = repr(_prop_instances(*args)).encode()
+            assert hashlib.sha256(text).hexdigest() == digest, args
+
+    def test_trusted_tableau_matches_constructor(self):
+        # The identities build their tableaux unchecked, from sorted rows.
+        for rows in [((1, 2), (), (1, 3)), ((), (2, 2), (1,), (), ()),
+                     ((3,), ()), ((), ()), ()]:
+            fast, checked = _tab(rows), Tableau([len(row) for row in rows], rows)
+            assert fast.shape.parts == checked.shape.parts, rows
+            assert fast.row_lists() == checked.row_lists(), rows
+            assert fast.type().parts == checked.type().parts, rows
+            assert fast == checked and hash(fast) == hash(checked), rows
+
     def test_narrow_start_restarts_with_identical_report(self, monkeypatch):
         wide = verify_composition_props(4, value_cap=3)
         widths = []
-        for kind, check in list(heckehom.hecke_oracle._CHECKERS.items()):
-            def recorded(params, bits, check=check):
-                widths.append(bits)
-                return check(params, bits)
-            monkeypatch.setitem(heckehom.hecke_oracle._CHECKERS, kind, recorded)
+        holds = heckehom.hecke_oracle._identity_holds
+
+        def recorded(maps, rhs, bits):
+            widths.append(bits)
+            return holds(maps, rhs, bits)
+
+        monkeypatch.setattr(heckehom.hecke_oracle, "_identity_holds", recorded)
         monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
         narrow = verify_composition_props(4, value_cap=3)
         assert narrow == wide and narrow.ok
