@@ -19,17 +19,21 @@ row, and its coefficient factorises over values: the quantum binomials
 power x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over u < v).
 So each pooled value gets one table indexed by its take x_v, holding that
 factor and its L1 norm (the value at q = 1); tables are cached on the
-value's counts and the fixed entries around it.  The splits are built level
-by level, one list comprehension per pooled value extending every partial
-split by each take it allows, largest first: no call per term and no
-multiset arithmetic.  A split carries no rows either, only one int: the
-caller gives an int piece per value, and each take x_v adds x_v times the
-value's piece (``_relation_terms``).  Both callers pack tableaux as one
-int, a field per row and per value that occurs (``_Packing``), with pieces
-that move one copy of a value up a row: ``garnir_relation`` starts at the
-key of (fixed top | everything else) and decodes each term's key, and the
-worklist in ``straighten`` starts at minus the input's own split, so each
-sum is the change to its tableau.
+value's counts and the fixed entries around it, which the builder keeps as
+running totals.  The splits are built level by level, one list
+comprehension per pooled value extending every partial split by each take
+it allows, largest first: no call per term and no multiset arithmetic.  No
+pool entry follows the last pooled value, so its take is forced, the
+number the split still needs: that level is one table lookup per split.
+A split carries no rows either, only one int: the caller gives an int
+piece per value, and each take x_v adds x_v times the value's piece
+(``_relation_terms``).  Both callers pack tableaux as one int, a field per
+row and per value that occurs (``_Packing``), with pieces that move one
+copy of a value up a row: ``garnir_relation`` starts at the key of (fixed
+top | everything else) and decodes each term's key, and the worklist in
+``straighten`` starts at minus the input's own split, so each sum is the
+change to its tableau.  A packing decodes each distinct row once: it
+memoizes rows on the bits of their groups for its own lifetime, one call.
 
 Each factor is packed as one int, its value at q = 2**bits (see
 ``qcoeff``), shifted by bits times its exponent, so a term's coefficient is
@@ -371,24 +375,32 @@ def _relation_terms(a: list[int], p: list[int], b: list[int], top_len: int, bits
     to the top row; its coefficient packed at q = 2**bits; and that
     coefficient's L1 norm."""
     room = sum(p)  # pool entries at or after the current pooled value
+    above, below = sum(a), 0  # fixed top entries above it, bottom ones below
     # Partial splits: (pool entries the top row still needs, piece sum,
     # packed coefficient, norm).
-    splits = [(top_len - sum(a), start, sign, 1)]
-    for i, p_i in enumerate(p):
-        if not p_i:
-            continue
-        room -= p_i
-        piece = pieces[i]
-        table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm
-                 in _factor_table(a[i], p_i, b[i], sum(a[i + 1:]), sum(b[:i]), bits)]
-        # A split that still needs `need` entries takes x from
-        # min(p_i, need) down to max(0, need - room): rows p_i - x of table.
-        splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
-                  for need, total, coeff, norm in splits
-                  for x, part, factor, factor_norm
-                  in table[p_i - need if need < p_i else 0:
-                           p_i + 1 - need + room if need > room else p_i + 1]]
-    return [(total, coeff, norm) for _, total, coeff, norm in splits]
+    splits = [(top_len - above, start, sign, 1)]
+    for a_i, p_i, b_i, piece in zip(a, p, b, pieces):
+        above -= a_i
+        if p_i:
+            room -= p_i
+            table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm
+                     in _factor_table(a_i, p_i, b_i, above, below, bits)]
+            if not room:
+                # The last pooled value: its take is what the split still
+                # needs, one row of the table.
+                return [(total + part, coeff * factor, norm * factor_norm)
+                        for need, total, coeff, norm in splits
+                        for _, part, factor, factor_norm in [table[p_i - need]]]
+            # A split that still needs `need` entries takes x from
+            # min(p_i, need) down to max(0, need - room): rows p_i - x of
+            # table.
+            splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
+                      for need, total, coeff, norm in splits
+                      for x, part, factor, factor_norm
+                      in table[p_i - need if need < p_i else 0:
+                               p_i + 1 - need + room if need > room else p_i + 1]]
+        below += b_i
+    return [(start, sign, 1)]  # an empty pool has one split, the empty one
 
 
 def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int,
@@ -465,7 +477,7 @@ class _Packing:
     """
 
     __slots__ = ("shape", "type", "values", "width", "group", "weight_at", "guards",
-                 "shifted", "windows", "lifts")
+                 "shifted", "windows", "lifts", "decoded")
 
     def __init__(self, shape: Composition, type_: Composition):
         nrows = len(shape.stripped)
@@ -485,6 +497,8 @@ class _Packing:
         # the counts from rank k on grow by 1 in the upper group, shrink in
         # the lower one.
         self.lifts = [(ones >> at << at) * (1 - (1 << S)) for at in range(0, S, w)]
+        # The rows decoded so far, on the bits of their groups (see ``rows``).
+        self.decoded: dict[int, tuple[int, ...]] = {}
 
     def key(self, rows: Rows) -> int:
         w, S = self.width, self.group
@@ -515,10 +529,22 @@ class _Packing:
         return [0] + [bits >> at & mask for at in range(0, self.group, self.width)]
 
     def rows(self, key: int) -> Rows:
-        values = self.values
+        """The rows of a key, each distinct row decoded once per packing.
+
+        The keys a multi-row traversal emits share most of their rows (81%
+        of W18's row decodes are repeats), and the tableaux then share the
+        row tuples too.  Distinct keys of a two-row packing, its content
+        fixed, have distinct top rows, so there the memo hardly ever hits
+        (never on the two_row benchmark batch)."""
+        values, decoded, S = self.values, self.decoded, self.group
+        mask = (1 << S) - 1
         rows = []
-        for at in range(0, len(self.shape.stripped) * self.group, self.group):
-            prefix = self.prefixes(key >> at)
-            rows.append(tuple(chain.from_iterable(
-                map(repeat, values, map(sub, prefix[1:], prefix)))))
+        for at in range(0, len(self.shape.stripped) * S, S):
+            bits = key >> at & mask
+            row = decoded.get(bits)
+            if row is None:
+                prefix = self.prefixes(bits)
+                row = decoded[bits] = tuple(chain.from_iterable(
+                    map(repeat, values, map(sub, prefix[1:], prefix))))
+            rows.append(row)
         return tuple(rows)

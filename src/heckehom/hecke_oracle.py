@@ -68,9 +68,11 @@ from .garnir import (
 )
 from .qcoeff import (
     _START_BITS,
+    MAX_EXPONENT_SPAN,
     IntoPoly,
     LaurentPoly,
     _as_poly,
+    _lowest_exponent,
     _norm,
     _pack,
     _Widen,
@@ -84,13 +86,6 @@ CAP_ENV_VAR = "HECKEHOM_ORACLE_CAP"
 
 _ONE = LaurentPoly.one()
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
-
-# The widest span of exponents over a combination's coefficients that
-# specht_check packs: the oracle benchmark's three degree-8 combinations,
-# each widened to span 1000, check in 0.07 s in total with a 31 MB peak on
-# a 2-vCPU VM, while a span of 10^8 exhausts memory.
-MAX_EXPONENT_SPAN = 1000
-
 
 def oracle_cap() -> int:
     """The current degree cap: the environment override or the default."""
@@ -585,11 +580,7 @@ def specht_check(comb: LinComb) -> bool:
     if n == 0 or comb.is_zero:
         return True
     terms = comb.items()
-    low = min(coeff.min_exponent() for _, coeff in terms)
-    span = max(coeff.max_exponent() for _, coeff in terms) - low
-    if span > MAX_EXPONENT_SPAN:
-        raise ValueError(f"the coefficients' exponents span {span}, "
-                         f"more than the limit {MAX_EXPONENT_SPAN}")
+    low = _lowest_exponent(coeff for _, coeff in terms)
     images = [(_image_words(tab), coeff.shift(-low), _norm(coeff))
               for tab, coeff in terms]
     # Called through the module global so that the tests can wrap it.

@@ -25,10 +25,16 @@ Guard bits on the fields let one subtraction check every pair of adjacent
 rows for a broken column.  A window's rewrite (``_window_moves``) is
 memoized on the window's bits as moves: an int to add to the key, which
 changes the two rows and the weight together, with the move's coefficient.
-The pivot is read off the prefix counts, and the relation is built by
-``garnir._relation_terms`` summing one int per pooled value and take; only
-the emitted keys are decoded into rows.  ``two_row_straighten_step`` is
-the same rewrite on a two-row tableau, with each move's key decoded.
+The pivot and the count vectors are read off the prefix counts in one
+scan that stops at the broken column, and the relation is built by
+``garnir._relation_terms`` summing one int per pooled value and take, the
+last pooled value's take being forced.  Only the emitted keys are decoded
+into rows, each distinct row once per call.
+``two_row_straighten_step`` is the same rewrite on a two-row tableau, with
+each move's key decoded.
+
+A combination whose coefficients' exponents span more than
+``qcoeff.MAX_EXPONENT_SPAN`` raises ValueError before anything is packed.
 
 A coefficient is one int, its value at q = 2**bits after the inputs are
 shifted by their smallest exponent, carried with an upper bound on its L1
@@ -51,6 +57,8 @@ column rule picks the pivot column inside that pair and defaults to
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from operator import mul, sub
 from typing import Iterable
 
 from .combinat import Composition, Tableau, _breaks_columns
@@ -59,6 +67,7 @@ from .garnir import LinComb, Rows, _edge_bits, _Packing, _relation_terms
 from .qcoeff import (
     _START_BITS,
     LaurentPoly,
+    _lowest_exponent,
     _norm,
     _pack,
     _unpack,
@@ -134,7 +143,7 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
         return LinComb._raw(shape, type_, {})
     # Shifted by the smallest exponent, every coefficient is a polynomial,
     # which packs.
-    low = min(coeff.min_exponent() for _, coeff in terms)
+    low = _lowest_exponent(coeff for _, coeff in terms)
 
     def run(bits: int) -> LinComb:
         out = _traverse([(tab, _pack(coeff.shift(-low), bits), _norm(coeff))
@@ -157,22 +166,31 @@ def _window_counts(upper: list[int], lower: list[int],
     The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
     bottom entry is at most v and whose top entry is at least v, so they
     are the broken columns of the values v with lower[v] > upper[v - 1].
-    The pivot is the top entry of the column the column rule picks.  Top
-    entries below it stay in the top row, bottom entries above it stay in
-    the bottom row, and everything else is pooled.
+    The pivot is the top entry of the column the column rule picks: one
+    scan from the rule's end stops at its value, and bisection finds the
+    pivot at or after it.  Top entries below the pivot stay in the top row,
+    bottom entries above it stay in the bottom row, and everything else is
+    pooled, so a, p and b are slices of the rows' counts per value.
     """
-    broken = [v for v in range(1, len(upper)) if lower[v] > upper[v - 1]]
     if column_rule == "leftmost":
-        column = upper[broken[0] - 1] + 1
+        v = 1
+        while lower[v] <= upper[v - 1]:
+            v += 1
+        column = upper[v - 1] + 1
     else:
-        column = lower[broken[-1]]
-    pivot = next(v for v in range(1, len(upper)) if upper[v] >= column)
-    a, p, b = [], [], []
-    for v in range(1, len(upper)):
-        top, bottom = upper[v] - upper[v - 1], lower[v] - lower[v - 1]
-        a.append(top if v < pivot else 0)
-        p.append((top if v >= pivot else 0) + (bottom if v <= pivot else 0))
-        b.append(bottom if v > pivot else 0)
+        v = len(upper) - 1
+        while lower[v] <= upper[v - 1]:
+            v -= 1
+        column = lower[v]
+    # upper is nondecreasing and upper[v - 1] < column.
+    pivot = bisect_left(upper, column, v)
+    tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
+    # Below the pivot, of rank k + 1, a value's top entries are fixed and
+    # its bottom ones pooled; above it the other way round.
+    k = pivot - 1
+    a = tops[:k] + [0] * (len(tops) - k)
+    p = bottoms[:k] + [tops[k] + bottoms[k]] + tops[pivot:]
+    b = [0] * pivot + bottoms[pivot:]
     return pivot, a, p, b
 
 
@@ -187,15 +205,15 @@ def _window_moves(pack: _Packing, key: int, r: int, column_rule: str,
     # The pivot and the count vectors are by rank.  Moving a v up changes
     # the rows by the lift of its rank and the weight by -v.
     pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
-    start = -sum((upper[k] - upper[k - 1]) * pieces[k - 1] for k in range(pivot, len(upper)))
+    start = -sum(map(mul, map(sub, upper[pivot:], upper[pivot - 1:]), pieces[pivot - 1:]))
     # Started at minus the input's own split, the piece sum of each term is
     # the change to the key; built negated, so that dropping the input's own
     # term, -1, leaves the rewrite.  Called through module globals so that
     # the tests can wrap it.
     terms = _relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)
     moves = [term for term in terms if term[0]]
-    # Norm 1 and value -1 pin the polynomial to -1 at any width.
-    if [term[1:] for term in terms if not term[0]] != [(-1, 1)]:
+    # Norm 1 and value -1 pin the input's own term to -1 at any width.
+    if len(moves) != len(terms) - 1 or (0, -1, 1) not in terms:
         top, bottom = pack.rows(key)[r: r + 2]
         window = Tableau._raw(Composition((len(top), len(bottom))), (top, bottom), None)
         raise StraighteningError(f"identity split coefficient is not 1 for {window!r}")

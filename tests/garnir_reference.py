@@ -19,6 +19,12 @@ builder ``garnir._relation_from_counts`` replaced: one recursive call per
 node of the tree of takes, and every leaf's rows written again from the
 full count vectors.  The tests compare the two, key order included.
 
+``reference_relation_terms`` is the level-wise builder that ``garnir.
+_relation_terms`` replaced: the same levels, but every level, the last one
+included, slices its value's table, and the fixed entries above and below
+each pooled value are summed afresh.  The tests compare the two, term
+order included.
+
 ``reference_step`` is the path ``two_row_straighten_step`` replaced: build
 the validated ``straightening_datum`` (kept here) and its full
 ``garnir_relation``, then
@@ -49,7 +55,7 @@ from heckehom import (
     quantum_binomial,
 )
 from heckehom.combinat import cross_pairs, type_composition
-from heckehom.garnir import Rows
+from heckehom.garnir import Rows, _factor_table
 from heckehom.qcoeff import _packed_binomial
 
 
@@ -253,3 +259,33 @@ def reference_packed_relation(a: list[int], p: list[int], b: list[int], top_len:
 
     rec(0, top_len - sum(a), sign, 1, 0)
     return terms
+
+
+def reference_relation_terms(a: list[int], p: list[int], b: list[int], top_len: int,
+                             bits: int, pieces: list[int], start: int,
+                             sign: int) -> list[tuple[int, int, int]]:
+    """sign times the relation of the datum whose fixed top part, pool and
+    fixed bottom part have the count vectors a, p and b; trusted to be
+    valid.  Per term, in order: start plus x_v * pieces[v - 1] summed over
+    the pooled values v, where x_v is how many pooled v's the split sends
+    to the top row; its coefficient packed at q = 2**bits; and that
+    coefficient's L1 norm."""
+    room = sum(p)  # pool entries at or after the current pooled value
+    # Partial splits: (pool entries the top row still needs, piece sum,
+    # packed coefficient, norm).
+    splits = [(top_len - sum(a), start, sign, 1)]
+    for i, p_i in enumerate(p):
+        if not p_i:
+            continue
+        room -= p_i
+        piece = pieces[i]
+        table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm
+                 in _factor_table(a[i], p_i, b[i], sum(a[i + 1:]), sum(b[:i]), bits)]
+        # A split that still needs `need` entries takes x from
+        # min(p_i, need) down to max(0, need - room): rows p_i - x of table.
+        splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
+                  for need, total, coeff, norm in splits
+                  for x, part, factor, factor_norm
+                  in table[p_i - need if need < p_i else 0:
+                           p_i + 1 - need + room if need > room else p_i + 1]]
+    return [(total, coeff, norm) for _, total, coeff, norm in splits]

@@ -38,6 +38,7 @@ from .garnir_reference import (
     reference_packed_relation,
     reference_relation,
     reference_relation_from_counts,
+    reference_relation_terms,
     reference_step,
     split_coefficient,
     split_from_tableau,
@@ -229,6 +230,37 @@ class TestPackedCore:
             assert max(abs(c) for _, coeff in ref.items() for _, c in coeff.items()) > 2 ** 25
 
 
+def _worklist_run(base):
+    """Every call the worklist makes to the relation builder while it
+    straightens a benchmark batch with the default rules, in order, and
+    the number of terms it emits."""
+    calls = []
+    build = heckehom.straighten._relation_terms
+
+    def recorded(*args):
+        calls.append(args)
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heckehom.straighten, "_relation_terms", recorded)
+        terms = sum(len(semistandardize(Tableau([len(row) for row in rows], rows)))
+                    for rows in base())
+    return calls, terms
+
+
+@pytest.fixture(scope="module")
+def worklist_runs():
+    """``_worklist_run`` per batch, each batch straightened once per module."""
+    runs = {}
+
+    def run(base):
+        if base not in runs:
+            runs[base] = _worklist_run(base)
+        return runs[base]
+
+    return run
+
+
 class TestLevelWiseBuilder:
     """The level-wise builder against the packed recursion it replaced:
     equal terms in equal order, for both signs at the edge width and at
@@ -236,14 +268,19 @@ class TestLevelWiseBuilder:
     piece per value that counts it in base n + 1."""
 
     @staticmethod
-    def _decoded_core(a, p, b, top_len, bits, sign):
+    def _core_args(a, p, b, top_len, bits, sign):
         base = sum(a) + sum(p) + sum(b) + 1
         pieces = [base ** i for i in range(len(a))]
+        return (a, p, b, top_len, bits, pieces,
+                sum(n * piece for n, piece in zip(a, pieces)), sign)
+
+    @classmethod
+    def _decoded_core(cls, a, p, b, top_len, bits, sign):
+        args = cls._core_args(a, p, b, top_len, bits, sign)
+        pieces, base = args[5], sum(a) + sum(p) + sum(b) + 1
         values = range(1, len(a) + 1)
         terms = {}
-        for total, coeff, norm in _relation_terms(
-                a, p, b, top_len, bits, pieces,
-                sum(n * piece for n, piece in zip(a, pieces)), sign):
+        for total, coeff, norm in _relation_terms(*args):
             upper = [total // piece % base for piece in pieces]
             lower = [a_v + p_v + b_v - n for a_v, p_v, b_v, n in zip(a, p, b, upper)]
             rows = tuple(tuple(v for v, n in zip(values, counts) for _ in range(n))
@@ -273,22 +310,45 @@ class TestLevelWiseBuilder:
         self._assert_matches_recursion(*count_vectors(datum), datum.top_len)
 
     @pytest.mark.parametrize("base", [w18_base, two_row_base])
-    def test_matches_recursion_on_benchmark_batches(self, monkeypatch, base):
+    def test_matches_recursion_on_benchmark_batches(self, worklist_runs, base):
         # The relations the worklist builds, with its own pieces.
-        built = {}
-        build = heckehom.straighten._relation_terms
-
-        def recorded(a, p, b, top_len, bits, pieces, start, sign):
-            built[tuple(a), tuple(p), tuple(b), top_len] = None
-            return build(a, p, b, top_len, bits, pieces, start, sign)
-
-        monkeypatch.setattr(heckehom.straighten, "_relation_terms", recorded)
-        for rows in base():
-            semistandardize(Tableau([len(row) for row in rows], rows))
-        monkeypatch.undo()
+        calls, _ = worklist_runs(base)
+        built = {(tuple(a), tuple(p), tuple(b), top_len): None
+                 for a, p, b, top_len, *_ in calls}
         assert len(built) > 1000
         for a, p, b, top_len in built:
             self._assert_matches_recursion(list(a), list(p), list(b), top_len)
+
+
+class TestBuilderAgainstSlicingLevels:
+    """The builder against the one it replaced, which sliced every level's
+    table, the last included, and summed the fixed entries around each
+    pooled value afresh: equal (piece sum, coefficient, norm) lists, order
+    included."""
+
+    def test_matches_reference_on_valid_data(self):
+        for datum in iter_valid_data(7, 4):
+            a, p, b = count_vectors(datum)
+            for sign in (1, -1):
+                for bits in (datum.n + 2, 64):
+                    args = TestLevelWiseBuilder._core_args(a, p, b, datum.top_len,
+                                                           bits, sign)
+                    assert _relation_terms(*args) == reference_relation_terms(*args), \
+                        (datum, bits, sign)
+
+    @pytest.mark.parametrize("base", [w18_base, two_row_base])
+    def test_matches_reference_on_benchmark_batches(self, worklist_runs, base):
+        # Every relation the worklist builds, with its own pieces and start.
+        calls, _ = worklist_runs(base)
+        assert len(calls) > 1000
+        for args in calls:
+            assert _relation_terms(*args) == reference_relation_terms(*args), args[:5]
+
+    def test_w18_counts(self, worklist_runs):
+        # README's figures: the default rules build 2351 relations on W18
+        # (one per window the memo misses) and emit 1154 terms.
+        calls, terms = worklist_runs(w18_base)
+        assert (len(calls), terms) == (2351, 1154)
 
 
 class TestStraighteningDatum:

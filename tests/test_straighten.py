@@ -28,6 +28,7 @@ from heckehom import (
 from heckehom.cli import build_parser
 from heckehom.combinat import _breaks_columns
 from heckehom.garnir import _count_vector, _Packing, weight
+from heckehom.qcoeff import MAX_EXPONENT_SPAN
 from heckehom.straighten import _window_counts, embed_two_row, find_violating_window
 from perfbench.workloads import relabel_rows, relabelling, two_row_base, w18_base
 
@@ -421,6 +422,25 @@ class TestPackedRows:
             assert pack.group == len(distinct) * pack.width
             assert pack.rows(pack.key(tab.row_lists())) == tab.row_lists()
 
+    @given(st.data())
+    @settings(deadline=None)
+    def test_memoised_rows_match_a_fresh_decode(self, data):
+        # Keys of random fillings of one shape and content, some drawn
+        # twice, against their rows and a packing that has decoded nothing.
+        tab = data.draw(tableaux(max_n=9, max_value=6))
+        pack = _Packing(tab.shape, tab.type())
+        entries = list(itertools.chain.from_iterable(tab.row_lists()))
+        fillings = []
+        for order in data.draw(st.lists(st.permutations(entries), min_size=1, max_size=8)):
+            rows, at = [], 0
+            for part in tab.shape.stripped:
+                rows.append(tuple(sorted(order[at:at + part])))
+                at += part
+            fillings.append(tuple(rows))
+        for rows in data.draw(st.lists(st.sampled_from(fillings), min_size=1, max_size=16)):
+            key = pack.key(rows)
+            assert pack.rows(key) == rows == _Packing(tab.shape, tab.type()).rows(key)
+
     def test_pivot_where_equal_lower_entries_straddle_a_good_column(self):
         # The lower row's 3s sit under 2 (fine) and 4 (broken): the pivot
         # is 4, the top entry of column 2, not 2.
@@ -462,6 +482,26 @@ class TestSemistandardizeLincomb:
         expansion = semistandardize(tab)
         assert len(expansion) > 1
         assert semistandardize_lincomb(LinComb.single(tab) - expansion).is_zero
+
+    def test_exponent_span_above_the_limit_raises_before_packing(self, monkeypatch):
+        # Packing q^100000000 would need a 6.4-gigabit int.
+        def packed(*args):
+            raise AssertionError("packed")
+
+        monkeypatch.setattr(heckehom.straighten, "_pack", packed)
+        monkeypatch.setattr(heckehom.straighten, "_traverse", packed)
+        comb = (LinComb.single(parse_tableau("1 2 / 1"), LaurentPoly.monomial(100000000))
+                + LinComb.single(parse_tableau("1 1 / 2")))
+        with pytest.raises(ValueError, match="span 100000000, more than the limit 1000"):
+            semistandardize_lincomb(comb)
+
+    def test_exponent_span_at_the_limit_straightens(self):
+        assert MAX_EXPONENT_SPAN == 1000
+        wide, low = parse_tableau("1 2 / 1"), parse_tableau("1 1 / 2")
+        shift = LaurentPoly.monomial(MAX_EXPONENT_SPAN)
+        comb = LinComb.single(wide, shift) + LinComb.single(low)
+        want = semistandardize(wide).scale(shift) + semistandardize(low)
+        assert semistandardize_lincomb(comb) == want
 
     def test_shared_children_merge(self):
         # The second tableau is also a child of the first one's rewrite, so
