@@ -199,7 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-rule", choices=PAIR_RULES, default=DEFAULT_PAIR_RULE,
                    help="which violating row pair to fix first (default: %(default)s)")
     p.add_argument("--column-rule", choices=COLUMN_RULES, default="leftmost",
-                   help="which violating column to pivot on")
+                   help="pivot on the bottom entry of the leftmost violating "
+                        "column or the top entry of the rightmost "
+                        "(default: %(default)s)")
     p.add_argument("--q", type=_parse_q, default=None, metavar="RATIONAL",
                    help="specialise coefficients at this nonzero rational")
     p.add_argument("--check", type=int, default=None, metavar="N",

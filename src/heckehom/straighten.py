@@ -26,10 +26,10 @@ rows for a broken column.  A window's rewrite (``_window_moves``) is
 memoized on the window's bits as moves: an int to add to the key, which
 changes the two rows and the weight together, with the move's coefficient.
 The pivot and the count vectors are read off the prefix counts in one
-scan that stops at the broken column, and the relation is built by
-``garnir._relation_terms`` summing one int per pooled value and take, the
-last pooled value's take being forced.  Only the emitted keys are decoded
-into rows, each distinct row once per call.
+scan that stops at the pivot, a value some broken column spans, and the
+relation is built by ``garnir._relation_terms`` summing one int per pooled
+value and take, the last pooled value's take being forced.  Only the
+emitted keys are decoded into rows, each distinct row once per call.
 ``two_row_straighten_step`` is the same rewrite on a two-row tableau, with
 each move's key decoded.
 
@@ -50,14 +50,15 @@ same canonical form, which the test suite checks by comparing strategies.
 The pair rule picks the adjacent pair of rows and defaults to
 ``DEFAULT_PAIR_RULE``, ``"bottommost"``: on multi-row inputs it rewrites
 far fewer tableaux than ``"topmost"`` (README gives the counts).  The
-column rule picks the pivot column inside that pair and defaults to
-``"leftmost"``.
+column rule picks the pivot inside that pair: ``"leftmost"``, the default,
+takes the smallest value a broken column spans, the bottom entry of the
+leftmost broken column; ``"rightmost"`` takes the largest, the top entry
+of the rightmost broken column.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from operator import mul, sub
 from typing import Iterable
 
@@ -164,26 +165,28 @@ def _window_counts(upper: list[int], lower: list[int],
     0 (none) to the largest value, and lower[v] of the bottom row.
 
     The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
-    bottom entry is at most v and whose top entry is at least v, so they
-    are the broken columns of the values v with lower[v] > upper[v - 1].
-    The pivot is the top entry of the column the column rule picks: one
-    scan from the rule's end stops at its value, and bisection finds the
-    pivot at or after it.  Top entries below the pivot stay in the top row,
-    bottom entries above it stay in the bottom row, and everything else is
-    pooled, so a, p and b are slices of the rows' counts per value.
+    bottom entry is at most v and whose top entry is at least v, so v is a
+    broken value, spanned by some broken column, when lower[v] > upper[v - 1].
+    The pivot is the broken value one scan from the column rule's end stops
+    at: the smallest, the bottom entry of the leftmost broken column, or the
+    largest, the top entry of the rightmost.  Top entries below the pivot
+    stay in the top row, bottom entries above it stay in the bottom row, and
+    everything else is pooled, so a, p and b are slices of the rows' counts
+    per value.  Any broken value k makes a valid relation: the pool exceeds
+    the top row's length by lower[k] - upper[k - 1], the input's own split
+    has coefficient 1, and every other split moves smaller entries up.
+    Under "leftmost" the bottom entry pools no more than the top entry of
+    the same column would, as the top row holds no value from one up to
+    the other.
     """
     if column_rule == "leftmost":
-        v = 1
-        while lower[v] <= upper[v - 1]:
-            v += 1
-        column = upper[v - 1] + 1
+        pivot = 1
+        while lower[pivot] <= upper[pivot - 1]:
+            pivot += 1
     else:
-        v = len(upper) - 1
-        while lower[v] <= upper[v - 1]:
-            v -= 1
-        column = lower[v]
-    # upper is nondecreasing and upper[v - 1] < column.
-    pivot = bisect_left(upper, column, v)
+        pivot = len(upper) - 1
+        while lower[pivot] <= upper[pivot - 1]:
+            pivot -= 1
     tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
     # Below the pivot, of rank k + 1, a value's top entries are fixed and
     # its bottom ones pooled; above it the other way round.
@@ -232,12 +235,14 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
 
     Returns the combination equal to the given tableau's homomorphism on the
     Specht submodule: a relation with the input's own term dropped and every
-    other term negated.  ``column_rule`` picks the violating column, where
-    the bottom entry fails to exceed the top one, and the pivot is the top
-    entry there.  Entries strictly below the pivot stay in the top row,
-    entries strictly above it stay in the bottom row, and everything else is
-    pooled.  This is the worklist's rewrite of the tableau's one window,
-    unpacked: each move's key is decoded into rows.
+    other term negated.  A violating column is one where the bottom entry
+    fails to exceed the top one.  ``column_rule`` picks the pivot: the
+    bottom entry of the leftmost violating column, the smallest value any
+    violating column spans, or the top entry of the rightmost, the largest.
+    Entries strictly below the pivot stay in the top row, entries strictly
+    above it stay in the bottom row, and everything else is pooled.  This
+    is the worklist's rewrite of the tableau's one window, unpacked: each
+    move's key is decoded into rows.
     The split reproducing the input always carries coefficient exactly 1, so
     no division is ever needed; StraighteningError is raised if it does not.
     """

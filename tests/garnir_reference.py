@@ -32,9 +32,12 @@ drop the input's own term and negate the rest.  The library step is now
 the worklist's window rewrite (``straighten._window_moves``) on the packed
 tableau, and the tests compare it with this one.
 
-``pivot_cuts`` is the pivot rule the library read off the row tuples
-before it read the pivot off prefix counts (``straighten._window_counts``):
-the first broken column in the rule's direction, found by scanning.
+``pivot_value`` is the library's pivot rule read off the row tuples,
+where the library reads it off prefix counts (``straighten._window_counts``):
+the bottom entry of the first broken column, or the top entry of the last,
+found by scanning the columns.  ``pivot_cuts``, ``straightening_datum``
+and ``reference_step`` cut the rows there, so the tests compare the library
+step with a datum built without prefix counts.
 """
 
 from bisect import bisect_left, bisect_right
@@ -124,21 +127,28 @@ def reference_relation(datum: GarnirDatum) -> LinComb:
                     for split in enumerate_splits(datum)})
 
 
-def pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
-               column_rule: str) -> tuple[int, int]:
-    """Where the pivot cuts the sorted rows of a non-semistandard two-row
-    tableau: entries of the top row before the first cut and of the bottom
-    row from the second cut on stay put; everything between is pooled."""
+def pivot_value(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str) -> int:
+    """The pivot of the sorted rows of a non-semistandard two-row tableau:
+    the bottom entry of the first broken column under "leftmost" and the
+    top entry of the last under "rightmost"."""
     if column_rule == "leftmost":
-        columns = range(len(bottom))
+        columns, row = range(len(bottom)), bottom
     elif column_rule == "rightmost":
-        columns = range(len(bottom) - 1, -1, -1)
+        columns, row = range(len(bottom) - 1, -1, -1), top
     else:
         raise ValueError(f"unknown column rule {column_rule!r}")
     col = next((c for c in columns if bottom[c] <= top[c]), None)
     if col is None:
         raise ValueError("tableau is already semistandard; nothing to rewrite")
-    pivot = top[col]
+    return row[col]
+
+
+def pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
+               column_rule: str) -> tuple[int, int]:
+    """Where the pivot cuts the sorted rows of a non-semistandard two-row
+    tableau: entries of the top row before the first cut and of the bottom
+    row from the second cut on stay put; everything between is pooled."""
+    pivot = pivot_value(top, bottom, column_rule)
     # Rows are sorted, so each part is a slice at the pivot.
     return bisect_left(top, pivot), bisect_right(bottom, pivot)
 
@@ -147,10 +157,11 @@ def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDa
     """The relation datum that rewrites a non-semistandard two-row tableau.
 
     A violating column is one where the bottom entry fails to exceed the top
-    entry; ``column_rule`` picks which violating column to target, and the
-    pivot is the top entry there.  Entries strictly below the pivot stay in
-    the top row, entries strictly above it stay in the bottom row, and
-    everything else is pooled.
+    entry; the pivot is the bottom entry of the leftmost violating column
+    or, under ``column_rule="rightmost"``, the top entry of the rightmost
+    (``pivot_value``).  Entries strictly below the pivot stay in the top
+    row, entries strictly above it stay in the bottom row, and everything
+    else is pooled.
     """
     if tab.nrows != 2:
         raise ValueError(f"need exactly two rows, got {tab.nrows}")

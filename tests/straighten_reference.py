@@ -17,12 +17,23 @@ coefficients have negative exponents, huge magnitudes and cancellations.
 tableau became one int: a tableau is its rows, a tuple of sorted int
 tuples, the heap orders (weight, rows) pairs, a pair of rows is checked
 with ``find_violating_window`` on a ``Tableau`` built per pop, and a
-window's rewrite (``tuple_step``) cuts its row tuples at the pivot and
-keys the relation's terms by their rows.  The tests compare it with the
+window's rewrite (``tuple_step``) cuts its row tuples at the pivot
+(``garnir_reference.pivot_cuts``) and keys the relation's terms by their
+rows.  The tests compare it with the
 library, ``items()`` order included.
+
+``top_entry_window_counts`` is the pivot rule ``straighten._window_counts``
+replaced: the top entry of the column the column rule picks, found by
+bisection on the prefix counts, where the library takes the value its scan
+stops at, which under "leftmost" is the bottom entry of that column.
+Patched into the library, it must give the same canonical forms, and each
+two-row step it changes must differ from the library's by a combination
+that vanishes on the Specht module; the tests check both.
 """
 
 import heapq
+from bisect import bisect_left
+from operator import sub
 
 import heckehom.straighten
 
@@ -194,3 +205,27 @@ def tuple_worklist(comb, pair_rule, column_rule):
             for rows, coeff in out.items()})
 
     return _widening(run, heckehom.straighten._START_BITS)
+
+
+def top_entry_window_counts(upper, lower, column_rule):
+    """``straighten._window_counts`` with the top entry of the picked broken
+    column as the pivot: the same pivot under "rightmost", a larger one or
+    the same under "leftmost"."""
+    if column_rule == "leftmost":
+        v = 1
+        while lower[v] <= upper[v - 1]:
+            v += 1
+        column = upper[v - 1] + 1
+    else:
+        v = len(upper) - 1
+        while lower[v] <= upper[v - 1]:
+            v -= 1
+        column = lower[v]
+    # upper is nondecreasing and upper[v - 1] < column.
+    pivot = bisect_left(upper, column, v)
+    tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
+    k = pivot - 1
+    a = tops[:k] + [0] * (len(tops) - k)
+    p = bottoms[:k] + [tops[k] + bottoms[k]] + tops[pivot:]
+    b = [0] * pivot + bottoms[pivot:]
+    return pivot, a, p, b

@@ -65,3 +65,14 @@ def tableaux(draw, max_n: int = 6, max_value: int = 4,
                           min_size=part, max_size=part).map(Multiset))
             for part in shape.stripped]
     return Tableau(shape, rows)
+
+
+@st.composite
+def two_row_tableaux(draw, max_n: int = 16, max_value: int = 6) -> Tableau:
+    """Two-row tableaux of partition shape up to degree max_n."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    top_len = draw(st.integers(min_value=(n + 1) // 2, max_value=n - 1))
+    rows = [draw(st.lists(st.integers(min_value=1, max_value=max_value),
+                          min_size=k, max_size=k))
+            for k in (top_len, n - top_len)]
+    return Tableau((top_len, n - top_len), rows)

@@ -28,7 +28,7 @@ from heckehom import (
     semistandardize,
     two_row_straighten_step,
 )
-from heckehom.garnir import _relation_from_counts, _relation_terms
+from heckehom.garnir import _Packing, _relation_from_counts, _relation_terms
 from perfbench.workloads import two_row_base, w18_base
 
 from .garnir_reference import (
@@ -44,7 +44,7 @@ from .garnir_reference import (
     split_from_tableau,
     straightening_datum,
 )
-from .strategies import multisets
+from .strategies import multisets, two_row_tableaux
 
 
 def small_data():
@@ -232,20 +232,27 @@ class TestPackedCore:
 
 def _worklist_run(base):
     """Every call the worklist makes to the relation builder while it
-    straightens a benchmark batch with the default rules, in order, and
-    the number of terms it emits."""
-    calls = []
-    build = heckehom.straighten._relation_terms
+    straightens a benchmark batch with the default rules, in order, the
+    number of terms it emits, and the number of tableaux it pops with a
+    nonzero coefficient: each is emitted or rewritten, after one column
+    check."""
+    calls, pops = [], [0]
+    build, broken = heckehom.straighten._relation_terms, _Packing.broken
 
     def recorded(*args):
         calls.append(args)
         return build(*args)
 
+    def checked(pack, key):
+        pops[0] += 1
+        return broken(pack, key)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heckehom.straighten, "_relation_terms", recorded)
+        patch.setattr(_Packing, "broken", checked)
         terms = sum(len(semistandardize(Tableau([len(row) for row in rows], rows)))
                     for rows in base())
-    return calls, terms
+    return calls, terms, pops[0]
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +319,7 @@ class TestLevelWiseBuilder:
     @pytest.mark.parametrize("base", [w18_base, two_row_base])
     def test_matches_recursion_on_benchmark_batches(self, worklist_runs, base):
         # The relations the worklist builds, with its own pieces.
-        calls, _ = worklist_runs(base)
+        calls = worklist_runs(base)[0]
         built = {(tuple(a), tuple(p), tuple(b), top_len): None
                  for a, p, b, top_len, *_ in calls}
         assert len(built) > 1000
@@ -339,16 +346,17 @@ class TestBuilderAgainstSlicingLevels:
     @pytest.mark.parametrize("base", [w18_base, two_row_base])
     def test_matches_reference_on_benchmark_batches(self, worklist_runs, base):
         # Every relation the worklist builds, with its own pieces and start.
-        calls, _ = worklist_runs(base)
+        calls = worklist_runs(base)[0]
         assert len(calls) > 1000
         for args in calls:
             assert _relation_terms(*args) == reference_relation_terms(*args), args[:5]
 
     def test_w18_counts(self, worklist_runs):
-        # README's figures: the default rules build 2351 relations on W18
-        # (one per window the memo misses) and emit 1154 terms.
-        calls, terms = worklist_runs(w18_base)
-        assert (len(calls), terms) == (2351, 1154)
+        # README's figures: the default rules pop 4786 tableaux of W18,
+        # build 2095 relations (one per window the memo misses) and emit
+        # 1154 terms.
+        calls, terms, pops = worklist_runs(w18_base)
+        assert (pops, len(calls), terms) == (4786, 2095, 1154)
 
 
 class TestStraighteningDatum:
@@ -376,23 +384,21 @@ class TestStraighteningDatum:
         assert datum.pool == Multiset((1, 3, 3, 3, 3, 4))
         assert datum.fixed_bottom == Multiset(())
 
+    def test_leftmost_pivot_is_the_bottom_entry(self):
+        # Column 2 breaks with 4 above 3: the pivot is 3, so the 4 below
+        # stays fixed and only the top row's 4 and 5s join the 3s.
+        datum = straightening_datum(parse_tableau("2 4 5 5 / 3 3 4"))
+        assert datum.fixed_top == Multiset((2,))
+        assert datum.pool == Multiset((3, 3, 4, 5, 5))
+        assert datum.fixed_bottom == Multiset((4,))
+
     def test_identity_split_has_unit_coefficient(self):
-        tab = parse_tableau("1 2 2 3 4 / 1 3 3 3")
-        for rule in ("leftmost", "rightmost"):
-            datum = straightening_datum(tab, column_rule=rule)
-            split = split_from_tableau(datum, tab)
-            assert split_coefficient(datum, split) == LaurentPoly.one()
-
-
-@st.composite
-def two_row_tableaux(draw, max_n: int = 16, max_value: int = 6) -> Tableau:
-    """Two-row tableaux of partition shape up to degree max_n."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
-    top_len = draw(st.integers(min_value=(n + 1) // 2, max_value=n - 1))
-    rows = [draw(st.lists(st.integers(min_value=1, max_value=max_value),
-                          min_size=k, max_size=k))
-            for k in (top_len, n - top_len)]
-    return Tableau((top_len, n - top_len), rows)
+        for text in ("1 2 2 3 4 / 1 3 3 3", "2 4 5 5 / 3 3 4"):
+            tab = parse_tableau(text)
+            for rule in ("leftmost", "rightmost"):
+                datum = straightening_datum(tab, column_rule=rule)
+                split = split_from_tableau(datum, tab)
+                assert split_coefficient(datum, split) == LaurentPoly.one()
 
 
 class TestTwoRowStep:

@@ -1,5 +1,6 @@
 """The full semistandardisation loop over arbitrary partition shapes."""
 
+import contextlib
 import inspect
 import itertools
 
@@ -18,23 +19,35 @@ from heckehom import (
     enumerate_semistandard,
     garnir_relation,
     is_semistandard,
+    iter_fillings,
     iter_valid_data,
     parse_tableau,
     semistandardize,
     semistandardize_lincomb,
+    specht_check,
     two_row_straighten_step,
 )
 
 from heckehom.cli import build_parser
 from heckehom.combinat import _breaks_columns
-from heckehom.garnir import _count_vector, _Packing, weight
+from heckehom.garnir import _count_vector, _edge_bits, _Packing, _relation_terms, weight
 from heckehom.qcoeff import MAX_EXPONENT_SPAN
-from heckehom.straighten import _window_counts, embed_two_row, find_violating_window
+from heckehom.straighten import (
+    COLUMN_RULES,
+    _window_counts,
+    embed_two_row,
+    find_violating_window,
+)
 from perfbench.workloads import relabel_rows, relabelling, two_row_base, w18_base
 
-from .garnir_reference import pivot_cuts
-from .straighten_reference import laurent_worklist, memo_of_expansions, tuple_worklist
-from .strategies import tableaux
+from .garnir_reference import pivot_cuts, pivot_value
+from .straighten_reference import (
+    laurent_worklist,
+    memo_of_expansions,
+    top_entry_window_counts,
+    tuple_worklist,
+)
+from .strategies import tableaux, two_row_tableaux
 
 RULES = list(itertools.product(("topmost", "bottommost"), ("leftmost", "rightmost")))
 
@@ -405,7 +418,13 @@ class TestPackedRows:
                 cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
                 assert (upper[pivot - 1], lower[pivot]) == (cut_top, cut_bottom), \
                     (tab, column_rule)
-                assert pack.values[pivot - 1] == top[cut_top]
+                # The pivot is the smallest (leftmost) or the largest
+                # (rightmost) value that some broken column spans.
+                spanned = [v for v in pack.values
+                           if any(u <= v <= t for t, u in zip(top, bottom))]
+                assert (pack.values[pivot - 1] == pivot_value(top, bottom, column_rule)
+                        == spanned[0 if column_rule == "leftmost" else -1]), \
+                    (tab, column_rule)
                 by_rank = [[counts[v - 1] for v in pack.values] for counts in (
                     _count_vector(top[:cut_top], largest),
                     _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
@@ -443,14 +462,99 @@ class TestPackedRows:
 
     def test_pivot_where_equal_lower_entries_straddle_a_good_column(self):
         # The lower row's 3s sit under 2 (fine) and 4 (broken): the pivot
-        # is 4, the top entry of column 2, not 2.
+        # is 3, the bottom entry of the broken column 2, not 4 above it.
         tab = parse_tableau("2 4 5 5 5 / 3 3 4 5")
         pack = _Packing(tab.shape, tab.type())
         key = pack.key(tab.row_lists())
         upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
         # The pivot is a rank among the values 2, 3, 4 and 5.
-        assert pack.values[_window_counts(upper, lower, "leftmost")[0] - 1] == 4
+        assert pack.values[_window_counts(upper, lower, "leftmost")[0] - 1] == 3
         assert pack.values[_window_counts(upper, lower, "rightmost")[0] - 1] == 5
+
+
+class TestEveryBrokenValue:
+    """Any value that a broken column spans is a valid pivot: the relation
+    pooling around it, with its count vectors built from the rows, has
+    more pool entries than the top row, holds the input's own split once
+    with coefficient 1, and makes every other split heavier."""
+
+    @given(two_row_tableaux(max_n=12))
+    @settings(deadline=None)
+    def test_relation_at_every_broken_value(self, tab):
+        top, bottom = tab.row_lists()
+        pack = _Packing(tab.shape, tab.type())
+        key, bits = pack.key((top, bottom)), _edge_bits(tab.n)
+        pieces = [lift - (v << pack.weight_at)
+                  for v, lift in zip(pack.values, pack.lifts)]
+        tops = [top.count(v) for v in pack.values]
+        bottoms = [bottom.count(v) for v in pack.values]
+        broken = [v for v in pack.values
+                  if any(u <= v <= t for t, u in zip(top, bottom))]
+        assert bool(broken) == _breaks_columns(top, bottom)
+        for pivot in broken:
+            below = [v < pivot for v in pack.values]
+            a = [n if low else 0 for n, low in zip(tops, below)]
+            p = [(0 if low else n) + (m if v <= pivot else 0)
+                 for n, m, v, low in zip(tops, bottoms, pack.values, below)]
+            b = [m if v > pivot else 0 for m, v in zip(bottoms, pack.values)]
+            assert sum(p) > len(top)
+            start = -sum(n * piece
+                         for n, piece, low in zip(tops, pieces, below) if not low)
+            terms = _relation_terms(a, p, b, len(top), bits, pieces, start, -1)
+            assert [term for term in terms if not term[0]] == [(0, -1, 1)], (tab, pivot)
+            for change, _, _ in terms:
+                if change:
+                    child = Tableau(tab.shape, pack.rows(key + change))
+                    assert weight(child) > weight(tab), (tab, pivot, child)
+
+
+class TestTopEntryPivot:
+    """The library's pivot, the broken value its scan stops at, against the
+    top entry of the picked column that it replaced
+    (``straighten_reference.top_entry_window_counts``): equal canonical
+    forms under every rule, and two-row steps that differ only by a
+    combination vanishing on the Specht module."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _top_entry():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(heckehom.straighten, "_window_counts", top_entry_window_counts)
+            yield
+
+    @pytest.mark.parametrize("pair_rule,column_rule", RULES)
+    @given(tab=tableaux(max_n=9, max_value=5))
+    @settings(deadline=None, max_examples=50)
+    def test_same_canonical_form(self, pair_rule, column_rule, tab):
+        new = semistandardize(tab, pair_rule, column_rule)
+        with self._top_entry():
+            old = semistandardize(tab, pair_rule, column_rule)
+        assert new == old
+
+    @pytest.mark.parametrize("base", [w18_base, two_row_base])
+    def test_same_canonical_form_on_benchmark_batches(self, base):
+        tabs = benchmark_tableaux(base, None)
+        new = [semistandardize(tab) for tab in tabs]
+        with self._top_entry():
+            old = [semistandardize(tab) for tab in tabs]
+        assert new == old
+
+    def test_changed_steps_differ_by_a_specht_relation(self):
+        tabs = [tab for n in range(2, 9) for top_len in range((n + 1) // 2, n)
+                for tab in iter_fillings(Partition((top_len, n - top_len)), 4)
+                if not is_semistandard(tab)]
+        assert len(tabs) == 4620
+        new = {rule: [two_row_straighten_step(tab, rule) for tab in tabs]
+               for rule in COLUMN_RULES}
+        with self._top_entry():
+            old = {rule: [two_row_straighten_step(tab, rule) for tab in tabs]
+                   for rule in COLUMN_RULES}
+        assert old["rightmost"] == new["rightmost"]
+        changed = [(was, now) for was, now in zip(old["leftmost"], new["leftmost"])
+                   if was != now]
+        assert len(changed) == 710
+        for was, now in changed:
+            assert specht_check(was - now), (was, now)
 
 
 class TestSemistandardizeLincomb:
