@@ -214,6 +214,11 @@ class LinComb:
         for key in ("shape", "type", "terms"):
             if key not in data:
                 raise ParseError(f"linear combination JSON needs {key!r}")
+        if "q" in data:
+            # The CLI's --q output: its coefficients are numbers at that q,
+            # which would read as constant polynomials.
+            raise ParseError("linear combination JSON with 'q' has coefficients "
+                             "specialised at a number, not Laurent polynomials in q")
         shape, type_, raw_terms = data["shape"], data["type"], data["terms"]
         _json_ints(shape, "linear combination JSON 'shape'")
         _json_ints(type_, "linear combination JSON 'type'")

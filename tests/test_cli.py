@@ -1,15 +1,21 @@
 """The command-line interface: output, exit codes, round-trips."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, strategies as st
 
 import heckehom.straighten
-from heckehom import LinComb, parse_tableau, semistandardize
-from heckehom.cli import build_parser, main
+from heckehom import LaurentPoly, LinComb, Tableau, parse_tableau, semistandardize
+from heckehom.cli import _lincomb_json, build_parser, main
 from heckehom.combinat import MAX_ENTRY
+
+from .strategies import laurent_polys, tableaux
 
 WORKED = "1 2 2 3 4 / 1 3 3 3"
 WORKED_TEXT = [
@@ -310,6 +316,17 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be a list of integers" in err
 
+    def test_specialised_combination_is_a_parse_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, *RELATION, "--q", "2", "--format", "json")
+        assert code == 0
+        path = tmp_path / "rel.json"
+        path.write_text(out)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'q'" in err
+
     def test_exponent_span_above_the_limit_exits_3(self, capsys, tmp_path):
         # Packed whole, this coefficient would exhaust memory.
         data = {"shape": [2, 1], "type": [2, 1],
@@ -377,6 +394,130 @@ class TestVerify:
         assert code == 0
         counts = [int(line.split(": ")[1].split()[0]) for line in out.splitlines()]
         assert sum(counts) == 40
+
+
+THREE_ROWS = "2 4 5 5 / 3 3 4"
+
+# sha256 of stdout, taken from the json.dumps(indent=2) writer that
+# _lincomb_json replaced.
+PINNED_STDOUT = [
+    (["straighten", WORKED],
+     "27ed88ddcb716957be070951ea76878a44460de170545c8bec349fd2dccd34c0"),
+    (["straighten", WORKED, "--column-rule", "rightmost"],
+     "27ed88ddcb716957be070951ea76878a44460de170545c8bec349fd2dccd34c0"),
+    (["straighten", WORKED, "--format", "json"],
+     "6bfa73893ab8b88a00cada98f8f80fc6c8d29d3ffecd8af96fef583058311343"),
+    (["straighten", WORKED, "--format", "json", "--column-rule", "rightmost"],
+     "6bfa73893ab8b88a00cada98f8f80fc6c8d29d3ffecd8af96fef583058311343"),
+    (["straighten", THREE_ROWS, "--format", "json"],
+     "3dd4499b63456b53dcd600b7c53b11d8ab7f75dab771c496e803c9cc2d836062"),
+    (["straighten", THREE_ROWS, "--format", "json", "--column-rule", "rightmost"],
+     "3dd4499b63456b53dcd600b7c53b11d8ab7f75dab771c496e803c9cc2d836062"),
+    (["straighten", WORKED, "--q", "2"],
+     "038c829ed4590c857e17b87f4ce29f2bf69eaeb4e309a14e9fe3dafc32ec6585"),
+    (["straighten", WORKED, "--q", "2", "--format", "json"],
+     "a4c4c9bb33ab2e5c134f344ab100606f330d23c725ee5f6f8303ffb5f9d7a58c"),
+    (["straighten", WORKED, "--q", "1/2"],
+     "60eb656164d40546591fa433ff92150ad68f9c3c6249592e2b329a4d004df3d4"),
+    (["straighten", WORKED, "--q", "1/2", "--format", "json"],
+     "f27c660dd6ce52960095fcda2fe8f5b0df0ebd89d6ea1d7b138e3337cb9559fc"),
+    (["straighten", "2 2 / 1 1", "--q", "-1", "--format", "json"],
+     "33afda665a4fe1c41975130e47a2ef77f1a63b04c1bd1b939e63bafb7c9756d0"),
+    # (-1 - q) * 1 1 / 2 2: every term vanishes at q = -1.
+    (["straighten", "1 2 / 1 2", "--q", "-1"],
+     "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    (["straighten", "1 2 / 1 2", "--q", "-1", "--format", "json"],
+     "d81a1767ded35e4b34934e4db1b70852fdac1c8025b9f19d21cf8eee5d0810a7"),
+    ([*RELATION, "--format", "json"],
+     "f70a03d59558f76c869f924581a70be7bc03f98bdbdae0f35d67a64bd6037e8d"),
+    ([*RELATION, "--q", "2", "--format", "json"],
+     "0c6a54ea2b2beee5d0357cc94514b9742cbedb0b5e3628b5537192acd9b08927"),
+    ([*RELATION, "--q", "1/2", "--format", "json"],
+     "87e99df96b01c4d193a74018e294eefc2cc2450b48450446a55e80e16e6fe126"),
+    (["basis", "--shape", "2 2", "--type", "2 1 1", "--format", "json"],
+     "4322eac0cabfcfb59d2c36aa2373beb4e1193f38548446fbf1df54e4d7f3f003"),
+    (["basis", "--shape", "2 2", "--type", "4", "--format", "json"],
+     "74ae5c3a4d15498d0afd087ca3b537d577b92271a32746641a91c6bf259ab608"),
+    (["basis", "--shape", "", "--type", "", "--format", "json"],
+     "d926c2a1d4bcffa29f8b3b6a480469d266ac45a99a8bb8c28e80850293d077f9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT)
+def test_pinned_stdout(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "json" in argv:
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@st.composite
+def lincombs(draw) -> LinComb:
+    """Combinations of up to four tableaux that refill one drawn tableau of
+    any composition shape."""
+    tab = draw(tableaux(partition_shape=False))
+    entries = [v for row in tab.row_lists() for v in row]
+    ends = list(accumulate(tab.shape.parts))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        perm = draw(st.permutations(entries))
+        rows = [perm[end - part:end] for end, part in zip(ends, tab.shape.parts)]
+        terms[Tableau(tab.shape, rows)] = draw(laurent_polys())
+    return LinComb(tab.shape, tab.type(), terms)
+
+
+class TestJsonWriter:
+    """_lincomb_json writes what json.dumps(indent=2) writes for the data."""
+
+    @staticmethod
+    def dumped(comb, terms, q=None):
+        data = {"shape": list(comb.shape.stripped),
+                "type": list(comb.type.stripped)}
+        if q is not None:
+            data["q"] = q
+        data["terms"] = [{"coeff": str(coeff),
+                          "rows": [list(row) for row in tab.row_lists()]}
+                         for tab, coeff in terms]
+        return json.dumps(data, indent=2)
+
+    def check(self, comb, terms, q=None):
+        assert _lincomb_json(comb, terms, q) == self.dumped(comb, terms, q)
+        if q is None and terms == comb.items():
+            assert _lincomb_json(comb, terms) == json.dumps(comb.to_json(), indent=2)
+
+    @given(lincombs(), st.none() | st.fractions().filter(bool).map(str) | st.text())
+    def test_random_combinations(self, comb, q):
+        self.check(comb, comb.items(), q)
+
+    @pytest.mark.parametrize("q", [None, "2"])
+    def test_zero_combination(self, q):
+        comb = LinComb.zero((2, 2), (2, 2))
+        assert '"terms": []' in _lincomb_json(comb, [], q)
+        self.check(comb, comb.items(), q)
+
+    @pytest.mark.parametrize("text", ["1 1 2", "1 1 / 2 3 / 3 / 4"])
+    def test_one_and_four_rows(self, text):
+        comb = LinComb.single(parse_tableau(text)).scale(
+            LaurentPoly.parse("-q^-1 + 2q^3"))
+        self.check(comb, comb.items())
+        self.check(comb, comb.items(), "-1/2")
+
+    def test_type_with_internal_zeros(self):
+        comb = LinComb.single(parse_tableau("1 3 / 3"))
+        assert list(comb.type.stripped) == [1, 0, 2]
+        self.check(comb, comb.items())
+
+    def test_empty_rows(self):
+        for tab in (Tableau((2, 0, 1), [[1, 1], [], [3]]), Tableau((), [])):
+            comb = LinComb.single(tab)
+            self.check(comb, comb.items())
+
+    def test_specialised_coefficients(self):
+        tab = parse_tableau("1 1 / 2")
+        terms = [(tab, Fraction(-1, 2))]
+        self.check(LinComb.single(tab), terms, "1/2")
+        assert '"coeff": "-1/2"' in _lincomb_json(LinComb.single(tab), terms, "1/2")
 
 
 def test_console_entry_point():

@@ -489,6 +489,14 @@ class TestLinComb:
             with pytest.raises(ParseError):
                 LinComb.from_json(bad)
 
+    def test_from_json_rejects_a_specialised_combination(self):
+        # The CLI's --q output: read as polynomials, its numbers would be
+        # constants and a vanishing relation would not vanish.
+        datum = GarnirDatum(Multiset(()), Multiset((1, 1, 2)), Multiset((2,)), 2)
+        data = {**garnir_relation(datum).to_json(), "q": "2"}
+        with pytest.raises(ParseError, match="'q'"):
+            LinComb.from_json(data)
+
     def test_from_json_accumulates_duplicates(self):
         data = {
             "shape": [1], "type": [1],
