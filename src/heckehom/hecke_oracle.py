@@ -6,10 +6,13 @@ coset representative d is the composition's x element times the basis
 element of d (Dipper and James, Proc. LMS 52, 1986).  That is
 n!/|Young subgroup| coordinates instead of the algebra's n!.
 
-* A tabloid is keyed by its block-label word, and a coefficient is one
-  int, its value at q = 2**bits, carried with a bound on its L1 norm, as in
-  the straightening engine (see ``qcoeff``).  ``_mul_gen`` is the right
-  action of one generator.
+* A tabloid is keyed by its block-label word, packed into one int with a
+  few bits per position, and a coefficient is one int, its value at
+  q = 2**bits, as in the straightening engine (see ``qcoeff``).  No
+  coordinate carries a bound: each check carries one scalar bound on the
+  L1 norm of every coordinate of its result and reads it once, only when
+  every value of that result is 0.  ``_mul_gen`` is the right action of
+  one generator.
 * The map of a tableau C sends x T_d to image(C) T_d, which is its one
   image rule.  image(C) is the sum of the tabloids row-equivalent to C,
   each with coefficient 1: ``_image_words`` lists their words straight
@@ -18,8 +21,8 @@ n!/|Young subgroup| coordinates instead of the algebra's n!.
 * The Specht test (``specht_check``) and the four composition identities
   (``verify_composition_props``) run on that kernel.  Each identity is
   data, tableau maps composed on the left and a combination of them on
-  the right, for one evaluator, ``_identity_holds``.  A cancellation that
-  its width cannot certify restarts the computation wider.
+  the right, for one evaluator, ``_identity_holds``.  A zero that its
+  width cannot certify restarts the computation wider.
 * The one shortcut: the Specht test does not multiply by the alternating
   element y of the conjugate shape.  Since T_i y = -y for s_i in y's
   column group, x T_d y is 0 or ± x T_u y for u the column-sorted word of
@@ -45,6 +48,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -294,136 +298,177 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
 
 
 # A tabloid, the basis element x T_d of the permutation module of a
-# composition, is keyed by its block-label word: entry v - 1 is the index of
-# the block of positions of d that holds the value v.  Words and minimal
-# coset representatives determine each other, because d increases along
-# each block.
-Word = tuple[int, ...]
-# Per word: (coefficient packed at q = 2**bits, bound on its L1 norm).  No
-# coefficient stored is 0.
-Packed = dict[Word, tuple[int, int]]
+# composition, is keyed by its block-label word: the label of position p
+# (0-based) is the index of the block of positions of d that holds the value
+# p + 1.  Words and minimal coset representatives determine each other,
+# because d increases along each block.  A word is one int, with the label
+# of position p in bits [s*p, s*p + s), where s is ``_label_bits`` of the
+# composition's number of parts.
+Word = int
+# Per word: its coefficient's value at q = 2**bits, with no bound of its
+# own.  Evaluation is a ring map, so every value stays exact, 0 included;
+# the check that reads a vector carries one norm bound for all of it.
+Packed = dict[Word, int]
 Image = tuple[list[Word], LaurentPoly, int]
 
 
-def _add_term(vec: Packed, word: Word, coeff: int, bound: int, bits: int) -> None:
-    """Add a packed term at word, dropping the coordinate if it cancels.
+def _label_bits(blocks: int) -> int:
+    """The bits per position of a word over this many blocks: the bit
+    length of the largest label, blocks - 1, and at least 1."""
+    return max(1, (blocks - 1).bit_length())
 
-    A packed 0 proves the polynomial zero only while the norm bound stays
-    below 2**(bits - 1): then every coefficient lies in the range that the
-    balanced base-2**bits digits of 0 pin to 0.  A larger bound raises
-    _Widen.
+
+# One table per label width and generator; a degree-8 check needs at most 7
+# per width.
+@lru_cache(maxsize=256)
+def _swap_deltas(s: int, i: int) -> tuple[int, ...]:
+    """What swapping positions i - 1 and i adds to a word of s-bit labels,
+    indexed by the two labels' bits: d << lo minus d << hi, for d = z - a,
+    so positive exactly when a > z, and 0 when a == z."""
+    lo = s * (i - 1)
+    mask = (1 << s) - 1
+    step = (1 << lo) - (1 << (lo + s))
+    return tuple(((pair >> s) - (pair & mask)) * step for pair in range(1 << 2 * s))
+
+
+def _certified_zero(vec: Packed, bound: int, bits: int) -> bool:
+    """Whether vec, a check's result at q = 2**bits, proves that result 0.
+
+    A nonzero value proves a nonzero polynomial at any width, so the answer
+    is False.  With every value 0, bound must cover the L1 norm of every
+    coordinate's polynomial: below 2**(bits - 1), the balanced base-2**bits
+    digits of 0 pin each coefficient to 0.  A larger bound raises _Widen.
     """
-    prev = vec.get(word)
-    if prev is not None:
-        coeff += prev[0]
-        bound += prev[1]
-    if coeff:
-        vec[word] = (coeff, bound)
-    elif bound >> (bits - 1):
+    if any(vec.values()):
+        return False
+    if bound >> (bits - 1):
         raise _Widen(_wider(bits, bound))
-    elif prev is not None:
-        del vec[word]
+    return True
 
 
-def _mul_gen(vec: Packed, i: int, bits: int) -> Packed:
+def _mul_gen(vec: Packed, i: int, s: int, bits: int) -> Packed:
     """Right multiplication by the i-th generator, at q = 2**bits.
 
-    T_i reads the labels a and z of the values i and i + 1.  Equal labels
+    T_i reads the labels a and z at positions i - 1 and i.  Equal labels
     put both values in one block of d, where the x element absorbs T_i as
     q.  With a < z, i comes before i + 1 in d, and the term moves to the
     swapped word, the one of d s_i.  With a > z, the quadratic relation
     gives (q - 1) times the term plus q times the term at the swapped word.
     A word and its swap thus feed only each other, so only the pair's
-    shared coordinate needs adding up.
+    shared coordinate needs adding up.  What the swap adds to the word
+    comes from one table over the pair's bits (``_swap_deltas``).
+
+    A coordinate's L1 norm at most triples: the shared one is its own term
+    plus (q - 1) times the other's.  Nothing is dropped, so a word whose
+    value cancels to 0 stays, which keeps every word of the true support.
     """
+    lo = s * (i - 1)
+    pair_mask = (1 << 2 * s) - 1
+    deltas = _swap_deltas(s, i)
     out: Packed = {}
-    for word, entry in vec.items():
-        a, z = word[i - 1], word[i]
-        if a == z:
-            out[word] = (entry[0] << bits, entry[1])
+    for word, coeff in vec.items():
+        delta = deltas[word >> lo & pair_mask]
+        if not delta:
+            out[word] = coeff << bits
             continue
-        swapped = word[:i - 1] + (z, a) + word[i + 1:]
+        swapped = word + delta
         other = vec.get(swapped)
-        if a > z:
+        if delta > 0:
             if other is None:
-                coeff, bound = entry
-                out[word] = ((coeff << bits) - coeff, 2 * bound)
-                out[swapped] = (coeff << bits, bound)
+                out[word] = (coeff << bits) - coeff
+                out[swapped] = coeff << bits
         elif other is None:
-            out[swapped] = entry
+            out[swapped] = coeff
         else:
             # This word moves onto its swap, which also keeps (q - 1) times
             # its own term and sends q times it here.
-            coeff, bound = other
-            out[word] = (coeff << bits, bound)
-            _add_term(out, swapped, entry[0] + (coeff << bits) - coeff,
-                      entry[1] + 2 * bound, bits)
+            out[word] = other << bits
+            out[swapped] = coeff + (other << bits) - other
     return out
 
 
 # Every image is built from these; one oracle benchmark pass asks for 124
 # distinct rows.
 @lru_cache(maxsize=1024)
-def _arrangements(labels: Word) -> tuple[Word, ...]:
-    """Every distinct ordering of a sorted tuple, in lexicographic order."""
-    if not labels:
-        return ((),)
+def _arrangements(row: tuple[int, ...], s: int) -> tuple[Word, ...]:
+    """Every distinct ordering of a sorted row of values, as a word of
+    s-bit labels, value - 1, starting at bit 0."""
+    if not row:
+        return (0,)
     out: list[Word] = []
-    for k, first in enumerate(labels):
-        if k and labels[k - 1] == first:
+    for k, first in enumerate(row):
+        if k and row[k - 1] == first:
             continue
-        out.extend((first,) + tail
-                   for tail in _arrangements(labels[:k] + labels[k + 1:]))
+        out.extend(first - 1 + (tail << s)
+                   for tail in _arrangements(row[:k] + row[k + 1:], s))
     return tuple(out)
 
 
-def _image_words(tab: Tableau) -> list[Word]:
+def _image_words(tab: Tableau, s: int) -> list[Word]:
     """The image of a tableau's map, the image of the generator of the
     permutation module of its shape, in the tabloid basis of its type's
     module: the words of the tabloids row-equivalent to the tableau, each
-    with coefficient 1 (Dipper and James's definition of the map).
+    with coefficient 1 (Dipper and James's definition of the map), with
+    s-bit labels.
 
-    Entry p - 1 of such a word is the label, value - 1, in cell p of the
-    shape's row-reading order of a filling whose rows rearrange the
-    tableau's, so the words are the products of one distinct arrangement
-    of each row's labels.  The route through the tableau's permutation,
-    x T_1A times the sum of T_d over the coset representatives d of the
-    row-reading composition in the shape's subgroup, gives the same words
-    (``walk_image_words`` in tests/hecke_reference.py): 1A is the shortest
-    element of its double coset, so l(1A d) = l(1A) + l(d), and no letter
-    of a reduced word of 1A d meets two equal labels or shortens the term.
+    The label at position p of such a word is the label, value - 1, in
+    cell p of the shape's row-reading order of a filling whose rows
+    rearrange the tableau's, so the words are the products of one distinct
+    arrangement of each row's labels, each shifted to its row's first cell.
+    The route through the tableau's permutation, x T_1A times the sum of
+    T_d over the coset representatives d of the row-reading composition in
+    the shape's subgroup, gives the same words (``walk_image_words`` in
+    tests/hecke_reference.py): 1A is the shortest element of its double
+    coset, so l(1A d) = l(1A) + l(d), and no letter of a reduced word of
+    1A d meets two equal labels or shortens the term.
     """
-    rows = [_arrangements(tuple(v - 1 for v in row)) for row in tab.row_lists()]
-    return [tuple(itertools.chain.from_iterable(combo))
-            for combo in itertools.product(*rows)]
+    words: list[Word] = [0]
+    shift = 0
+    for row in tab.row_lists():
+        if row:
+            arranged = _arrangements(row, s)
+            if shift:
+                arranged = [a << shift for a in arranged]
+            words = [w + a for w in words for a in arranged]
+            shift += s * len(row)
+    return words
 
 
-def _rep_of(word: Word, comp: Composition) -> Perm:
-    """The minimal coset representative with the given block-label word:
-    each block of positions holds its values in increasing order."""
+def _rep_of(word: Word, comp: Composition, s: int) -> Perm:
+    """The minimal coset representative with the given s-bit word: each
+    block of positions holds its values in increasing order."""
+    mask = (1 << s) - 1
     blocks: list[list[int]] = [[] for _ in comp.parts]
-    for v, b in enumerate(word, start=1):
-        blocks[b].append(v)
+    for v in range(1, comp.n + 1):
+        blocks[word & mask].append(v)
+        word >>= s
     return tuple(v for block in blocks for v in block)
 
 
-def _apply_hom(vec: Packed, tab: Tableau, bits: int) -> Packed:
+def _apply_hom(vec: Packed, tab: Tableau, s: int, bits: int) -> tuple[Packed, int]:
     """The map of tab on a packed vector of the permutation module of its
-    shape, landing in the module of its type.
+    shape, landing in the module of its type, with s-bit words on both
+    sides; and the factor by which the map can raise a norm bound.
 
     The map sends the tabloid x T_d to image(tab) T_d, so the result is the
     sum over the vector's words of the coefficient times the image
-    multiplied, letter by letter, by a reduced word of the word's d.
+    multiplied, letter by letter, by a reduced word of the word's d.  Each
+    letter at most triples a coordinate's norm (see ``_mul_gen``), so a
+    bound B on the input's coordinates gives B times the sum over its words
+    of 3**l(d) on the output's.
     """
-    image = dict.fromkeys(_image_words(tab), (1, 1))
+    image = dict.fromkeys(_image_words(tab, s), 1)
     out: Packed = {}
-    for word, (coeff, bound) in vec.items():
+    growth = 0
+    for word, coeff in vec.items():
         term = image
-        for i in reduced_word(_rep_of(word, tab.shape)):
-            term = _mul_gen(term, i, bits)
-        for image_word, (c, b) in term.items():
-            _add_term(out, image_word, c * coeff, b * bound, bits)
-    return out
+        letters = reduced_word(_rep_of(word, tab.shape, s))
+        growth += 3 ** len(letters)
+        for i in letters:
+            term = _mul_gen(term, i, s, bits)
+        for image_word, c in term.items():
+            out[image_word] = out.get(image_word, 0) + c * coeff
+    return out, growth
 
 
 class TabloidVector:
@@ -474,21 +519,27 @@ def image_h3(tab: Tableau) -> TabloidVector:
     """
     _require_within_cap(tab.n)
     comp = tab.type()
-    return TabloidVector(comp, {_rep_of(word, comp): _ONE for word in _image_words(tab)})
+    s = _label_bits(len(comp.parts))
+    return TabloidVector(comp, {_rep_of(word, comp, s): _ONE
+                                for word in _image_words(tab, s)})
 
 
-def _sorted_block(block: Word) -> tuple[Word, int] | None:
-    """A block of labels sorted, with the parity of the sort, or None when
-    two labels are equal."""
-    if len(set(block)) < len(block):
+def _sorted_block(block: Word, size: int, s: int) -> tuple[int, int] | None:
+    """For a block of size s-bit labels: what sorting it adds to it, and
+    the parity of the sort; None when two labels are equal."""
+    mask = (1 << s) - 1
+    labels = [block >> s * k & mask for k in range(size)]
+    if len(set(labels)) < size:
         return None
-    odd = sum(a > b for k, a in enumerate(block) for b in block[k + 1:]) & 1
-    return tuple(sorted(block)), odd
+    odd = sum(a > b for k, a in enumerate(labels) for b in labels[k + 1:]) & 1
+    ordered = sum(label << s * k for k, label in enumerate(sorted(labels)))
+    return ordered - block, odd
 
 
-def _fold_columns(vec: Packed, conj: Composition, bits: int) -> Packed:
-    """A packed vector whose emptiness decides whether vec times the y
-    element of conj is zero: each word folded onto its column-sorted word.
+def _fold_columns(vec: Packed, conj: Composition, s: int) -> tuple[Packed, int]:
+    """A packed vector that is 0 exactly when vec times the y element of
+    conj is: each word folded onto its column-sorted word.  Also the largest
+    number of words folded onto one column-sorted word.
 
     For s_i in the column group, T_i y = -y.  If two positions of one block
     of conj hold equal labels, move them next to each other by swaps of
@@ -502,50 +553,71 @@ def _fold_columns(vec: Packed, conj: Composition, bits: int) -> Packed:
     the x T_u y are independent, and vec times y is zero exactly when
     every signed sum collected at a u is.
 
-    A word with a repeated label in a block is dropped, which is exact; any
-    other word goes to its u with coefficient ±1 through ``_add_term``, so
-    a cancellation is dropped only when its bound certifies it.
+    A word with a repeated label in a block is dropped, which is exact;
+    every other word adds ±its value at its u, so a coordinate's norm is at
+    most the most words at one u times the largest norm in vec.  Sorts are
+    memoised per block size, since a block's int alone does not tell
+    (1, 0) from (1, 0, 0).
     """
     cuts = list(itertools.accumulate(conj.parts, initial=0))
-    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
-    sorts: dict[Word, tuple[Word, int] | None] = {}
+    memos: dict[int, dict[Word, tuple[int, int] | None]] = {}
+    blocks = [(s * lo, (1 << s * (hi - lo)) - 1, hi - lo,
+               memos.setdefault(hi - lo, {}))
+              for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
     out: Packed = {}
-    for word, (coeff, bound) in vec.items():
-        folded = list(word)
+    landed: list[Word] = []
+    for word, coeff in vec.items():
+        folded = word
         odd = 0
-        for lo, hi in blocks:
-            block = word[lo:hi]
+        for shift, mask, size, memo in blocks:
+            block = word >> shift & mask
             try:
-                hit = sorts[block]
+                hit = memo[block]
             except KeyError:
-                hit = sorts[block] = _sorted_block(block)
+                hit = memo[block] = _sorted_block(block, size, s)
             if hit is None:
                 break
-            folded[lo:hi] = hit[0]
+            folded += hit[0] << shift
             odd ^= hit[1]
         else:
-            _add_term(out, tuple(folded), -coeff if odd else coeff, bound, bits)
-    return out
+            out[folded] = out.get(folded, 0) + (-coeff if odd else coeff)
+            landed.append(folded)
+    return out, max(Counter(landed).values(), default=0)
 
 
-def _add_images(vec: Packed, images: Iterable[Image], bits: int) -> None:
-    """For each (image words, coefficient, norm bound) triple, add the
+def _add_images(vec: Packed, images: Iterable[Image], bits: int) -> int:
+    """For each (image words, coefficient, norm) triple, add the
     coefficient, a polynomial packed at q = 2**bits, times the sum of the
-    words to vec."""
+    words to vec; returns the sum of the norms, which bounds the norm of
+    every coordinate added to."""
+    total = 0
     for words, coeff, norm in images:
         packed = _pack(coeff, bits)
+        total += norm
         for word in words:
-            _add_term(vec, word, packed, norm, bits)
+            vec[word] = vec.get(word, 0) + packed
+    return total
 
 
-def _packed_specht(images: list[Image], shape: Composition, bits: int) -> bool:
-    """The Specht test at q = 2**bits on images for _add_images; raises
-    _Widen when a cancellation cannot be certified at this width."""
+def _specht_vector(images: list[Image], shape: Composition, s: int,
+                   bits: int) -> tuple[Packed, int]:
+    """The Specht test's folded vector at q = 2**bits on images for
+    _add_images, with a bound on the norm of each of its coordinates: the
+    images' norms, times 3 per letter of w_mu (see ``_mul_gen``), times the
+    most words the fold collects at one column-sorted word."""
     total: Packed = {}
-    _add_images(total, images, bits)
-    for i in reduced_word(w_mu(shape)):
-        total = _mul_gen(total, i, bits)
-    return not _fold_columns(total, Partition(shape.stripped).conjugate(), bits)
+    norm = _add_images(total, images, bits)
+    letters = reduced_word(w_mu(shape))
+    for i in letters:
+        total = _mul_gen(total, i, s, bits)
+    folded, most = _fold_columns(total, Partition(shape.stripped).conjugate(), s)
+    return folded, norm * 3 ** len(letters) * most
+
+
+def _packed_specht(images: list[Image], shape: Composition, s: int, bits: int) -> bool:
+    """The Specht test at q = 2**bits on images for _add_images; raises
+    _Widen when a zero cannot be certified at this width."""
+    return _certified_zero(*_specht_vector(images, shape, s, bits), bits)
 
 
 def specht_check(comb: LinComb) -> bool:
@@ -565,11 +637,12 @@ def specht_check(comb: LinComb) -> bool:
     ``_fold_columns``).
 
     The coefficients, shifted by their smallest exponent, are packed at
-    q = 2**bits.  Evaluation there is a ring map, so a coordinate left
-    nonzero proves the answer False at any width.  A coordinate is dropped
-    only when it cancels with a norm bound that certifies the cancellation,
-    so an empty result proves True; a cancellation that cannot be certified
-    restarts the test at a wider width.  A span of exponents above
+    q = 2**bits.  Evaluation there is a ring map, so a value left nonzero
+    proves the answer False at any width.  Nothing is dropped before the
+    fold, so the fold sees every word of the true support, and one scalar
+    bound covers the norm of every folded coordinate: when every value is
+    0 and that bound is below 2**(bits - 1), the answer is True; otherwise
+    the test restarts at a wider width.  A span of exponents above
     ``MAX_EXPONENT_SPAN`` raises ValueError before anything is packed.
     """
     shape = comb.shape
@@ -581,10 +654,11 @@ def specht_check(comb: LinComb) -> bool:
         return True
     terms = comb.items()
     low = _lowest_exponent(coeff for _, coeff in terms)
-    images = [(_image_words(tab), coeff.shift(-low), _norm(coeff))
+    s = _label_bits(len(comb.type.parts))
+    images = [(_image_words(tab, s), coeff.shift(-low), _norm(coeff))
               for tab, coeff in terms]
     # Called through the module global so that the tests can wrap it.
-    return _widening(lambda bits: _packed_specht(images, shape, bits), _START_BITS)
+    return _widening(lambda bits: _packed_specht(images, shape, s, bits), _START_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -754,17 +828,31 @@ _IDENTITIES = {
 PROP_KINDS = tuple(_IDENTITIES)
 
 
-def _identity_holds(maps: list[Tableau], rhs: Terms, bits: int) -> bool:
-    """Whether an identity holds at q = 2**bits: the image of maps[0],
-    carried through the map of each later tableau in turn, minus each
-    right-hand coefficient (quantum binomials times q^k, k >= 0, so it packs
-    as it stands) times the image of its tableau, is empty.  Raises _Widen
-    when a cancellation cannot be certified at this width."""
-    diff = dict.fromkeys(_image_words(maps[0]), (1, 1))
+def _identity_vector(maps: list[Tableau], rhs: Terms, bits: int) -> tuple[Packed, int]:
+    """An identity's two sides subtracted at q = 2**bits, with a bound on
+    the norm of each coordinate: the image of maps[0], carried through the
+    map of each later tableau in turn, minus each right-hand coefficient
+    (quantum binomials times q^k, k >= 0, so it packs as it stands) times
+    the image of its tableau.  One label width serves every module on the
+    way, since a type has one part per value up to its largest entry.  The
+    bound starts at 1, the image's norm, is multiplied by each map's factor
+    (see ``_apply_hom``) and then grows by the right-hand side's norms.
+    Nothing is dropped on the way, so the bound covers every coordinate
+    that the result leaves out as well."""
+    s = _label_bits(max(row[-1] for tab in maps for row in tab.row_lists() if row))
+    diff = dict.fromkeys(_image_words(maps[0], s), 1)
+    bound = 1
     for tab in maps[1:]:
-        diff = _apply_hom(diff, tab, bits)
-    _add_images(diff, [(_image_words(tab), -c, _norm(c)) for tab, c in rhs], bits)
-    return not diff
+        diff, growth = _apply_hom(diff, tab, s, bits)
+        bound *= growth
+    bound += _add_images(diff, [(_image_words(tab, s), -c, _norm(c)) for tab, c in rhs], bits)
+    return diff, bound
+
+
+def _identity_holds(maps: list[Tableau], rhs: Terms, bits: int) -> bool:
+    """Whether an identity holds at q = 2**bits (see ``_identity_vector``);
+    raises _Widen when a zero cannot be certified at this width."""
+    return _certified_zero(*_identity_vector(maps, rhs, bits), bits)
 
 
 def _check_instance(item: Instance) -> tuple[str, str | None]:

@@ -25,13 +25,18 @@ coset representatives (``perm_1A``, ``coset_reps``), and so does
 letter from 1A and each representative, which the library's row-by-row
 ``_image_words`` is tested against.
 
-``mul_y_chains`` runs on that kernel instead: it multiplies a packed
-vector by the y element through its descending generator chains, the
-product the library's Specht test ran before it folded words onto
-column-sorted ones (``_fold_columns``), which is tested against it.
+The library's kernel keys a tabloid by its block-label word packed into
+one int and carries bare packed coefficients.  The kernel it replaced is
+kept here: words as tuples and each packed coefficient with a bound on its
+L1 norm (``tuple_mul_gen``, ``tuple_add_term``, ``tuple_fold_columns``),
+which the tests compare the library's kernel with.  ``mul_y_chains`` runs
+on it: it multiplies a packed vector by the y element through its
+descending generator chains, the product the library's Specht test ran
+before it folded words onto column-sorted ones (``_fold_columns``).
 
-``word_of`` and ``vector_of_packed`` translate between the library's
-keys (block-label words) and the coordinates here.
+``word_of``, ``int_word``, ``tuple_word``, ``int_vector``,
+``tuple_values`` and ``vector_of_packed`` translate between the library's
+keys (block-label words packed into ints) and the coordinates here.
 """
 
 import itertools
@@ -52,12 +57,10 @@ from heckehom.combinat import as_composition, cross_pairs, identity_perm, w_mu
 from heckehom.hecke_oracle import (
     HeckeElem,
     _add_into,
-    _add_term,
-    _mul_gen,
     _require_within_cap,
     reduced_word,
 )
-from heckehom.qcoeff import _as_poly, _unpack
+from heckehom.qcoeff import _Widen, _as_poly, _unpack, _wider
 
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
 
@@ -659,9 +662,93 @@ def mul_y_blocks(elem, comp):
     return elem
 
 
+# ---------------------------------------------------------------------------
+# the tuple-word kernel the library's int-word kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def tuple_add_term(vec, word, coeff, bound, bits):
+    """Add a packed term at a tuple word, dropping the coordinate if it
+    cancels.
+
+    A packed 0 proves the polynomial zero only while the norm bound stays
+    below 2**(bits - 1): then every coefficient lies in the range that the
+    balanced base-2**bits digits of 0 pin to 0.  A larger bound raises
+    _Widen.
+    """
+    prev = vec.get(word)
+    if prev is not None:
+        coeff += prev[0]
+        bound += prev[1]
+    if coeff:
+        vec[word] = (coeff, bound)
+    elif bound >> (bits - 1):
+        raise _Widen(_wider(bits, bound))
+    elif prev is not None:
+        del vec[word]
+
+
+def tuple_mul_gen(vec, i, bits):
+    """Right multiplication by the i-th generator, at q = 2**bits, on
+    tuple words with (packed coefficient, norm bound) per word: the rule of
+    ``heckehom.hecke_oracle._mul_gen``, reading labels by index."""
+    out = {}
+    for word, entry in vec.items():
+        a, z = word[i - 1], word[i]
+        if a == z:
+            out[word] = (entry[0] << bits, entry[1])
+            continue
+        swapped = word[:i - 1] + (z, a) + word[i + 1:]
+        other = vec.get(swapped)
+        if a > z:
+            if other is None:
+                coeff, bound = entry
+                out[word] = ((coeff << bits) - coeff, 2 * bound)
+                out[swapped] = (coeff << bits, bound)
+        elif other is None:
+            out[swapped] = entry
+        else:
+            coeff, bound = other
+            out[word] = (coeff << bits, bound)
+            tuple_add_term(out, swapped, entry[0] + (coeff << bits) - coeff,
+                           entry[1] + 2 * bound, bits)
+    return out
+
+
+def _tuple_sorted_block(block):
+    """A block of labels sorted, with the parity of the sort, or None when
+    two labels are equal."""
+    if len(set(block)) < len(block):
+        return None
+    odd = sum(a > b for k, a in enumerate(block) for b in block[k + 1:]) & 1
+    return tuple(sorted(block)), odd
+
+
+def tuple_fold_columns(vec, conj, bits):
+    """Each tuple word folded onto its column-sorted word with the sign of
+    the sort, words with a repeated label in a block dropped: the rule of
+    ``heckehom.hecke_oracle._fold_columns``, with a cancellation dropped
+    only when its bound certifies it."""
+    cuts = list(itertools.accumulate(conj.parts, initial=0))
+    blocks = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    out = {}
+    for word, (coeff, bound) in vec.items():
+        folded = list(word)
+        odd = 0
+        for lo, hi in blocks:
+            hit = _tuple_sorted_block(word[lo:hi])
+            if hit is None:
+                break
+            folded[lo:hi] = hit[0]
+            odd ^= hit[1]
+        else:
+            tuple_add_term(out, tuple(folded), -coeff if odd else coeff, bound, bits)
+    return out
+
+
 def mul_y_chains(vec, comp, bits):
-    """Right multiplication of a packed vector (``heckehom.hecke_oracle``'s
-    words and packed coefficients) by the y element of a composition,
+    """Right multiplication of a packed vector (tuple words with a packed
+    coefficient and a norm bound each) by the y element of a composition,
     times q**N, where N is the sum of s(s - 1)/2 over the blocks.
 
     The y element factorises into descending generator chains, block by
@@ -677,11 +764,11 @@ def mul_y_chains(vec, comp, bits):
             cur = vec
             for k in range(m):
                 if k:
-                    cur = _mul_gen(cur, offset + m - k, bits)
+                    cur = tuple_mul_gen(cur, offset + m - k, bits)
                 shift = bits * (m - 1 - k)
                 for word, (coeff, bound) in cur.items():
                     coeff <<= shift
-                    _add_term(total, word, -coeff if k & 1 else coeff, bound, bits)
+                    tuple_add_term(total, word, -coeff if k & 1 else coeff, bound, bits)
             vec = total
         offset += size
     return vec
@@ -745,9 +832,33 @@ def rep_of(word, comp):
     return tuple(v for block in blocks for v in block)
 
 
-def vector_of_packed(packed, comp, bits, shift=0):
-    """A packed vector keyed by words, unpacked into coordinates keyed by d
-    and multiplied by q**shift."""
-    return ReferenceTabloidVector(Composition(comp), {
-        rep_of(word, comp): _unpack(coeff, bits).shift(shift)
-        for word, (coeff, _) in packed.items()})
+def int_word(word, s):
+    """A tuple word as the library's int, with s-bit labels."""
+    return sum(label << s * p for p, label in enumerate(word))
+
+
+def tuple_word(word, s, n):
+    """The library's int word of n positions with s-bit labels, as a
+    tuple."""
+    return tuple(word >> s * p & ((1 << s) - 1) for p in range(n))
+
+
+def int_vector(vec, s):
+    """A tuple-kernel vector in the library's form: int words, bare
+    coefficients."""
+    return {int_word(word, s): coeff for word, (coeff, _) in vec.items()}
+
+
+def tuple_values(vec, s, n):
+    """The nonzero values of a library vector, keyed by tuple words."""
+    return {tuple_word(word, s, n): coeff for word, coeff in vec.items() if coeff}
+
+
+def vector_of_packed(packed, comp, s, bits):
+    """A library vector (int words with s-bit labels over comp's blocks,
+    bare values at q = 2**bits), unpacked into coordinates keyed by d; the
+    values that are 0 are left out."""
+    comp = Composition(comp)
+    return ReferenceTabloidVector(comp, {
+        rep_of(tuple_word(word, s, comp.n), comp): _unpack(coeff, bits)
+        for word, coeff in packed.items() if coeff})

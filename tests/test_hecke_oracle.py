@@ -8,6 +8,7 @@ import os
 import pickle
 import pkgutil
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,18 +43,20 @@ from heckehom.hecke_oracle import (
     PROP_KINDS,
     HeckeElem,
     PropsReport,
-    _add_term,
     _apply_hom,
     _fold_columns,
+    _identity_vector,
     _image_words,
+    _label_bits,
     _mul_gen,
     _pool_size,
     _prop_instances,
+    _specht_vector,
     _tab,
     oracle_cap,
     reduced_word,
 )
-from heckehom.qcoeff import _pack, _unpack
+from heckehom.qcoeff import _Widen, _norm, _pack, _unpack
 from heckehom.straighten import embed_two_row, find_violating_window
 
 from . import hecke_reference
@@ -66,6 +69,8 @@ from .hecke_reference import (
     image_h2,
     image_h4,
     image_vector,
+    int_vector,
+    int_word,
     inversions,
     is_min_coset_rep,
     mul_x_blocks,
@@ -78,6 +83,11 @@ from .hecke_reference import (
     t_from_word,
     t_of_perm,
     tabloid_coords,
+    tuple_add_term,
+    tuple_fold_columns,
+    tuple_mul_gen,
+    tuple_values,
+    tuple_word,
     vector_of_packed,
     walk_image_words,
     word_of,
@@ -355,8 +365,10 @@ class TestTabloidCoords:
         tab = parse_tableau("1 1 / 2")
         vec = tabloid_coords(x_elem((2, 1)), (2, 1))
         assert apply_hom(vec, tab) == algebra_image(tab)
-        got = _apply_hom({word_of(identity_perm(3), (2, 1)): (1, 1)}, tab, 8)
-        assert vector_of_packed(got, tab.type(), 8) == image_h3(tab)
+        got, growth = _apply_hom({int_word(word_of(identity_perm(3), (2, 1)), 1): 1},
+                                 tab, 1, 8)
+        assert vector_of_packed(got, tab.type(), 1, 8) == image_h3(tab)
+        assert growth == 1
 
     def test_packed_apply_hom_matches_reference_up_to_degree_4(self):
         # Every map of a composition shape with three parts, on a vector
@@ -370,11 +382,12 @@ class TestTabloidCoords:
                 coeffs = [LaurentPoly.monomial(k % 3, (-1) ** k * (k + 1))
                           for k in range(len(reps))]
                 vec = TabloidVector(shape, dict(zip(reps, coeffs)))
-                packed = {word_of(d, shape): (_pack(c, 16), k + 1)
-                          for k, (d, c) in enumerate(zip(reps, coeffs))}
+                packed = {int_word(word_of(d, shape), 2): _pack(c, 16)
+                          for d, c in zip(reps, coeffs)}
                 for tab in iter_fillings(shape, 3):
                     expect = tabloid_coords(apply_hom(vec, tab), tab.type())
-                    got = vector_of_packed(_apply_hom(packed, tab, 16), tab.type(), 16)
+                    got = vector_of_packed(_apply_hom(packed, tab, 2, 16)[0],
+                                           tab.type(), 2, 16)
                     assert got == expect, tab
                     count += 1
         assert count > 500
@@ -395,41 +408,18 @@ class TestTabloidAction:
             for length in range(1, 4):
                 for parts in iter_compositions(n, length):
                     comp = Composition(parts)
+                    s = _label_bits(len(comp.parts))
                     for d in coset_reps(comp, (n,)):
                         basis = x_elem(comp).mul_t(d)
                         vec = ReferenceTabloidVector(comp, {d: ONE})
-                        packed = {word_of(d, comp): (1, 1)}
+                        packed = {int_word(word_of(d, comp), s): 1}
                         for i in range(1, n):
                             expect = tabloid_coords(basis.mul_right_gen(i), comp)
                             assert vec.mul_right_gen(i) == expect, (comp, d, i)
-                            got = vector_of_packed(_mul_gen(packed, i, 8), comp, 8)
+                            got = vector_of_packed(_mul_gen(packed, i, s, 8), comp, s, 8)
                             assert got == expect, (comp, d, i)
                             cases += 1
         assert cases == 1484
-
-    def test_bounds_cover_norms_up_to_degree_5(self):
-        # Every coordinate's bound is at least its L1 norm, along generator
-        # runs from each tabloid that go up and back down, so that words
-        # and their swaps meet, and along the y chains after them.
-        def check(vec):
-            for coeff, bound in vec.values():
-                assert sum(abs(c) for _, c in _unpack(coeff, 64).items()) <= bound
-            return len(vec)
-
-        letters = {n: [*range(1, n), *range(1, n), *range(n - 1, 0, -1)]
-                   for n in range(2, 6)}
-        most = 0
-        for n in range(2, 6):
-            for length in range(1, 4):
-                for parts in iter_compositions(n, length):
-                    comp = Composition(parts)
-                    for d in coset_reps(comp, (n,)):
-                        vec = {word_of(d, comp): (1, 1)}
-                        for i in letters[n]:
-                            vec = _mul_gen(vec, i, 64)
-                            most = max(most, check(vec))
-                        check(mul_y_chains(vec, Composition((n,)), 64))
-        assert most > 10
 
     def test_linear_operations(self):
         comp = Composition((1, 2))
@@ -448,7 +438,8 @@ def assert_matches_walk(tab):
     """The row-by-row image words against the walk from 1A and each coset
     representative: the same words, each walk with exponent 0, and no word
     twice on either side."""
-    words = _image_words(tab)
+    s = _label_bits(len(tab.type().parts))
+    words = [tuple_word(word, s, tab.n) for word in _image_words(tab, s)]
     walked = walk_image_words(tab)
     assert all(e == 0 for _, e in walked), tab
     assert len(set(words)) == len(words) == len(walked), tab
@@ -490,8 +481,9 @@ class TestImageWords:
         for n in range(1, 6):
             for parts in iter_partitions(n):
                 for tab in iter_fillings(Partition(parts), 3):
-                    packed = {word: (1, 1) for word in _image_words(tab)}
-                    assert vector_of_packed(packed, tab.type(), 8) == image_vector(tab), tab
+                    s = _label_bits(len(tab.type().parts))
+                    packed = dict.fromkeys(_image_words(tab, s), 1)
+                    assert vector_of_packed(packed, tab.type(), s, 8) == image_vector(tab), tab
 
 
 class TestAnnihilation:
@@ -510,10 +502,11 @@ class TestAnnihilation:
 
 @st.composite
 def packed_vectors(draw):
-    """A packed vector of M^λ at 64 bits, n <= 7, up to 4 labels, with the
-    conjugate of a random partition of n: words are arrangements of one
-    content, and the vector is sometimes multiplied by 1 + T_i for s_i in
-    the column group, which y kills."""
+    """A vector of M^λ in the tuple kernel of tests/hecke_reference.py at
+    64 bits, n <= 7, up to 4 labels, with the conjugate of a random
+    partition of n: words are arrangements of one content, and the vector
+    is sometimes multiplied by 1 + T_i for s_i in the column group, which y
+    kills."""
     n = draw(st.integers(1, 7))
     conj = Partition(draw(st.sampled_from(list(iter_partitions(n))))).conjugate()
     content = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
@@ -526,9 +519,9 @@ def packed_vectors(draw):
     column_letters = [i for i in range(1, n)
                       if i not in itertools.accumulate(conj.parts)]
     if column_letters and draw(st.booleans()):
-        killed = _mul_gen(vec, draw(st.sampled_from(column_letters)), 64)
+        killed = tuple_mul_gen(vec, draw(st.sampled_from(column_letters)), 64)
         for word, (coeff, bound) in vec.items():
-            _add_term(killed, word, coeff, bound, 64)
+            tuple_add_term(killed, word, coeff, bound, 64)
         vec = killed
     return vec, conj
 
@@ -545,10 +538,10 @@ class TestFoldColumns:
         def agree(case):
             vec, conj = case
             chains = mul_y_chains(vec, conj, 64)
-            fold = _fold_columns(vec, conj, 64)
+            fold = tuple_values(_fold_columns(int_vector(vec, 2), conj, 2)[0], 2, conj.n)
             assert bool(chains) == bool(fold)
             shift = 64 * sum(s * (s - 1) // 2 for s in conj.parts)
-            for word, (coeff, _) in fold.items():
+            for word, coeff in fold.items():
                 assert chains[word][0] == coeff << shift, word
             empty.add(not fold)
 
@@ -557,9 +550,184 @@ class TestFoldColumns:
 
     def test_repeated_label_in_a_column_is_dropped(self):
         conj = Composition((2, 1))
-        assert _fold_columns({(0, 0, 1): (5, 5)}, conj, 64) == {}
-        assert _fold_columns({(1, 0, 0): (5, 5), (0, 1, 0): (3, 3)}, conj, 64) == {
-            (0, 1, 0): (-2, 8)}
+        assert _fold_columns({int_word((0, 0, 1), 1): 5}, conj, 1) == ({}, 0)
+        assert _fold_columns({int_word((1, 0, 0), 1): 5, int_word((0, 1, 0), 1): 3},
+                             conj, 1) == ({int_word((0, 1, 0), 1): -2}, 2)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A vector of M^λ in the tuple kernel of tests/hecke_reference.py,
+    n <= 7, up to 4 labels, at 8 or 64 bits, with the conjugate of a random
+    partition of n: words are arrangements of one content, each with a
+    nonzero coefficient."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.integers(1, 4))
+    bits = draw(st.sampled_from((8, 64)))
+    content = sorted(draw(st.lists(st.integers(0, labels - 1), min_size=n, max_size=n)))
+    coefficient = st.dictionaries(st.integers(0, 3), st.integers(-9, 9),
+                                  min_size=1, max_size=3).map(LaurentPoly).filter(bool)
+    vec = {}
+    for word in draw(st.lists(st.permutations(content), min_size=1, max_size=30)):
+        coeff = draw(coefficient)
+        vec[tuple(word)] = (_pack(coeff, bits), _norm(coeff))
+    conj = Partition(draw(st.sampled_from(list(iter_partitions(n))))).conjugate()
+    return vec, _label_bits(labels), bits, conj
+
+
+def most_per_sorted_word(words, conj):
+    """The most tuple words that share one column-sorted word, over the
+    words with no repeated label in a block of conj."""
+    cuts = list(itertools.accumulate(conj.parts, initial=0))
+    counts = Counter()
+    for word in words:
+        blocks = [word[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        if all(len(set(block)) == len(block) for block in blocks):
+            counts[tuple(tuple(sorted(block)) for block in blocks)] += 1
+    return max(counts.values(), default=0)
+
+
+def assert_kernels_agree(vec, s, bits, conj):
+    """The int-word kernel's product by every generator, and its fold,
+    decoded, against the tuple-word kernel's at the same width; a tuple
+    computation that cannot certify a cancellation at that width is
+    skipped."""
+    n = conj.n
+    packed = int_vector(vec, s)
+    for i in range(1, n):
+        try:
+            expect = tuple_mul_gen(vec, i, bits)
+        except _Widen:
+            continue
+        got = tuple_values(_mul_gen(packed, i, s, bits), s, n)
+        assert got == {word: coeff for word, (coeff, _) in expect.items()}, i
+    folded, most = _fold_columns(packed, conj, s)
+    assert most == most_per_sorted_word(list(vec), conj)
+    try:
+        expect = tuple_fold_columns(vec, conj, bits)
+    except _Widen:
+        return
+    assert tuple_values(folded, s, n) == {word: coeff for word, (coeff, _) in expect.items()}
+
+
+class TestIntKernel:
+    """The int-word kernel against the tuple-word kernel it replaced."""
+
+    def test_matches_tuple_kernel(self):
+        @given(kernel_cases())
+        @settings(max_examples=200, deadline=None)
+        def agree(case):
+            assert_kernels_agree(*case)
+
+        agree()
+
+    def test_unequal_column_blocks(self):
+        # The conjugate (3, 2, 1, 1) of (4, 2, 1) has blocks of 3 and 2
+        # positions, so one int can be a block of either: (1, 0) and
+        # (1, 0, 0) are both 1.  Every arrangement of each content, each
+        # with a coefficient of its own.
+        conj = Partition((4, 2, 1)).conjugate()
+        assert conj.parts == (3, 2, 1, 1)
+        for content in [(0, 0, 1, 1, 2, 2, 3), (0, 0, 0, 1, 1, 2, 3), (0, 1, 1, 1, 2, 3, 3)]:
+            words = sorted(set(itertools.permutations(content)))
+            vec = {word: (k + 1, k + 1) for k, word in enumerate(words)}
+            assert_kernels_agree(vec, 2, 64, conj)
+            for mixed in (tuple_mul_gen(vec, 3, 64), tuple_mul_gen(vec, 4, 64)):
+                assert_kernels_agree(mixed, 2, 64, conj)
+
+
+def assert_bound_covers(vec, bound, bits):
+    """Every coordinate of vec, unpacked at q = 2**bits, has an L1 norm of
+    at most bound, which must leave bits wide enough to unpack exactly
+    values far above it."""
+    assert bound.bit_length() + 32 < bits
+    for coeff in vec.values():
+        assert _norm(_unpack(coeff, bits)) <= bound
+
+
+class TestCertificate:
+    """The one norm bound a check carries covers every coordinate."""
+
+    def test_bound_formula(self):
+        # Specht test of the map of "1 2 / 1": its image's norm, 1, times
+        # 3 for the one letter of w_mu, times the two words that the fold
+        # sends to one column-sorted word.
+        tab = parse_tableau("1 2 / 1")
+        s = _label_bits(len(tab.type().parts))
+        assert len(reduced_word(w_mu(tab.shape))) == 1
+        images = [(_image_words(tab, s), ONE, 1)]
+        assert _specht_vector(images, tab.shape, s, 64)[1] == 1 * 3 * 2
+        # Row merge of (1) over (2): the image of the merge map, words
+        # (0, 1) and (1, 0), through the map of "1 / 2", whose d have
+        # lengths 0 and 1, then the right-hand coefficient's norm 1.
+        maps, rhs, _ = heckehom.hecke_oracle._row_merge(((1,), (2,), 2))
+        diff, bound = _identity_vector(maps, rhs, 64)
+        assert not any(diff.values()) and bound == 1 * (3 ** 0 + 3 ** 1) + 1
+
+    def test_generator_runs_up_to_degree_5(self):
+        # Runs from each tabloid that go up and back down, so that words
+        # and their swaps meet: 3**k after k letters, and the most words
+        # at one column-sorted word times that after the fold.
+        letters = {n: [*range(1, n), *range(1, n), *range(n - 1, 0, -1)]
+                   for n in range(2, 6)}
+        most = 0
+        for n in range(2, 6):
+            for length in range(1, 4):
+                for parts in iter_compositions(n, length):
+                    comp = Composition(parts)
+                    s = _label_bits(len(comp.parts))
+                    for d in coset_reps(comp, (n,)):
+                        vec = {int_word(word_of(d, comp), s): 1}
+                        for k, i in enumerate(letters[n], start=1):
+                            vec = _mul_gen(vec, i, s, 64)
+                            assert_bound_covers(vec, 3 ** k, 64)
+                            most = max(most, len(vec))
+                        folded, per_word = _fold_columns(vec, Composition((n,)), s)
+                        assert_bound_covers(folded, 3 ** len(letters[n]) * per_word, 64)
+        assert most > 10
+
+    def test_packed_specht_cases(self, monkeypatch):
+        # Each check's arguments as specht_check builds them, rerun wide.
+        runs = []
+        packed_specht = heckehom.hecke_oracle._packed_specht
+
+        def recorded(*args):
+            runs.append(args[:-1])
+            return packed_specht(*args)
+
+        monkeypatch.setattr(heckehom.hecke_oracle, "_packed_specht", recorded)
+        nonzero = 0
+
+        @given(packed_specht_cases())
+        @settings(max_examples=60, deadline=None)
+        def covered(comb):
+            nonlocal nonzero
+            runs.clear()
+            specht_check(comb)
+            for args in runs[:1]:
+                _, bound = _specht_vector(*args, 64)
+                bits = bound.bit_length() + 64
+                folded, same = _specht_vector(*args, bits)
+                assert same == bound
+                assert_bound_covers(folded, bound, bits)
+                nonzero += any(folded.values())
+
+        covered()
+        assert nonzero
+
+    def test_identity_instances_up_to_degree_5(self):
+        # Both sides added instead of subtracted, so that the vector the
+        # bound covers is not 0, and the left-hand side alone.
+        oracle = heckehom.hecke_oracle
+        for kind, chosen in _prop_instances(5, 3, 40, 0).items():
+            for _, params in chosen:
+                maps, rhs, _ = oracle._IDENTITIES[kind][1](params)
+                for right in ([], [(tab, -c) for tab, c in rhs]):
+                    _, bound = _identity_vector(maps, right, 64)
+                    bits = bound.bit_length() + 64
+                    diff, same = _identity_vector(maps, right, bits)
+                    assert same == bound and any(diff.values()), (kind, params)
+                    assert_bound_covers(diff, bound, bits)
 
 
 def _specht_check_in_algebra(comb):
@@ -611,8 +779,9 @@ class TestSpechtCheck:
                 expect = tabloid_coords(algebra_image(tab), tab.type())
                 assert image_h3(tab) == expect, tab
                 assert image_vector(tab) == expect, tab
-                packed = {word: (1, 1) for word in _image_words(tab)}
-                assert vector_of_packed(packed, tab.type(), 8) == expect, tab
+                s = _label_bits(len(tab.type().parts))
+                packed = dict.fromkeys(_image_words(tab, s), 1)
+                assert vector_of_packed(packed, tab.type(), s, 8) == expect, tab
             verdict = specht_check(comb)
             assert verdict == _specht_check_in_algebra(comb), comb.to_text()
             assert verdict == specht_check_tabloid(comb), comb.to_text()
@@ -792,6 +961,20 @@ class TestPackedSpecht:
             expect = case["expect_exit"] == 0
             assert specht_check(comb) is expect, case
             assert specht_check_tabloid(comb) is expect, case
+
+
+    def test_benchmark_combinations_from_two_bits(self, monkeypatch, widths):
+        # At q = 2**2 every benchmark combination's values are tiny, so a
+        # zero there is a true zero only if the scalar bound says so.
+        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        restarts = 0
+        for case in ORACLE_CASES:
+            widths.clear()
+            expect = case["expect_exit"] == 0
+            assert specht_check(LinComb.from_json(case["comb"])) is expect, case
+            assert widths.count(2) == 1 and widths[0] == 2, case
+            restarts += len(widths) - 1
+        assert restarts
 
 
 class TestValueClasses:
