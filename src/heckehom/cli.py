@@ -224,9 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-rule", choices=PAIR_RULES, default=DEFAULT_PAIR_RULE,
                    help="which violating row pair to fix first (default: %(default)s)")
     p.add_argument("--column-rule", choices=COLUMN_RULES, default="leftmost",
-                   help="pivot on the bottom entry of the leftmost violating "
-                        "column or the top entry of the rightmost "
-                        "(default: %(default)s)")
+                   help="leftmost: pool the lower row up to the smallest "
+                        "broken value with as few upper entries as can be, "
+                        "trying the largest broken value too at the bottom "
+                        "pair of rows; rightmost: pool both rows around the "
+                        "largest broken value (default: %(default)s)")
     p.add_argument("--q", type=_parse_q, default=None, metavar="RATIONAL",
                    help="specialise coefficients at this nonzero rational")
     p.add_argument("--check", type=int, default=None, metavar="N",

@@ -472,7 +472,7 @@ class _Packing:
     row are at most the value of rank k.  No value lies between two
     consecutive ones, so the entries below the value of rank k are those at
     most the value of rank k - 1, and the prefix counts by rank take the
-    place of those by value everywhere: the column check, the pivot and
+    place of those by value everywhere: the column check, the cut and
     the count vectors.  A count is at most the longest row, below
     2**(w - 1), so the top bit of every field, its guard, is 0.  The
     weight, in the values themselves, sits at bit B, above one spare

@@ -25,11 +25,14 @@ Guard bits on the fields let one subtraction check every pair of adjacent
 rows for a broken column.  A window's rewrite (``_window_moves``) is
 memoized on the window's bits as moves: an int to add to the key, which
 changes the two rows and the weight together, with the move's coefficient.
-The pivot and the count vectors are read off the prefix counts in one
-scan that stops at the pivot, a value some broken column spans, and the
-relation is built by ``garnir._relation_terms`` summing one int per pooled
-value and take, the last pooled value's take being forced.  Only the
-emitted keys are decoded into rows, each distinct row once per call.
+The broken values at both ends are read off the lowest and the highest
+guard bit of the check that found the pair, the cut and the count vectors
+off the prefix counts, and the relation is built by
+``garnir._relation_terms`` summing one int per pooled value and take, the
+last pooled value's take being forced.  When the two rows hold fewer
+entries than half the values, a value they do not hold gets no piece and
+no level.  Only the emitted keys are decoded into rows, each distinct row
+once per call.
 ``two_row_straighten_step`` is the same rewrite on a two-row tableau, with
 each move's key decoded.
 
@@ -50,16 +53,24 @@ same canonical form, which the test suite checks by comparing strategies.
 The pair rule picks the adjacent pair of rows and defaults to
 ``DEFAULT_PAIR_RULE``, ``"bottommost"``: on multi-row inputs it rewrites
 far fewer tableaux than ``"topmost"`` (README gives the counts).  The
-column rule picks the pivot inside that pair: ``"leftmost"``, the default,
-takes the smallest value a broken column spans, the bottom entry of the
-leftmost broken column; ``"rightmost"`` takes the largest, the top entry
-of the rightmost broken column.
+column rule picks the relation inside that pair.  A relation pools the
+lower row's entries up to a broken value s, one that some broken column
+spans, and the upper row's from some t >= s on (``_window_counts``).
+``"leftmost"``, the default, takes s the smallest broken value, the bottom
+entry of the leftmost broken column, and the largest t that keeps the pool
+larger than the upper row; at the bottom pair of rows it also tries s the
+largest broken value and keeps the cut with fewer splits.  ``"rightmost"``
+pools both rows around the largest broken value, the top entry of the
+rightmost broken column.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import mul, sub
+from bisect import bisect_left
+from itertools import compress
+from math import comb
+from operator import add, mul, sub
 from typing import Iterable
 
 from .combinat import Composition, Tableau, _breaks_columns
@@ -157,58 +168,84 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
     return _widening(run, _START_BITS)
 
 
-def _window_counts(upper: list[int], lower: list[int],
-                   column_rule: str) -> tuple[int, list[int], list[int], list[int]]:
-    """The pivot and the count vectors a, p and b of the relation that
-    rewrites a two-row window whose columns break, from the prefix counts
-    of its rows: upper[v] entries of the top row are at most v, for v from
-    0 (none) to the largest value, and lower[v] of the bottom row.
+def _window_counts(upper: list[int], lower: list[int], low: int, high: int,
+                   column_rule: str, both_ends: bool
+                   ) -> tuple[int, list[int], list[int], list[int]]:
+    """The rank t at which the top row's pooled entries start, and the count
+    vectors a, p and b of the relation that rewrites a two-row window whose
+    columns break, from the prefix counts of its rows: upper[v] entries of
+    the top row are at most v, for v from 0 (none) to the largest value,
+    and lower[v] of the bottom row, by rank.  low and high are the smallest
+    and the largest broken rank.
 
     The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
     bottom entry is at most v and whose top entry is at least v, so v is a
     broken value, spanned by some broken column, when lower[v] > upper[v - 1].
-    The pivot is the broken value one scan from the column rule's end stops
-    at: the smallest, the bottom entry of the leftmost broken column, or the
-    largest, the top entry of the rightmost.  Top entries below the pivot
-    stay in the top row, bottom entries above it stay in the bottom row, and
-    everything else is pooled, so a, p and b are slices of the rows' counts
-    per value.  Any broken value k makes a valid relation: the pool exceeds
-    the top row's length by lower[k] - upper[k - 1], the input's own split
-    has coefficient 1, and every other split moves smaller entries up.
-    Under "leftmost" the bottom entry pools no more than the top entry of
-    the same column would, as the top row holds no value from one up to
-    the other.
+    A cut (t, s), s <= t, pools the bottom entries at most s and the top
+    entries at least t and fixes the rest, so a, p and b are slices of the
+    rows' counts per value.  It makes a valid relation whenever lower[s] >
+    upper[t - 1]: the pool is larger than the top row, the input's own
+    split, which sends every pooled top entry to the top, has coefficient
+    1, and every other split moves entries at most s up and entries at
+    least t down.  So s must be broken, and t at most bisect_left(upper,
+    lower[s]), which pools the fewest top entries.  "rightmost" cuts at
+    (high, high).  "leftmost" cuts at low with that widest t and, when
+    both_ends holds, also at high, keeping the cut with fewer splits
+    (comb(pool, lower[s]), low on ties).  The worklist asks for both ends
+    only at the bottom pair of rows: a cut at high pushes large entries
+    down, where they can break the pair below.
     """
-    if column_rule == "leftmost":
-        pivot = 1
-        while lower[pivot] <= upper[pivot - 1]:
-            pivot += 1
+    if column_rule == "rightmost":
+        s = t = high
     else:
-        pivot = len(upper) - 1
-        while lower[pivot] <= upper[pivot - 1]:
-            pivot -= 1
+        s, t = low, bisect_left(upper, lower[low])
+        if both_ends and high > low:
+            end = bisect_left(upper, lower[high])
+            if (comb(lower[high] + upper[-1] - upper[end - 1], lower[high])
+                    < comb(lower[low] + upper[-1] - upper[t - 1], lower[low])):
+                s, t = high, end
     tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
-    # Below the pivot, of rank k + 1, a value's top entries are fixed and
-    # its bottom ones pooled; above it the other way round.
-    k = pivot - 1
-    a = tops[:k] + [0] * (len(tops) - k)
-    p = bottoms[:k] + [tops[k] + bottoms[k]] + tops[pivot:]
-    b = [0] * pivot + bottoms[pivot:]
-    return pivot, a, p, b
+    # Top entries of rank below t are fixed, bottom ones above s too.
+    a = tops[:t - 1] + [0] * (len(tops) - t + 1)
+    b = [0] * s + bottoms[s:]
+    if s < t:
+        p = bottoms[:s] + [0] * (t - 1 - s) + tops[t - 1:]
+    else:
+        p = bottoms[:s - 1] + [bottoms[s - 1] + tops[s - 1]] + tops[s:]
+    return t, a, p, b
 
 
-def _window_moves(pack: _Packing, key: int, r: int, column_rule: str,
+def _window_moves(pack: _Packing, key: int, broken: int, r: int, column_rule: str,
                   bits: int) -> list[tuple[int, int, int]]:
-    """The rewrite of rows r and r + 1 (from 0) of a packed tableau, at
-    q = 2**bits: per term other than the input's own, the change to the key,
-    the packed coefficient and its L1 norm."""
+    """The rewrite of rows r and r + 1 (from 0) of a packed tableau whose
+    column check gave broken, at q = 2**bits: per term other than the
+    input's own, the change to the key, the packed coefficient and its L1
+    norm."""
     at = r * pack.group
-    upper, lower = pack.prefixes(key >> at), pack.prefixes(key >> at + pack.group)
-    pivot, a, p, b = _window_counts(upper, lower, column_rule)
-    # The pivot and the count vectors are by rank.  Moving a v up changes
-    # the rows by the lift of its rank and the weight by -v.
-    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
-    start = -sum(map(mul, map(sub, upper[pivot:], upper[pivot - 1:]), pieces[pivot - 1:]))
+    # Rows r and r + 1 alone, shifted down: no field read shifts a wider int.
+    pair = key >> at & pack.windows[0]
+    upper, lower = pack.prefixes(pair), pack.prefixes(pair >> pack.group)
+    # Row r's guard bits flag its broken ranks, rank k at bit k * w - 1.
+    guards = broken >> at & (1 << pack.group) - 1
+    t, a, p, b = _window_counts(upper, lower, (guards & -guards).bit_length() // pack.width,
+                                guards.bit_length() // pack.width, column_rule,
+                                r + 1 == len(pack.windows))
+    # The cut and the count vectors are by rank, and so are the top entries
+    # that the input's own split pools, those of rank t on.
+    moved = list(map(sub, upper[t:], upper[t - 1:]))
+    values, lifts = pack.values, pack.lifts
+    if 2 * (upper[-1] + lower[-1]) < len(values):
+        # The two rows hold fewer entries than half the ranks, as in a tall
+        # tableau of many values.  Only the ranks they hold get a piece and
+        # a level: any other adds no running total and no table, so the
+        # relation is the same.  With fewer ranks absent, dropping them
+        # costs more than it saves.
+        a, p, b, moved, values, lifts = zip(*compress(
+            zip(a, p, b, [0] * (t - 1) + moved, values, lifts), map(add, map(add, a, p), b)))
+    # Moving a v up changes the rows by the lift of its rank and the weight
+    # by -v.  The moved entries are those of the last ranks.
+    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(values, lifts)]
+    start = -sum(map(mul, moved, pieces[-len(moved):]))
     # Started at minus the input's own split, the piece sum of each term is
     # the change to the key; built negated, so that dropping the input's own
     # term, -1, leaves the rewrite.  Called through module globals so that
@@ -236,13 +273,19 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
     Returns the combination equal to the given tableau's homomorphism on the
     Specht submodule: a relation with the input's own term dropped and every
     other term negated.  A violating column is one where the bottom entry
-    fails to exceed the top one.  ``column_rule`` picks the pivot: the
-    bottom entry of the leftmost violating column, the smallest value any
-    violating column spans, or the top entry of the rightmost, the largest.
-    Entries strictly below the pivot stay in the top row, entries strictly
-    above it stay in the bottom row, and everything else is pooled.  This
-    is the worklist's rewrite of the tableau's one window, unpacked: each
-    move's key is decoded into rows.
+    fails to exceed the top one, and a broken value is one that some
+    violating column spans.  The relation pools the bottom row's entries
+    at most s and the top row's at least t, for a cut t >= s, and fixes the
+    rest.  ``column_rule`` picks the cut.  "rightmost" takes t = s the
+    largest broken value, the top entry of the rightmost violating column.
+    "leftmost" takes, of the cuts from the smallest broken value (the bottom
+    entry of the leftmost violating column) and from the largest, each with
+    the largest t that keeps the pool longer than the top row, the one
+    with fewer splits, the smaller on a tie.  Any such cut gives a valid
+    relation, so both rules give steps that agree on the Specht module.
+    This is the worklist's rewrite of the tableau's one window, which is
+    the bottom pair of rows, unpacked: each move's key is decoded into
+    rows.
     The split reproducing the input always carries coefficient exactly 1, so
     no division is ever needed; StraighteningError is raised if it does not.
     """
@@ -260,7 +303,8 @@ def two_row_straighten_step(tab: Tableau, column_rule: str = "leftmost") -> LinC
     bits = _edge_bits(tab.n)
     return LinComb._raw(shape, type_, {
         Tableau._raw(shape, pack.rows(key + change), type_): _unpack(coeff, bits)
-        for change, coeff, _ in _window_moves(pack, key, 0, column_rule, bits)})
+        for change, coeff, _ in _window_moves(pack, key, pack.broken(key), 0,
+                                               column_rule, bits)})
 
 
 def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
@@ -309,7 +353,8 @@ def _traverse(terms: list[tuple[Tableau, int, int]], shape: Composition,
         window = key & windows[r]
         window_moves = moves.get(window)
         if window_moves is None:
-            window_moves = moves[window] = _window_moves(pack, key, r, column_rule, bits)
+            window_moves = moves[window] = _window_moves(pack, key, broken, r,
+                                                              column_rule, bits)
         if bound > exact:
             bound = _norm(_unpack(coeff, bits))
         for change, step_coeff, norm in window_moves:

@@ -32,12 +32,14 @@ drop the input's own term and negate the rest.  The library step is now
 the worklist's window rewrite (``straighten._window_moves``) on the packed
 tableau, and the tests compare it with this one.
 
-``pivot_value`` is the library's pivot rule read off the row tuples,
-where the library reads it off prefix counts (``straighten._window_counts``):
-the bottom entry of the first broken column, or the top entry of the last,
-found by scanning the columns.  ``pivot_cuts``, ``straightening_datum``
-and ``reference_step`` cut the rows there, so the tests compare the library
-step with a datum built without prefix counts.
+``cut_values`` is the library's cut rule read off the row tuples, where
+the library reads it off prefix counts and guard bits
+(``straighten._window_counts``): the broken values at the ends, the bottom
+entry of the first broken column and the top entry of the last, found by
+scanning the columns, and the widest top cut for each, found by counting.
+``pivot_cuts``, ``straightening_datum`` and ``reference_step`` cut the
+rows there, so the tests compare the library step with a datum built
+without prefix counts.
 """
 
 from bisect import bisect_left, bisect_right
@@ -127,41 +129,55 @@ def reference_relation(datum: GarnirDatum) -> LinComb:
                     for split in enumerate_splits(datum)})
 
 
-def pivot_value(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str) -> int:
-    """The pivot of the sorted rows of a non-semistandard two-row tableau:
-    the bottom entry of the first broken column under "leftmost" and the
-    top entry of the last under "rightmost"."""
-    if column_rule == "leftmost":
-        columns, row = range(len(bottom)), bottom
-    elif column_rule == "rightmost":
-        columns, row = range(len(bottom) - 1, -1, -1), top
-    else:
+def cut_values(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str,
+               both_ends: bool = True) -> tuple[int, int]:
+    """The cut (t, s) of the sorted rows of a non-semistandard two-row
+    tableau, as values: its bottom entries at most s and its top entries at
+    least t are pooled.  Under "rightmost" t = s is the top entry of the
+    last broken column.  Under "leftmost" s is the bottom entry of the first
+    broken column or, when both_ends holds, the top entry of the last,
+    whichever cut has fewer splits (the first on a tie); for each, t is the
+    largest top entry with fewer top entries below it than there are
+    bottom entries at most s, so that the pool is larger than the top row."""
+    if column_rule not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown column rule {column_rule!r}")
-    col = next((c for c in columns if bottom[c] <= top[c]), None)
-    if col is None:
+    broken = [c for c in range(len(bottom)) if bottom[c] <= top[c]]
+    if not broken:
         raise ValueError("tableau is already semistandard; nothing to rewrite")
-    return row[col]
+    last = top[broken[-1]]
+    if column_rule == "rightmost":
+        return last, last
+
+    def widest(s: int) -> tuple[int, int]:
+        pooled = sum(y <= s for y in bottom)
+        return max(x for x in top if sum(u < x for u in top) < pooled), s
+
+    def splits(t: int, s: int) -> int:
+        pooled = sum(y <= s for y in bottom)
+        return comb(pooled + sum(x >= t for x in top), pooled)
+
+    cuts = [widest(bottom[broken[0]])] + ([widest(last)] if both_ends else [])
+    return min(cuts, key=lambda cut: splits(*cut))
 
 
-def pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...],
-               column_rule: str) -> tuple[int, int]:
-    """Where the pivot cuts the sorted rows of a non-semistandard two-row
-    tableau: entries of the top row before the first cut and of the bottom
-    row from the second cut on stay put; everything between is pooled."""
-    pivot = pivot_value(top, bottom, column_rule)
-    # Rows are sorted, so each part is a slice at the pivot.
-    return bisect_left(top, pivot), bisect_right(bottom, pivot)
+def pivot_cuts(top: tuple[int, ...], bottom: tuple[int, ...], column_rule: str,
+               both_ends: bool = True) -> tuple[int, int]:
+    """Where the cut (``cut_values``) cuts the sorted rows of a
+    non-semistandard two-row tableau: entries of the top row before the
+    first cut and of the bottom row from the second cut on stay put;
+    everything between is pooled."""
+    t, s = cut_values(top, bottom, column_rule, both_ends)
+    # Rows are sorted, so each part is a slice at the cut.
+    return bisect_left(top, t), bisect_right(bottom, s)
 
 
 def straightening_datum(tab: Tableau, column_rule: str = "leftmost") -> GarnirDatum:
     """The relation datum that rewrites a non-semistandard two-row tableau.
 
     A violating column is one where the bottom entry fails to exceed the top
-    entry; the pivot is the bottom entry of the leftmost violating column
-    or, under ``column_rule="rightmost"``, the top entry of the rightmost
-    (``pivot_value``).  Entries strictly below the pivot stay in the top
-    row, entries strictly above it stay in the bottom row, and everything
-    else is pooled.
+    entry.  The datum pools the bottom entries at most s and the top
+    entries at least t, for the cut (t, s) that ``cut_values`` picks, and
+    fixes the rest.
     """
     if tab.nrows != 2:
         raise ValueError(f"need exactly two rows, got {tab.nrows}")

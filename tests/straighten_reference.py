@@ -17,23 +17,31 @@ coefficients have negative exponents, huge magnitudes and cancellations.
 tableau became one int: a tableau is its rows, a tuple of sorted int
 tuples, the heap orders (weight, rows) pairs, a pair of rows is checked
 with ``find_violating_window`` on a ``Tableau`` built per pop, and a
-window's rewrite (``tuple_step``) cuts its row tuples at the pivot
+window's rewrite (``tuple_step``) cuts its row tuples at the library's cut
 (``garnir_reference.pivot_cuts``) and keys the relation's terms by their
 rows.  The tests compare it with the
 library, ``items()`` order included.
 
-``top_entry_window_counts`` is the pivot rule ``straighten._window_counts``
-replaced: the top entry of the column the column rule picks, found by
-bisection on the prefix counts, where the library takes the value its scan
-stops at, which under "leftmost" is the bottom entry of that column.
-Patched into the library, it must give the same canonical forms, and each
-two-row step it changes must differ from the library's by a combination
-that vanishes on the Specht module; the tests check both.
+``uncompressed_window_moves`` is the window rewrite before
+``straighten._window_moves`` dropped the values its two rows do not hold
+from the relation it builds: one piece and one level for every value of
+the tableau.  The tests compare the two, move lists equal, order included.
+
+``broken_value_window_counts`` and ``top_entry_window_counts`` are the
+two cut rules ``straighten._window_counts`` replaced, each a cut (k, k)
+that pools the top and the bottom entries around one value k.  The first
+took the smallest (or, under "rightmost", the largest) broken value; the
+one before it took the top entry of the column the column rule picks.  The
+library cuts at (t, s) with the widest top cut t for s, and at the bottom
+pair of rows it may start from either end.  Patched into the library,
+either must give the same canonical forms, and each two-row step it
+changes must differ from the library's by a combination that vanishes on
+the Specht module; the tests check both.
 """
 
 import heapq
 from bisect import bisect_left
-from operator import sub
+from operator import mul, sub
 
 import heckehom.straighten
 
@@ -44,9 +52,9 @@ from heckehom import (
     Tableau,
     two_row_straighten_step,
 )
-from heckehom.garnir import _count_vector, _relation_from_counts, weight
+from heckehom.garnir import _count_vector, _relation_from_counts, _relation_terms, weight
 from heckehom.qcoeff import _norm, _pack, _unpack, _Widen, _widening, _wider
-from heckehom.straighten import embed_two_row, find_violating_window
+from heckehom.straighten import _window_counts, embed_two_row, find_violating_window
 
 from .garnir_reference import pivot_cuts
 
@@ -121,12 +129,13 @@ def laurent_worklist(comb, pair_rule, column_rule):
     return LinComb._raw(shape, type_, out)
 
 
-def tuple_step(top, bottom, column_rule, bits):
+def tuple_step(top, bottom, column_rule, bits, both_ends):
     """The rewrite of the two-row window with sorted rows top and bottom,
     packed at q = 2**bits: per term, the new window rows, the weight change,
     the packed coefficient and its L1 norm.  The input's own term is
-    dropped."""
-    cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
+    dropped.  both_ends says whether the window is the bottom pair of rows,
+    where the cut may come from either end."""
+    cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule, both_ends)
     largest = max(top[-1], bottom[-1])
     terms = _relation_from_counts(
         _count_vector(top[:cut_top], largest),
@@ -168,7 +177,8 @@ def _tuple_traverse(terms, shape, type_, pair_rule, column_rule, bits):
         key = rows[l - 1: l + 1]
         window_moves = moves.get(key)
         if window_moves is None:
-            window_moves = moves[key] = tuple_step(key[0], key[1], column_rule, bits)
+            window_moves = moves[key] = tuple_step(key[0], key[1], column_rule, bits,
+                                                        l == tab.nrows - 1)
         before, after = rows[: l - 1], rows[l + 1:]
         for pair, change, step_coeff, norm in window_moves:
             child = before + pair + after
@@ -207,25 +217,47 @@ def tuple_worklist(comb, pair_rule, column_rule):
     return _widening(run, heckehom.straighten._START_BITS)
 
 
-def top_entry_window_counts(upper, lower, column_rule):
-    """``straighten._window_counts`` with the top entry of the picked broken
-    column as the pivot: the same pivot under "rightmost", a larger one or
-    the same under "leftmost"."""
-    if column_rule == "leftmost":
-        v = 1
-        while lower[v] <= upper[v - 1]:
-            v += 1
-        column = upper[v - 1] + 1
-    else:
-        v = len(upper) - 1
-        while lower[v] <= upper[v - 1]:
-            v -= 1
-        column = lower[v]
-    # upper is nondecreasing and upper[v - 1] < column.
-    pivot = bisect_left(upper, column, v)
+def _counts_at(upper, lower, t, s):
+    """The window counts of ``straighten._window_counts`` for the cut (t, s)."""
     tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
-    k = pivot - 1
-    a = tops[:k] + [0] * (len(tops) - k)
-    p = bottoms[:k] + [tops[k] + bottoms[k]] + tops[pivot:]
-    b = [0] * pivot + bottoms[pivot:]
-    return pivot, a, p, b
+    a = tops[:t - 1] + [0] * (len(tops) - t + 1)
+    b = [0] * s + bottoms[s:]
+    p = [n + m - x - y for n, m, x, y in zip(tops, bottoms, a, b)]
+    return t, a, p, b
+
+
+def broken_value_window_counts(upper, lower, low, high, column_rule, both_ends):
+    """``straighten._window_counts`` with the cut (k, k) at the broken
+    value k the column rule picks, the smallest or the largest: the same
+    cut under "rightmost", a narrower one or the same under "leftmost"."""
+    k = low if column_rule == "leftmost" else high
+    return _counts_at(upper, lower, k, k)
+
+
+def top_entry_window_counts(upper, lower, low, high, column_rule, both_ends):
+    """``straighten._window_counts`` with the cut (k, k) at the top entry k
+    of the picked broken column: the same cut under "rightmost", a narrower
+    one or the same under "leftmost"."""
+    if column_rule == "leftmost":
+        v, column = low, upper[low - 1] + 1
+    else:
+        v, column = high, lower[high]
+    # upper is nondecreasing and upper[v - 1] < column.
+    k = bisect_left(upper, column, v)
+    return _counts_at(upper, lower, k, k)
+
+
+def uncompressed_window_moves(pack, key, broken, r, column_rule, bits):
+    """``straighten._window_moves`` before it kept only the ranks the
+    window holds, without its checks: a piece as wide as the key, and a
+    level in the relation, for every value of the tableau."""
+    at = r * pack.group
+    upper, lower = pack.prefixes(key >> at), pack.prefixes(key >> at + pack.group)
+    guards = broken >> at & (1 << pack.group) - 1
+    t, a, p, b = _window_counts(upper, lower, (guards & -guards).bit_length() // pack.width,
+                                guards.bit_length() // pack.width, column_rule,
+                                r + 1 == len(pack.windows))
+    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
+    start = -sum(map(mul, map(sub, upper[t:], upper[t - 1:]), pieces[t - 1:]))
+    return [term for term in _relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)
+            if term[0]]

@@ -352,11 +352,11 @@ class TestBuilderAgainstSlicingLevels:
             assert _relation_terms(*args) == reference_relation_terms(*args), args[:5]
 
     def test_w18_counts(self, worklist_runs):
-        # README's figures: the default rules pop 4786 tableaux of W18,
-        # build 2095 relations (one per window the memo misses) and emit
+        # README's figures: the default rules pop 4693 tableaux of W18,
+        # build 2027 relations (one per window the memo misses) and emit
         # 1154 terms.
         calls, terms, pops = worklist_runs(w18_base)
-        assert (pops, len(calls), terms) == (4786, 2095, 1154)
+        assert (pops, len(calls), terms) == (4693, 2027, 1154)
 
 
 class TestStraighteningDatum:

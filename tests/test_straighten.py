@@ -3,6 +3,7 @@
 import contextlib
 import inspect
 import itertools
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import heckehom.straighten
 from heckehom import (
     Composition,
+    GarnirDatum,
     LaurentPoly,
     LinComb,
     Multiset,
@@ -35,17 +37,20 @@ from heckehom.qcoeff import MAX_EXPONENT_SPAN
 from heckehom.straighten import (
     COLUMN_RULES,
     _window_counts,
+    _window_moves,
     embed_two_row,
     find_violating_window,
 )
 from perfbench.workloads import relabel_rows, relabelling, two_row_base, w18_base
 
-from .garnir_reference import pivot_cuts, pivot_value
+from .garnir_reference import cut_values, pivot_cuts
 from .straighten_reference import (
+    broken_value_window_counts,
     laurent_worklist,
     memo_of_expansions,
     top_entry_window_counts,
     tuple_worklist,
+    uncompressed_window_moves,
 )
 from .strategies import tableaux, two_row_tableaux
 
@@ -388,12 +393,19 @@ def two_row_windows(longest=5, largest=5):
                                        (top, bottom) if lower_len else (top,), None)
 
 
+def broken_ends(pack, key, r=0):
+    """The smallest and the largest broken rank of rows r and r + 1, read
+    off the guard bits of row r's group, as the library reads them."""
+    guards = pack.broken(key) >> r * pack.group & (1 << pack.group) - 1
+    return (guards & -guards).bit_length() // pack.width, guards.bit_length() // pack.width
+
+
 class TestPackedRows:
-    """The packed key, its column check, and the pivot and count vectors
-    read from its prefix counts, against the row tuples and the pivot rule
-    that scans them, on every small two-row window.  The packing has a
-    field per value that occurs, so the pivot and the count vectors are by
-    rank among those values."""
+    """The packed key, its column check, and the cut and count vectors
+    read from its prefix counts and guard bits, against the row tuples and
+    the cut rule that scans them, on every small two-row window.  The
+    packing has a field per value that occurs, so the cut and the count
+    vectors are by rank among those values."""
 
     def test_every_small_window(self):
         checked = broken = 0
@@ -413,23 +425,21 @@ class TestPackedRows:
             upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
             largest = pack.values[-1]
             assert len(upper) == len(pack.values) + 1
-            for column_rule in ("leftmost", "rightmost"):
-                pivot, a, p, b = _window_counts(upper, lower, column_rule)
-                cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule)
-                assert (upper[pivot - 1], lower[pivot]) == (cut_top, cut_bottom), \
-                    (tab, column_rule)
-                # The pivot is the smallest (leftmost) or the largest
-                # (rightmost) value that some broken column spans.
-                spanned = [v for v in pack.values
-                           if any(u <= v <= t for t, u in zip(top, bottom))]
-                assert (pack.values[pivot - 1] == pivot_value(top, bottom, column_rule)
-                        == spanned[0 if column_rule == "leftmost" else -1]), \
-                    (tab, column_rule)
+            # The guard bits flag the values that some broken column spans.
+            spanned = [v for v in pack.values
+                       if any(u <= v <= t for t, u in zip(top, bottom))]
+            low, high = broken_ends(pack, key)
+            assert (pack.values[low - 1], pack.values[high - 1]) == (spanned[0], spanned[-1])
+            for column_rule, both_ends in itertools.product(COLUMN_RULES, (False, True)):
+                t, a, p, b = _window_counts(upper, lower, low, high, column_rule, both_ends)
+                cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule, both_ends)
+                assert pack.values[t - 1] == cut_values(top, bottom, column_rule,
+                                                        both_ends)[0], (tab, column_rule)
                 by_rank = [[counts[v - 1] for v in pack.values] for counts in (
                     _count_vector(top[:cut_top], largest),
                     _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
                     _count_vector(bottom[cut_bottom:], largest))]
-                assert [a, p, b] == by_rank
+                assert [a, p, b] == by_rank, (tab, column_rule, both_ends)
         assert broken > 10000 and checked - broken > 1000
 
     def test_fields_only_for_the_values_that_occur(self):
@@ -461,65 +471,181 @@ class TestPackedRows:
             assert pack.rows(key) == rows == _Packing(tab.shape, tab.type()).rows(key)
 
     def test_pivot_where_equal_lower_entries_straddle_a_good_column(self):
-        # The lower row's 3s sit under 2 (fine) and 4 (broken): the pivot
-        # is 3, the bottom entry of the broken column 2, not 4 above it.
+        # The lower row's 3s sit under 2 (fine) and 4 (broken): the
+        # smallest broken value is 3, the bottom entry of the broken column
+        # 2, not 4 above it.  Cutting there pools the 3s below and the 4 and
+        # 5s above, 15 splits; cutting at the largest broken value 5 would
+        # pool the whole lower row and the 5s, 35 splits.
         tab = parse_tableau("2 4 5 5 5 / 3 3 4 5")
         pack = _Packing(tab.shape, tab.type())
         key = pack.key(tab.row_lists())
         upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
-        # The pivot is a rank among the values 2, 3, 4 and 5.
-        assert pack.values[_window_counts(upper, lower, "leftmost")[0] - 1] == 3
-        assert pack.values[_window_counts(upper, lower, "rightmost")[0] - 1] == 5
+        low, high = broken_ends(pack, key)
+        # Ranks among the values 2, 3, 4 and 5.
+        assert (pack.values[low - 1], pack.values[high - 1]) == (3, 5)
+        for both_ends in (False, True):
+            t, a, p, b = _window_counts(upper, lower, low, high, "leftmost", both_ends)
+            assert (pack.values[t - 1], a, p, b) == (4, [1, 0, 0, 0], [0, 2, 1, 3],
+                                                     [0, 0, 1, 1])
+        t, a, p, b = _window_counts(upper, lower, low, high, "rightmost", True)
+        assert (pack.values[t - 1], a, p, b) == (5, [1, 0, 1, 0], [0, 2, 1, 4],
+                                                 [0, 0, 0, 0])
+
+    def test_cut_at_the_largest_broken_value_when_it_has_fewer_splits(self):
+        # "1 2 2 3 4 / 1 3 3 3" breaks at 1 and 3.  From 1 the cut pools
+        # the lower 1 and the whole upper row, 6 choose 1 = 6 splits; from
+        # 3, the lower row and the upper 3 and 4, 6 choose 4 = 15.  In
+        # "1 2 3 / 1 1 2", from 1 it pools the lower 1s and the upper 2 and
+        # 3, 4 choose 2 = 6; from 3 the lower row and the upper 3, 4
+        # choose 3 = 4.  Only the bottom pair of rows (both_ends) may cut
+        # from the largest value.
+        for text, one_end, both in (("1 2 2 3 4 / 1 3 3 3", 1, 1),
+                                    ("1 2 3 / 1 1 2", 2, 3)):
+            tab = parse_tableau(text)
+            pack = _Packing(tab.shape, tab.type())
+            key = pack.key(tab.row_lists())
+            upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
+            low, high = broken_ends(pack, key)
+            for both_ends, want in ((False, one_end), (True, both)):
+                t = _window_counts(upper, lower, low, high, "leftmost", both_ends)[0]
+                assert pack.values[t - 1] == want, (text, both_ends)
+                assert cut_values(*tab.row_lists(), "leftmost", both_ends)[0] == want
+
+
+def window_cuts(tab):
+    """Per cut (t, s) of a two-row window, s a broken rank and s <= t <= the
+    widest top cut for s, and per cut one past that bound: the datum's
+    count vectors by rank, and whether the cut is within the bound, with
+    the packing, the key and the pieces and start of the library's
+    rewrite."""
+    top, bottom = tab.row_lists()
+    pack = _Packing(tab.shape, tab.type())
+    key = pack.key((top, bottom))
+    upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
+    tops = [top.count(v) for v in pack.values]
+    bottoms = [bottom.count(v) for v in pack.values]
+    pieces = [lift - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
+    for s in range(1, len(pack.values) + 1):
+        if lower[s] <= upper[s - 1]:
+            continue
+        bound = bisect_left(upper, lower[s])
+        for t in range(s, bound + 2):
+            # Top entries of rank t or more and bottom ones of rank s or
+            # less are pooled.
+            a = [n if k < t else 0 for k, n in enumerate(tops, 1)]
+            b = [m if k > s else 0 for k, m in enumerate(bottoms, 1)]
+            p = [n + m - x - y for n, m, x, y in zip(tops, bottoms, a, b)]
+            start = -sum(n * piece for k, (n, piece) in enumerate(zip(tops, pieces), 1)
+                         if k >= t)
+            yield t <= bound, (a, p, b), pack, key, pieces, start
+
+
+def count_datum(values, a, p, b, top_len):
+    """The validated datum whose parts have the count vectors a, p and b,
+    by rank among values."""
+    return GarnirDatum(*(Multiset([v for v, n in zip(values, counts) for _ in range(n)])
+                         for counts in (a, p, b)), top_len)
+
+
+class TestCompressedWindow:
+    """The window rewrite, which gives pieces and levels only to the values
+    its two rows hold, against the one that gave them to every value of
+    the tableau (``straighten_reference.uncompressed_window_moves``): equal
+    move lists, order included, on every broken pair of rows."""
+
+    @staticmethod
+    def _assert_same_moves(tab):
+        pack = _Packing(tab.shape, tab.type())
+        key = pack.key(tab.row_lists())
+        broken, bits = pack.broken(key), _edge_bits(tab.n)
+        pairs = [r for r in range(len(pack.windows))
+                 if broken >> r * pack.group & (1 << pack.group) - 1]
+        for r, column_rule in itertools.product(pairs, COLUMN_RULES):
+            assert (_window_moves(pack, key, broken, r, column_rule, bits)
+                    == uncompressed_window_moves(pack, key, broken, r, column_rule, bits)), \
+                (tab, r, column_rule)
+        return len(pairs)
+
+    @given(tableaux(max_n=14, max_value=20))
+    @settings(deadline=None)
+    def test_tableaux_with_many_values(self, tab):
+        self._assert_same_moves(tab)
+
+    def test_reversed_column(self):
+        # Each pair of rows holds 2 of the 40 values.
+        tab = parse_tableau(" / ".join(map(str, range(40, 0, -1))))
+        assert self._assert_same_moves(tab) == 39
+
+    def test_benchmark_batches(self):
+        tabs = benchmark_tableaux(w18_base, None) + benchmark_tableaux(two_row_base, None)
+        assert sum(map(self._assert_same_moves, tabs)) > 100
 
 
 class TestEveryBrokenValue:
-    """Any value that a broken column spans is a valid pivot: the relation
-    pooling around it, with its count vectors built from the rows, has
-    more pool entries than the top row, holds the input's own split once
-    with coefficient 1, and makes every other split heavier."""
+    """Any cut (t, s) with s a broken value and t at most the widest top
+    cut for s is a valid datum: the relation pooling the bottom entries at
+    most s and the top entries at least t, with its count vectors built
+    from the rows, has more pool entries than the top row, holds the
+    input's own split once with coefficient 1, and makes every other split
+    heavier; one step past the widest top cut, the pool is no larger than
+    the top row."""
+
+    @staticmethod
+    def _assert_cuts(tab, specht_degree=0):
+        """Check every cut of a two-row window; return how many were valid."""
+        top = tab.row_lists()[0]
+        bits = _edge_bits(tab.n)
+        valid = 0
+        for within, (a, p, b), pack, key, pieces, start in window_cuts(tab):
+            if not within:
+                assert sum(p) <= len(top), (tab, a, p, b)
+                with pytest.raises(ValueError, match="must exceed top row length"):
+                    count_datum(pack.values, a, p, b, len(top))
+                continue
+            valid += 1
+            datum = count_datum(pack.values, a, p, b, len(top))
+            terms = _relation_terms(a, p, b, len(top), bits, pieces, start, -1)
+            assert [term for term in terms if not term[0]] == [(0, -1, 1)], (tab, datum)
+            for change, _, _ in terms:
+                if change:
+                    child = Tableau(tab.shape, pack.rows(key + change))
+                    assert weight(child) > weight(tab), (tab, datum, child)
+            if tab.n <= specht_degree:
+                assert specht_check(garnir_relation(datum)), datum
+        return valid
 
     @given(two_row_tableaux(max_n=12))
     @settings(deadline=None)
     def test_relation_at_every_broken_value(self, tab):
         top, bottom = tab.row_lists()
-        pack = _Packing(tab.shape, tab.type())
-        key, bits = pack.key((top, bottom)), _edge_bits(tab.n)
-        pieces = [lift - (v << pack.weight_at)
-                  for v, lift in zip(pack.values, pack.lifts)]
-        tops = [top.count(v) for v in pack.values]
-        bottoms = [bottom.count(v) for v in pack.values]
-        broken = [v for v in pack.values
-                  if any(u <= v <= t for t, u in zip(top, bottom))]
-        assert bool(broken) == _breaks_columns(top, bottom)
-        for pivot in broken:
-            below = [v < pivot for v in pack.values]
-            a = [n if low else 0 for n, low in zip(tops, below)]
-            p = [(0 if low else n) + (m if v <= pivot else 0)
-                 for n, m, v, low in zip(tops, bottoms, pack.values, below)]
-            b = [m if v > pivot else 0 for m, v in zip(bottoms, pack.values)]
-            assert sum(p) > len(top)
-            start = -sum(n * piece
-                         for n, piece, low in zip(tops, pieces, below) if not low)
-            terms = _relation_terms(a, p, b, len(top), bits, pieces, start, -1)
-            assert [term for term in terms if not term[0]] == [(0, -1, 1)], (tab, pivot)
-            for change, _, _ in terms:
-                if change:
-                    child = Tableau(tab.shape, pack.rows(key + change))
-                    assert weight(child) > weight(tab), (tab, pivot, child)
+        assert any(True for _ in window_cuts(tab)) == _breaks_columns(top, bottom)
+        self._assert_cuts(tab)
+
+    def test_every_cut_of_every_small_window(self):
+        # Every non-semistandard two-row window of degree at most 7 with
+        # values at most 4; the relations of those of degree at most 6 also
+        # vanish on the Specht module.
+        tabs = [tab for n in range(2, 8) for top_len in range((n + 1) // 2, n)
+                for tab in iter_fillings(Partition((top_len, n - top_len)), 4)
+                if not is_semistandard(tab)]
+        cuts = [self._assert_cuts(tab, specht_degree=6) for tab in tabs]
+        assert (len(tabs), sum(cuts)) == (2015, 5256)
 
 
 class TestTopEntryPivot:
-    """The library's pivot, the broken value its scan stops at, against the
-    top entry of the picked column that it replaced
-    (``straighten_reference.top_entry_window_counts``): equal canonical
-    forms under every rule, and two-row steps that differ only by a
-    combination vanishing on the Specht module."""
+    """The library's cut against the cut (k, k) at the broken value k that
+    it replaced (``straighten_reference.broken_value_window_counts``):
+    equal canonical forms under every rule, and two-row steps that differ
+    only by a combination vanishing on the Specht module, under "leftmost"
+    in ``changed`` of the 4620 small windows."""
 
-    @staticmethod
+    reference = staticmethod(broken_value_window_counts)
+    changed = 886
+
     @contextlib.contextmanager
-    def _top_entry():
+    def _reference(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(heckehom.straighten, "_window_counts", top_entry_window_counts)
+            patch.setattr(heckehom.straighten, "_window_counts", self.reference)
             yield
 
     @pytest.mark.parametrize("pair_rule,column_rule", RULES)
@@ -527,7 +653,7 @@ class TestTopEntryPivot:
     @settings(deadline=None, max_examples=50)
     def test_same_canonical_form(self, pair_rule, column_rule, tab):
         new = semistandardize(tab, pair_rule, column_rule)
-        with self._top_entry():
+        with self._reference():
             old = semistandardize(tab, pair_rule, column_rule)
         assert new == old
 
@@ -535,7 +661,7 @@ class TestTopEntryPivot:
     def test_same_canonical_form_on_benchmark_batches(self, base):
         tabs = benchmark_tableaux(base, None)
         new = [semistandardize(tab) for tab in tabs]
-        with self._top_entry():
+        with self._reference():
             old = [semistandardize(tab) for tab in tabs]
         assert new == old
 
@@ -546,15 +672,24 @@ class TestTopEntryPivot:
         assert len(tabs) == 4620
         new = {rule: [two_row_straighten_step(tab, rule) for tab in tabs]
                for rule in COLUMN_RULES}
-        with self._top_entry():
+        with self._reference():
             old = {rule: [two_row_straighten_step(tab, rule) for tab in tabs]
                    for rule in COLUMN_RULES}
         assert old["rightmost"] == new["rightmost"]
         changed = [(was, now) for was, now in zip(old["leftmost"], new["leftmost"])
                    if was != now]
-        assert len(changed) == 710
+        assert len(changed) == self.changed
         for was, now in changed:
             assert specht_check(was - now), (was, now)
+
+
+class TestTopEntryCut(TestTopEntryPivot):
+    """The same against the rule before that, the cut (k, k) at the top
+    entry k of the picked broken column
+    (``straighten_reference.top_entry_window_counts``)."""
+
+    reference = staticmethod(top_entry_window_counts)
+    changed = 1498
 
 
 class TestSemistandardizeLincomb:
