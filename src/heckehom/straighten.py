@@ -29,9 +29,8 @@ The broken values at both ends are read off the lowest and the highest
 guard bit of the check that found the pair, the cut and the count vectors
 off the prefix counts, and the relation is built by
 ``garnir._relation_terms`` summing one int per pooled value and take, the
-last pooled value's take being forced.  When the two rows hold fewer
-entries than half the values, a value they do not hold gets no piece and
-no level.  Only the emitted keys are decoded into rows, each distinct row
+last pooled value's take being forced.  Only the pooled values get a
+piece.  Only the emitted keys are decoded into rows, each distinct row
 once per call.
 ``two_row_straighten_step`` is the same rewrite on a two-row tableau, with
 each move's key decoded.
@@ -70,7 +69,7 @@ import heapq
 from bisect import bisect_left
 from itertools import compress
 from math import comb
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Iterable
 
 from .combinat import Composition, Tableau, _breaks_columns
@@ -233,19 +232,14 @@ def _window_moves(pack: _Packing, key: int, broken: int, r: int, column_rule: st
     # The cut and the count vectors are by rank, and so are the top entries
     # that the input's own split pools, those of rank t on.
     moved = list(map(sub, upper[t:], upper[t - 1:]))
-    values, lifts = pack.values, pack.lifts
-    if 2 * (upper[-1] + lower[-1]) < len(values):
-        # The two rows hold fewer entries than half the ranks, as in a tall
-        # tableau of many values.  Only the ranks they hold get a piece and
-        # a level: any other adds no running total and no table, so the
-        # relation is the same.  With fewer ranks absent, dropping them
-        # costs more than it saves.
-        a, p, b, moved, values, lifts = zip(*compress(
-            zip(a, p, b, [0] * (t - 1) + moved, values, lifts), map(add, map(add, a, p), b)))
     # Moving a v up changes the rows by the lift of its rank and the weight
-    # by -v.  The moved entries are those of the last ranks.
-    pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(values, lifts)]
-    start = -sum(map(mul, moved, pieces[-len(moved):]))
+    # by -v.  Only a pooled rank's piece is ever read, so only those are
+    # built, and the start sums only the ranks that move: a tall tableau of
+    # many values builds a key-wide int per pooled value, not per value.
+    weight_at = pack.weight_at
+    pieces = [(lift << at) - (v << weight_at) if n else 0
+              for n, v, lift in zip(p, pack.values, pack.lifts)]
+    start = -sum(map(mul, compress(moved, moved), compress(pieces[t - 1:], moved)))
     # Started at minus the input's own split, the piece sum of each term is
     # the change to the key; built negated, so that dropping the input's own
     # term, -1, leaves the rewrite.  Called through module globals so that

@@ -23,9 +23,10 @@ rows.  The tests compare it with the
 library, ``items()`` order included.
 
 ``uncompressed_window_moves`` is the window rewrite before
-``straighten._window_moves`` dropped the values its two rows do not hold
-from the relation it builds: one piece and one level for every value of
-the tableau.  The tests compare the two, move lists equal, order included.
+``straighten._window_moves`` built pieces only for the pooled values: one
+key-wide piece for every value of the tableau, and the start summed over
+every rank from the top cut on.  The tests compare the two, move lists
+equal, order included.
 
 ``broken_value_window_counts`` and ``top_entry_window_counts`` are the
 two cut rules ``straighten._window_counts`` replaced, each a cut (k, k)
@@ -158,8 +159,8 @@ def _tuple_traverse(terms, shape, type_, pair_rule, column_rule, bits):
         pending[tab.row_lists()] = (coeff, bound)
         heap.append((weight(tab), tab.row_lists()))
     heapq.heapify(heap)
-    # Per window: (new window rows, weight change, packed coefficient, norm)
-    # per term of its rewrite.
+    # Per window and whether it is the bottom pair: (new window rows, weight
+    # change, packed coefficient, norm) per term of its rewrite.
     moves = {}
     out = {}
     while heap:
@@ -175,10 +176,13 @@ def _tuple_traverse(terms, shape, type_, pair_rule, column_rule, bits):
             out[rows] = coeff
             continue
         key = rows[l - 1: l + 1]
-        window_moves = moves.get(key)
+        # The cut depends on whether the pair is the bottom one, so the memo
+        # is keyed by that too, as the library's is by the window's bits.
+        both_ends = l == tab.nrows - 1
+        window_moves = moves.get((both_ends, key))
         if window_moves is None:
-            window_moves = moves[key] = tuple_step(key[0], key[1], column_rule, bits,
-                                                        l == tab.nrows - 1)
+            window_moves = moves[both_ends, key] = tuple_step(key[0], key[1], column_rule,
+                                                              bits, both_ends)
         before, after = rows[: l - 1], rows[l + 1:]
         for pair, change, step_coeff, norm in window_moves:
             child = before + pair + after
@@ -248,9 +252,9 @@ def top_entry_window_counts(upper, lower, low, high, column_rule, both_ends):
 
 
 def uncompressed_window_moves(pack, key, broken, r, column_rule, bits):
-    """``straighten._window_moves`` before it kept only the ranks the
-    window holds, without its checks: a piece as wide as the key, and a
-    level in the relation, for every value of the tableau."""
+    """``straighten._window_moves`` before it built pieces only for the
+    pooled ranks, without its checks: a piece as wide as the key for every
+    value of the tableau."""
     at = r * pack.group
     upper, lower = pack.prefixes(key >> at), pack.prefixes(key >> at + pack.group)
     guards = broken >> at & (1 << pack.group) - 1

@@ -548,10 +548,10 @@ def count_datum(values, a, p, b, top_len):
 
 
 class TestCompressedWindow:
-    """The window rewrite, which gives pieces and levels only to the values
-    its two rows hold, against the one that gave them to every value of
-    the tableau (``straighten_reference.uncompressed_window_moves``): equal
-    move lists, order included, on every broken pair of rows."""
+    """The window rewrite, which builds pieces only for the pooled values,
+    against the one that built one for every value of the tableau
+    (``straighten_reference.uncompressed_window_moves``): equal move lists,
+    order included, on every broken pair of rows."""
 
     @staticmethod
     def _assert_same_moves(tab):
