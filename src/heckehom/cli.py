@@ -8,7 +8,8 @@ Four subcommands:
   verify       check a stored combination, or sweep composition identities
 
 Exit codes: 0 success, 2 parse error, 3 precondition failure (bad shape,
-cap exceeded, invalid relation data, an entry above ``MAX_ENTRY``), 4
+cap exceeded, invalid relation data, an entry above ``MAX_ENTRY``, a
+``basis`` shape or type of size above ``MAX_ENTRY``), 4
 verification failure, 5 an invariant of the straightening engine failed (a
 bug, never bad input), 141 stdout was closed before the output was written.
 
@@ -28,12 +29,12 @@ from typing import TYPE_CHECKING
 from .errors import ParseError, StraighteningError
 from .combinat import (
     Composition,
+    _parse_ints,
+    _rows_tableau,
+    _split_rows,
     enumerate_semistandard,
     format_tableau_inline,
     parse_multiset,
-    parse_tableau,
-    rows_are_sorted,
-    tableau_to_json,
 )
 from .garnir import GarnirDatum, LinComb, garnir_relation
 from .straighten import (
@@ -142,10 +143,11 @@ def _check(cap: int | None, n: int, comb: Callable[[], LinComb], label: str) -> 
 def _cmd_straighten(args: argparse.Namespace) -> int:
     _require_check_cap(args.check)
     text = _read_source(args.tableau) if args.tableau == "-" else args.tableau
-    if not args.strict and not rows_are_sorted(text):
+    rows = _split_rows(text)
+    if not args.strict and any(row != sorted(row) for row in rows):
         print("warning: rows were not weakly increasing; sorted them "
               "(use --strict to reject instead)", file=sys.stderr)
-    tab = parse_tableau(text, strict=args.strict)
+    tab = _rows_tableau(rows, args.strict)
     result = semistandardize(tab, pair_rule=args.pair_rule,
                              column_rule=args.column_rule)
     print(_render_lincomb(result, args.format, args.q))
@@ -164,25 +166,15 @@ def _cmd_garnir(args: argparse.Namespace) -> int:
     return _check(args.check, datum.n, lambda: rel, "relation on Specht module")
 
 
-def _parse_composition(text: str, label: str) -> Composition:
-    try:
-        parts = [int(p) for p in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ParseError(f"bad {label} {text!r}") from exc
-    if any(p < 0 for p in parts):
-        raise ParseError(f"{label} parts must be nonnegative: {text!r}")
-    return Composition(parts)
-
-
 def _cmd_basis(args: argparse.Namespace) -> int:
-    shape = _parse_composition(args.shape, "shape")
-    type_ = _parse_composition(args.type, "type")
+    shape, type_ = (Composition(_parse_ints(text, label, 0, f"{label} parts must be nonnegative"))
+                    for text, label in ((args.shape, "shape"), (args.type, "type")))
     tabs = enumerate_semistandard(shape, type_)
     if args.format == "json":
         data = {
             "shape": list(shape.stripped),
             "type": list(type_.stripped),
-            "tableaux": [tableau_to_json(t)["rows"] for t in tabs],
+            "tableaux": [list(map(list, t.row_lists())) for t in tabs],
         }
         print(json.dumps(data, indent=2))
     else:

@@ -13,6 +13,10 @@ Conventions used throughout the package:
 * The row-reading filling of a shape places 1..n left to right along
   successive rows; the column-reading filling (partitions only) places 1..n
   down successive columns.
+
+Text read from the command line is checked once, where it is split: a
+tableau's rows by ``_split_rows``, any other list of integers by
+``_parse_ints``.  A tableau's type is counted from its own sorted rows.
 """
 
 from __future__ import annotations
@@ -142,21 +146,15 @@ class Multiset:
 
     def __init__(self, values: Iterable[int] | Mapping[int, int] = ()):
         counts: dict[int, int] = {}
-        if isinstance(values, Mapping):
-            for v, m in values.items():
-                v, m = int(v), int(m)
-                if m < 0:
-                    raise ValueError(f"negative multiplicity for {v}")
-                if not 1 <= v <= MAX_ENTRY:
-                    raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {v}")
-                if m:
-                    counts[v] = counts.get(v, 0) + m
-        else:
-            for v in values:
-                v = int(v)
-                if not 1 <= v <= MAX_ENTRY:
-                    raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {v}")
-                counts[v] = counts.get(v, 0) + 1
+        pairs = values.items() if isinstance(values, Mapping) else zip(values, itertools.repeat(1))
+        for v, m in pairs:
+            v, m = int(v), int(m)
+            if m < 0:
+                raise ValueError(f"negative multiplicity for {v}")
+            if not 1 <= v <= MAX_ENTRY:
+                raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {v}")
+            if m:
+                counts[v] = counts.get(v, 0) + m
         self._counts = counts
         self._elements = _sorted_elements(counts)
 
@@ -276,10 +274,12 @@ def iter_multisets(size: int, max_value: int) -> Iterator[Multiset]:
         yield Multiset(combo)
 
 
-def type_composition(content: Multiset) -> Composition:
-    """The composition recording how many copies of each value 1..max occur."""
-    top = content.max_value()
-    return Composition(tuple(content.count(v) for v in range(1, top + 1)))
+def _count_vector(values: Iterable[int], top: int) -> list[int]:
+    # Entry i counts the copies of the value i + 1.
+    counts = [0] * top
+    for v in values:
+        counts[v - 1] += 1
+    return counts
 
 
 def cross_pairs(upper: Multiset, lower: Multiset) -> int:
@@ -370,7 +370,9 @@ class Tableau:
 
     def type(self) -> Composition:
         if self._type is None:
-            self._type = type_composition(self.content())
+            rows = self._row_tuples
+            top = max((row[-1] for row in rows if row), default=0)
+            self._type = Composition(_count_vector(itertools.chain.from_iterable(rows), top))
         return self._type
 
     def row_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -459,6 +461,11 @@ def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> li
     type_ = as_composition(type_)
     if not shape.is_partition:
         raise ValueError(f"semistandard enumeration needs a partition shape, got {shape}")
+    # A tableau is held, and written, entry by entry, so its size is
+    # bounded like its entries.
+    for what, comp in (("shape", shape), ("type", type_)):
+        if comp.n > MAX_ENTRY:
+            raise ValueError(f"{what} size {comp.n} is above the limit {MAX_ENTRY}")
     if shape.n != type_.n:
         return []
     pool = Multiset({v: m for v, m in enumerate(type_.parts, start=1) if m})
@@ -498,23 +505,14 @@ def format_tableau_inline(tab: Tableau) -> str:
     return " / ".join(" ".join(map(str, row)) for row in tab.row_lists())
 
 
-def rows_are_sorted(text: str) -> bool:
-    """Whether every row of a textual tableau is already weakly increasing."""
-    try:
-        rows = _split_rows(text)
-    except ParseError:
-        return True
-    return all(list(r) == sorted(r) for r in rows)
-
-
 def _split_rows(text: str) -> list[list[int]]:
+    """The rows of a textual tableau as written, each a list of positive
+    entries; blank rows are skipped."""
     pieces = [p for chunk in text.split("\n") for p in chunk.split("/")]
     rows: list[list[int]] = []
     for piece in pieces:
         entries = piece.split()
         if not entries:
-            if piece.strip():
-                raise ParseError(f"bad tableau row: {piece!r}")
             continue
         try:
             row = [int(e) for e in entries]
@@ -534,17 +532,14 @@ def parse_tableau(text: str, *, strict: bool = False) -> Tableau:
     Rows are multisets, so unsorted input is accepted and sorted; with
     strict=True unsorted rows raise ParseError instead.
     """
-    rows = _split_rows(text)
-    if strict and any(list(r) != sorted(r) for r in rows):
+    return _rows_tableau(_split_rows(text), strict)
+
+
+def _rows_tableau(rows: list[list[int]], strict: bool) -> Tableau:
+    # The tableau of rows that _split_rows read.
+    if strict and any(row != sorted(row) for row in rows):
         raise ParseError("rows are not weakly increasing (strict mode)")
-    return Tableau(Composition(len(r) for r in rows), [Multiset(r) for r in rows])
-
-
-def tableau_to_json(tab: Tableau) -> dict:
-    return {
-        "shape": list(tab.shape.stripped),
-        "rows": [list(row) for row in tab.row_lists()],
-    }
+    return Tableau(Composition(map(len, rows)), rows)
 
 
 def _json_ints(value: object, what: str) -> None:
@@ -554,28 +549,18 @@ def _json_ints(value: object, what: str) -> None:
         raise ParseError(f"{what} must be a list of integers, got {value!r}")
 
 
-def tableau_from_json(data: object) -> Tableau:
-    if not isinstance(data, dict) or "shape" not in data or "rows" not in data:
-        raise ParseError("tableau JSON needs 'shape' and 'rows' keys")
-    shape, rows = data["shape"], data["rows"]
-    if not isinstance(rows, list):
-        raise ParseError("tableau JSON 'rows' must be a list")
-    _json_ints(shape, "tableau JSON 'shape'")
-    for row in rows:
-        _json_ints(row, "each tableau JSON row")
+def _parse_ints(text: str, label: str, least: int, rule: str) -> list[int]:
+    """Comma- or space-separated integers, each at least least; a
+    ParseError names the label, or the rule that an entry broke."""
     try:
-        return Tableau(Composition(shape), [Multiset(r) for r in rows])
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"bad tableau JSON: {exc}") from exc
+        values = [int(v) for v in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ParseError(f"bad {label} {text!r}") from exc
+    if any(v < least for v in values):
+        raise ParseError(f"{rule}: {text!r}")
+    return values
 
 
 def parse_multiset(text: str) -> Multiset:
     """Parse comma- or space-separated positive integers; empty means empty."""
-    cleaned = text.replace(",", " ").split()
-    try:
-        values = [int(v) for v in cleaned]
-    except ValueError as exc:
-        raise ParseError(f"bad multiset {text!r}") from exc
-    if any(v < 1 for v in values):
-        raise ParseError(f"multiset values must be positive: {text!r}")
-    return Multiset(values)
+    return Multiset(_parse_ints(text, "multiset", 1, "multiset values must be positive"))

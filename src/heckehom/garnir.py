@@ -42,6 +42,11 @@ the sign times a product of table entries.  The traversal in
 ``straighten.two_row_straighten_step`` unpack them into ``LaurentPoly`` at
 a width of the degree plus 2 (``_edge_bits``), where every relation
 coefficient is exact.
+
+A ``LinComb`` read from JSON (``LinComb.from_json``, the edge ``verify``
+reads through) is checked once: each term is built once as a ``Tableau``
+of the declared shape, its type compared once with the declared type, and
+the combination built trusted.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
 from operator import sub
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import ParseError
 from .combinat import (
@@ -59,13 +64,13 @@ from .combinat import (
     IntoComposition,
     Multiset,
     Tableau,
+    _count_vector,
     _json_ints,
     as_composition,
     format_tableau_inline,
     iter_multisets,
-    tableau_from_json,
 )
-from .qcoeff import IntoPoly, LaurentPoly, _as_poly, _packed_binomial, _unpack
+from .qcoeff import IntoPoly, LaurentPoly, _add_into, _as_poly, _packed_binomial, _unpack
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -78,9 +83,10 @@ Rows = tuple[tuple[int, ...], ...]
 class LinComb:
     """A formal linear combination of tableaux with Laurent coefficients.
 
-    All tableaux share one shape and one content; zero coefficients are
-    dropped.  The combination denotes the corresponding weighted sum of
-    row-multiset homomorphisms.
+    All tableaux share one shape and one content, and the shape and the
+    type have the same size; zero coefficients are dropped.  The
+    combination denotes the corresponding weighted sum of row-multiset
+    homomorphisms.
     """
 
     __slots__ = ("_shape", "_type", "_terms")
@@ -99,6 +105,7 @@ class LinComb:
             if tab.type() != self._type:
                 raise ValueError(f"term type {tab.type()} != {self._type}")
             acc[tab] = poly
+        _require_same_size(self._shape, self._type)
         self._terms = acc
 
     @classmethod
@@ -156,12 +163,7 @@ class LinComb:
         self._compatible(other)
         acc = dict(self._terms)
         for tab, poly in other._terms.items():
-            if tab in acc:
-                poly = acc[tab] + poly
-                if not poly:
-                    del acc[tab]
-                    continue
-            acc[tab] = poly
+            _add_into(acc, tab, poly)
         return LinComb._raw(self._shape, self._type, acc)
 
     def __sub__(self, other: "LinComb") -> "LinComb":
@@ -209,6 +211,14 @@ class LinComb:
 
     @classmethod
     def from_json(cls, data: object) -> "LinComb":
+        """The combination that ``to_json`` writes, duplicate terms added
+        up; ParseError on anything else.
+
+        Each check runs once.  Per term, in order: its layout, the shape (at
+        the first term), its tableau and its coefficient.  After the terms:
+        the shape if there were none, the type, the type of each term whose
+        sum is nonzero (in the order the terms first appear), and the sizes.
+        """
         if not isinstance(data, dict):
             raise ParseError("linear combination JSON must be an object")
         for key in ("shape", "type", "terms"):
@@ -224,20 +234,42 @@ class LinComb:
         _json_ints(type_, "linear combination JSON 'type'")
         if not isinstance(raw_terms, list):
             raise ParseError("'terms' must be a list")
+        shape_c: Composition | None = None
+        tabs: list[Tableau] = []
         terms: dict[Tableau, LaurentPoly] = {}
         for entry in raw_terms:
             if not isinstance(entry, dict) or "coeff" not in entry or "rows" not in entry:
                 raise ParseError("each term needs 'coeff' and 'rows'")
-            tab = tableau_from_json({"shape": shape, "rows": entry["rows"]})
-            poly = LaurentPoly.parse(str(entry["coeff"]))
-            if tab in terms:
-                terms[tab] = terms[tab] + poly
-            else:
-                terms[tab] = poly
+            rows = entry["rows"]
+            if not isinstance(rows, list):
+                raise ParseError("tableau JSON 'rows' must be a list")
+            for row in rows:
+                _json_ints(row, "each tableau JSON row")
+            try:
+                # A Composition is always true, so the shape is built once.
+                shape_c = shape_c or Composition(shape)
+                tab = Tableau(shape_c, rows)
+            except ValueError as exc:
+                raise ParseError(f"bad tableau JSON: {exc}") from exc
+            tabs.append(tab)
+            _add_into(terms, tab, LaurentPoly.parse(str(entry["coeff"])))
         try:
-            return cls(Composition(shape), Composition(type_), terms)
-        except (ValueError, TypeError) as exc:
+            shape_c = shape_c or Composition(shape)
+            type_c = Composition(type_)
+            for tab in tabs:
+                if tab in terms and tab.type() != type_c:
+                    raise ValueError(f"term type {tab.type()} != {type_c}")
+            _require_same_size(shape_c, type_c)
+        except ValueError as exc:
             raise ParseError(f"bad linear combination: {exc}") from exc
+        return cls._raw(shape_c, type_c, terms)
+
+
+def _require_same_size(shape: Composition, type_: Composition) -> None:
+    # Checked after the terms: a term of the right shape and type has
+    # both sizes, so this rejects only a combination with no terms.
+    if shape.n != type_.n:
+        raise ValueError(f"shape size {shape.n} != type size {type_.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +378,6 @@ def _edge_bits(n: int) -> int:
     return n + 2
 
 
-def _count_vector(values: Iterable[int], top: int) -> list[int]:
-    # Entry i counts the copies of the value i + 1.
-    counts = [0] * top
-    for v in values:
-        counts[v - 1] += 1
-    return counts
-
-
 _FACTOR_TABLE_CACHE_SIZE = 1024
 
 
@@ -448,17 +472,13 @@ def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
 # ---------------------------------------------------------------------------
 
 
-def weight(tab: Tableau) -> int:
+def _weight(rows: Rows) -> int:
     """Sum over rows of (row index) times (sum of row entries), top row 1.
 
     Each rewrite pushes entry mass strictly downward, so this weight
     strictly increases; it is bounded on the finitely many tableaux of a
     given shape and content, which forces termination.
     """
-    return _weight(tab.row_lists())
-
-
-def _weight(rows: Rows) -> int:
     return sum(r * sum(row) for r, row in enumerate(rows, start=1))
 
 

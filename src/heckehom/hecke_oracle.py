@@ -75,6 +75,7 @@ from .qcoeff import (
     MAX_EXPONENT_SPAN,
     IntoPoly,
     LaurentPoly,
+    _add_into,
     _as_poly,
     _lowest_exponent,
     _norm,
@@ -116,16 +117,6 @@ def _require_within_cap(n: int) -> None:
 # ---------------------------------------------------------------------------
 # algebra elements
 # ---------------------------------------------------------------------------
-
-
-def _add_into(acc: dict[Perm, LaurentPoly], w: Perm, poly: LaurentPoly) -> None:
-    """Add poly to the coefficient at w, dropping the entry if it cancels."""
-    total = acc.get(w)
-    total = poly if total is None else total + poly
-    if total:
-        acc[w] = total
-    else:
-        acc.pop(w, None)
 
 
 class HeckeElem:

@@ -17,6 +17,12 @@ the brute-force model (``hecke_oracle.specht_check``) packs its
 coefficients the same way, and both start at the same width and widen by
 the same rule (``_START_BITS``, ``_wider``) in the same restart loop
 (``_widening``, which reruns a computation that raised ``_Widen``).
+
+The sums of ``LaurentPoly`` terms, of linear combinations of tableaux and
+of Hecke algebra elements add into their dicts with one helper,
+``_add_into``, which drops an entry that cancels.  The product of two
+``LaurentPoly`` keeps its own loop: it is the inner loop of the
+standard-basis model in the tests.
 """
 
 from __future__ import annotations
@@ -31,6 +37,17 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 IntoPoly = Union["LaurentPoly", int]
+
+
+def _add_into(acc: dict, key: object, value: IntoPoly) -> None:
+    """Add value (an int or a ``LaurentPoly``) to the entry at key,
+    dropping the entry if the sum cancels."""
+    total = acc.get(key)
+    total = value if total is None else total + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 class LaurentPoly:
@@ -52,12 +69,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
-            if coeff:
-                s = acc.get(exp, 0) + coeff
-                if s:
-                    acc[exp] = s
-                elif exp in acc:
-                    del acc[exp]
+            _add_into(acc, exp, coeff)
         self._terms = acc
 
     @classmethod
@@ -125,11 +137,7 @@ class LaurentPoly:
             return other
         acc = dict(self._terms)
         for exp, coeff in other._terms.items():
-            s = acc.get(exp, 0) + coeff
-            if s:
-                acc[exp] = s
-            elif exp in acc:
-                del acc[exp]
+            _add_into(acc, exp, coeff)
         return LaurentPoly._raw(acc)
 
     __radd__ = __add__
@@ -283,11 +291,7 @@ class LaurentPoly:
                 exp = 0
             else:
                 exp = int(m.group(3)) if m.group(3) is not None else 1
-            s_ = acc.get(exp, 0) + sign * coeff
-            if s_:
-                acc[exp] = s_
-            elif exp in acc:
-                del acc[exp]
+            _add_into(acc, exp, sign * coeff)
         return cls._raw(acc)
 
 

@@ -40,6 +40,15 @@ scanning the columns, and the widest top cut for each, found by counting.
 ``pivot_cuts``, ``straightening_datum`` and ``reference_step`` cut the
 rows there, so the tests compare the library step with a datum built
 without prefix counts.
+
+``reference_from_json`` is the JSON reader that ``LinComb.from_json``
+replaced: every term read as a tableau JSON object of its own
+(``reference_tableau_from_json``, its shape checked again per term), then
+every term checked again by the rules of ``LinComb``'s constructor as they
+were before it compared the sizes of the shape and the type, each term's
+type counted from a validated ``Multiset`` of its content
+(``type_composition``).  The tests compare the two readers on valid and
+corrupted objects.
 """
 
 from bisect import bisect_left, bisect_right
@@ -54,14 +63,83 @@ from heckehom import (
     LaurentPoly,
     LinComb,
     Multiset,
+    ParseError,
     StraighteningError,
     Tableau,
     garnir_relation,
     quantum_binomial,
 )
-from heckehom.combinat import cross_pairs, type_composition
+from heckehom.combinat import _json_ints, cross_pairs
 from heckehom.garnir import Rows, _factor_table
 from heckehom.qcoeff import _packed_binomial
+
+
+def type_composition(content: Multiset) -> Composition:
+    """The composition recording how many copies of each value 1..max occur."""
+    top = content.max_value()
+    return Composition(tuple(content.count(v) for v in range(1, top + 1)))
+
+
+def reference_tableau_from_json(data: object) -> Tableau:
+    if not isinstance(data, dict) or "shape" not in data or "rows" not in data:
+        raise ParseError("tableau JSON needs 'shape' and 'rows' keys")
+    shape, rows = data["shape"], data["rows"]
+    if not isinstance(rows, list):
+        raise ParseError("tableau JSON 'rows' must be a list")
+    _json_ints(shape, "tableau JSON 'shape'")
+    for row in rows:
+        _json_ints(row, "each tableau JSON row")
+    try:
+        return Tableau(Composition(shape), [Multiset(r) for r in rows])
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad tableau JSON: {exc}") from exc
+
+
+def reference_from_json(data: object) -> LinComb:
+    if not isinstance(data, dict):
+        raise ParseError("linear combination JSON must be an object")
+    for key in ("shape", "type", "terms"):
+        if key not in data:
+            raise ParseError(f"linear combination JSON needs {key!r}")
+    if "q" in data:
+        raise ParseError("linear combination JSON with 'q' has coefficients "
+                         "specialised at a number, not Laurent polynomials in q")
+    shape, type_, raw_terms = data["shape"], data["type"], data["terms"]
+    _json_ints(shape, "linear combination JSON 'shape'")
+    _json_ints(type_, "linear combination JSON 'type'")
+    if not isinstance(raw_terms, list):
+        raise ParseError("'terms' must be a list")
+    terms: dict[Tableau, LaurentPoly] = {}
+    for entry in raw_terms:
+        if not isinstance(entry, dict) or "coeff" not in entry or "rows" not in entry:
+            raise ParseError("each term needs 'coeff' and 'rows'")
+        tab = reference_tableau_from_json({"shape": shape, "rows": entry["rows"]})
+        poly = LaurentPoly.parse(str(entry["coeff"]))
+        if tab in terms:
+            terms[tab] = terms[tab] + poly
+        else:
+            terms[tab] = poly
+    try:
+        return _reference_lincomb(Composition(shape), Composition(type_), terms)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad linear combination: {exc}") from exc
+
+
+def _reference_lincomb(shape: Composition, type_: Composition,
+                       terms: dict[Tableau, LaurentPoly]) -> LinComb:
+    # LinComb's constructor before it compared the sizes of the shape and
+    # the type.
+    acc = {}
+    for tab, poly in terms.items():
+        if not poly:
+            continue
+        if tab.shape != shape:
+            raise ValueError(f"term shape {tab.shape} != {shape}")
+        tab_type = type_composition(tab.content())
+        if tab_type != type_:
+            raise ValueError(f"term type {tab_type} != {type_}")
+        acc[tab] = poly
+    return LinComb._raw(shape, type_, acc)
 
 
 @dataclass(frozen=True)

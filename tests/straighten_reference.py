@@ -38,6 +38,9 @@ pair of rows it may start from either end.  Patched into the library,
 either must give the same canonical forms, and each two-row step it
 changes must differ from the library's by a combination that vanishes on
 the Specht module; the tests check both.
+
+``weight`` is the order both worklists pop by, read off a ``Tableau``; the
+library computes it only as part of a packed key (``garnir._Packing``).
 """
 
 import heapq
@@ -53,11 +56,21 @@ from heckehom import (
     Tableau,
     two_row_straighten_step,
 )
-from heckehom.garnir import _count_vector, _relation_from_counts, _relation_terms, weight
+from heckehom.garnir import _count_vector, _relation_from_counts, _relation_terms
 from heckehom.qcoeff import _norm, _pack, _unpack, _Widen, _widening, _wider
 from heckehom.straighten import _window_counts, embed_two_row, find_violating_window
 
 from .garnir_reference import pivot_cuts
+
+
+def weight(tab):
+    """Sum over rows of (row index) times (sum of row entries), top row 1.
+
+    Each rewrite pushes entry mass strictly downward, so this weight
+    strictly increases; it is bounded on the finitely many tableaux of a
+    given shape and content, which forces termination.
+    """
+    return sum(r * sum(row) for r, row in enumerate(tab.row_lists(), start=1))
 
 
 def memo_of_expansions(tab, pair_rule, column_rule, memo):

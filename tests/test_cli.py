@@ -283,6 +283,18 @@ class TestBasis:
                              "--type", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("shape,type_,what", [
+        (str(MAX_ENTRY + 1), str(MAX_ENTRY + 1), "shape"),
+        ("2", f"1 {MAX_ENTRY}", "type"),
+    ])
+    def test_size_above_the_limit_exits_3(self, capsys, shape, type_, what):
+        # Enumerated, the first would hold and write a tableau of more
+        # than a million entries.
+        code, out, err = run(capsys, "basis", "--shape", shape, "--type", type_)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {what} size {MAX_ENTRY + 1} is above the limit {MAX_ENTRY}\n"
+
 
 class TestVerify:
     def test_nonvanishing_combination_fails(self, capsys, tmp_path):
@@ -339,6 +351,25 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "span 100000000" in err
+
+    def test_mismatched_sizes_are_a_parse_error(self, capsys, tmp_path):
+        # With no terms, no term's type disagrees with the declared one.
+        path = tmp_path / "comb.json"
+        path.write_text(json.dumps({"shape": [2, 1], "type": [5], "terms": []}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad linear combination: shape size 3 != type size 5\n"
+
+    def test_duplicate_terms_that_cancel_pass(self, capsys, tmp_path):
+        data = {"shape": [2, 1], "type": [2, 1],
+                "terms": [{"coeff": "q", "rows": [[1, 2], [1]]},
+                          {"coeff": "-q", "rows": [[1, 2], [1]]}]}
+        path = tmp_path / "comb.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0
+        assert err == "check combination on Specht module: PASS\n"
 
     def test_entry_above_the_limit_in_json_is_a_parse_error(self, capsys, tmp_path):
         data = {"shape": [1, 1], "type": [1],

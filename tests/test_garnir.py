@@ -4,11 +4,12 @@ Split-level properties are checked on the per-split reference in
 ``garnir_reference``, and ``garnir_relation`` is checked against it.
 """
 
+import copy
 import itertools
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import heckehom.straighten
 from heckehom import (
@@ -28,6 +29,7 @@ from heckehom import (
     semistandardize,
     two_row_straighten_step,
 )
+from heckehom.combinat import MAX_ENTRY
 from heckehom.garnir import _Packing, _relation_from_counts, _relation_terms
 from perfbench.workloads import two_row_base, w18_base
 
@@ -35,6 +37,7 @@ from .garnir_reference import (
     Split,
     build_tableau,
     enumerate_splits,
+    reference_from_json,
     reference_packed_relation,
     reference_relation,
     reference_relation_from_counts,
@@ -460,6 +463,13 @@ class TestLinComb:
         with pytest.raises(ValueError):
             LinComb(Composition((3,)), Composition((2, 1)), {tab: 1})
 
+    def test_constructor_checks_the_sizes_of_shape_and_type(self):
+        with pytest.raises(ValueError, match=r"^shape size 3 != type size 5$"):
+            LinComb(Composition((2, 1)), Composition((5,)))
+        with pytest.raises(ValueError, match="size"):
+            LinComb.zero((2,), (1,))
+        assert LinComb.zero((2, 0), (1, 0, 1)).is_zero
+
     def test_zero_terms_dropped(self):
         tab = parse_tableau("1 1 / 2")
         comb = LinComb.single(tab) - LinComb.single(tab)
@@ -505,3 +515,119 @@ class TestLinComb:
         }
         comb = LinComb.from_json(data)
         assert comb.coefficient(parse_tableau("1")) == LaurentPoly.parse("1 + q")
+
+    def test_from_json_rejects_mismatched_sizes(self):
+        data = {"shape": [2, 1], "type": [5], "terms": []}
+        with pytest.raises(ParseError,
+                           match=r"^bad linear combination: shape size 3 != type size 5$"):
+            LinComb.from_json(data)
+
+    def test_from_json_drops_a_wrongly_typed_term_that_cancels(self):
+        data = {
+            "shape": [2], "type": [1, 1],
+            "terms": [{"coeff": "q", "rows": [[1, 1]]},
+                      {"coeff": "1", "rows": [[1, 2]]},
+                      {"coeff": "-q", "rows": [[1, 1]]}],
+        }
+        assert LinComb.from_json(data).support() == [parse_tableau("1 2")]
+
+
+_NEGATED = {"1": "-1", "-1": "1", "q": "-q", "-q": "q", "2 + q^-1": "-2 - q^-1", "0": "0"}
+_CORRUPTIONS = ("cancel", "long row", "extra row", "short row", "wrong type", "bool",
+                "float", "missing key", "missing term key", "q", "negative", "bad coeff",
+                "not a list", "entry out of range", "not an object")
+
+
+@st.composite
+def combination_json(draw):
+    """A JSON object like the one ``LinComb.to_json`` writes: terms that
+    share one content, often repeated, then up to three corruptions."""
+    shape = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+    content = draw(st.lists(st.integers(min_value=1, max_value=4),
+                            min_size=sum(shape), max_size=sum(shape)))
+    type_ = [content.count(v) for v in range(1, max(content, default=0) + 1)]
+    type_ += [0] * draw(st.integers(min_value=0, max_value=1))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        order = draw(st.permutations(content))
+        cuts = list(itertools.accumulate(shape, initial=0))
+        terms.append({"coeff": draw(st.sampled_from(sorted(_NEGATED))),
+                      "rows": [order[a:b] for a, b in zip(cuts, cuts[1:])]})
+    data = {"shape": shape, "type": type_, "terms": terms}
+    for corruption in draw(st.lists(st.sampled_from(_CORRUPTIONS), max_size=3)):
+        term = draw(st.sampled_from(terms)) if terms else {"coeff": "1", "rows": []}
+        rows = term["rows"] if isinstance(term.get("rows"), list) else []
+        row = draw(st.sampled_from(rows)) if rows else []
+        if not isinstance(row, list):
+            row = []
+        anywhere = draw(st.sampled_from([row, shape, type_]))
+        if corruption == "cancel":
+            twin = copy.deepcopy(term)
+            twin["coeff"] = _NEGATED.get(twin.get("coeff"), "-1")
+            terms.insert(draw(st.integers(min_value=0, max_value=len(terms))), twin)
+            if draw(st.booleans()):
+                terms.append(copy.deepcopy(term))
+        elif corruption == "long row":
+            row.append(draw(st.integers(min_value=1, max_value=4)))
+        elif corruption == "extra row":
+            rows.append(draw(st.sampled_from([[], [1]])))
+        elif corruption == "short row" and row:
+            row.pop()
+        elif corruption == "wrong type" and row:
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = \
+                draw(st.integers(min_value=1, max_value=5))
+        elif corruption in ("bool", "float"):
+            value = True if corruption == "bool" else 1.0
+            anywhere.insert(draw(st.integers(min_value=0, max_value=len(anywhere))), value)
+        elif corruption == "missing key":
+            del data[draw(st.sampled_from(sorted(data)))]
+        elif corruption == "missing term key" and term in terms:
+            term.pop(draw(st.sampled_from(["coeff", "rows"])), None)
+        elif corruption == "q":
+            data["q"] = "2"
+        elif corruption == "negative":
+            anywhere.append(-1)
+        elif corruption == "bad coeff" and term in terms:
+            term["coeff"] = draw(st.sampled_from(["q^", "", "1 +", None, 3, "2q^-2"]))
+        elif corruption == "not a list" and term in terms:
+            term["rows"] = draw(st.sampled_from([5, "1 2", [5], [[1], "2"]]))
+        elif corruption == "entry out of range":
+            anywhere.append(draw(st.sampled_from([0, MAX_ENTRY + 1])))
+        elif corruption == "not an object":
+            return draw(st.sampled_from([[data], None, "x"]))
+    return data
+
+
+def _outcome(read, data):
+    try:
+        comb = read(copy.deepcopy(data))
+    except Exception as exc:  # the readers are compared on every error
+        return "error", type(exc), str(exc)
+    return "read", comb.shape.parts, comb.type.parts, comb.items()
+
+
+class TestJsonReader:
+    """``LinComb.from_json`` against the reader it replaced."""
+
+    # Pinned orders: a wrongly typed term that cancels and comes back,
+    # ahead of another; a negative shape behind a broken first term and
+    # with no terms; a negative type behind a bad coefficient.  The last
+    # example is the one difference.
+    @settings(max_examples=600, deadline=None)
+    @given(combination_json())
+    @example({"shape": [1], "type": [1],
+              "terms": [{"coeff": "q", "rows": [[2]]}, {"coeff": "-q", "rows": [[2]]},
+                        {"coeff": "1", "rows": [[3]]}, {"coeff": "1", "rows": [[2]]}]})
+    @example({"shape": [2, -1], "type": [1], "terms": [{"rows": 3}]})
+    @example({"shape": [2, -1], "type": [-1], "terms": []})
+    @example({"shape": [1], "type": [-1, 2], "terms": [{"coeff": "q^", "rows": [[2]]}]})
+    @example({"shape": [2, 1], "type": [5], "terms": []})
+    def test_matches_the_reference_reader(self, data):
+        want, got = _outcome(reference_from_json, data), _outcome(LinComb.from_json, data)
+        if want[0] == "read" and sum(want[1]) != sum(want[2]):
+            # The one difference: a combination whose shape and type sizes
+            # differ, which the reference accepts when it has no terms.
+            assert want[3] == []
+            assert got[:2] == ("error", ParseError) and "!= type size" in got[2]
+        else:
+            assert got == want

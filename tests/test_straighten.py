@@ -32,7 +32,7 @@ from heckehom import (
 
 from heckehom.cli import build_parser
 from heckehom.combinat import _breaks_columns
-from heckehom.garnir import _count_vector, _edge_bits, _Packing, _relation_terms, weight
+from heckehom.garnir import _count_vector, _edge_bits, _Packing, _relation_terms
 from heckehom.qcoeff import MAX_EXPONENT_SPAN
 from heckehom.straighten import (
     COLUMN_RULES,
@@ -51,6 +51,7 @@ from .straighten_reference import (
     top_entry_window_counts,
     tuple_worklist,
     uncompressed_window_moves,
+    weight,
 )
 from .strategies import tableaux, two_row_tableaux
 
