@@ -36,7 +36,7 @@ from .combinat import (
     format_tableau_inline,
     parse_multiset,
 )
-from .garnir import GarnirDatum, LinComb, garnir_relation
+from .garnir import GarnirDatum, LinComb, _terms_text, garnir_relation
 from .straighten import (
     COLUMN_RULES,
     DEFAULT_PAIR_RULE,
@@ -118,10 +118,7 @@ def _render_lincomb(comb: LinComb, fmt: str, q: Fraction | None) -> str:
     pairs = [(tab, value) for tab, value in pairs if value]
     if fmt == "json":
         return _lincomb_json(comb, pairs, str(q))
-    if not pairs:
-        return "0"
-    return "\n".join(f"({value}) * {format_tableau_inline(tab)}"
-                     for tab, value in pairs)
+    return _terms_text(pairs)
 
 
 def _report_check(passed: bool, label: str) -> int:
@@ -196,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     raw = _read_source(args.source)
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"bad JSON: {exc}") from exc
     comb = LinComb.from_json(data)
     return _report_check(specht_check(comb), "combination on Specht module")

@@ -282,18 +282,48 @@ def _count_vector(values: Iterable[int], top: int) -> list[int]:
     return counts
 
 
-def cross_pairs(upper: Multiset, lower: Multiset) -> int:
-    """Number of pairs (a, b) with a from upper, b from lower and a > b.
+# ---------------------------------------------------------------------------
+# frozen value classes
+# ---------------------------------------------------------------------------
 
-    Counted with multiplicity; this is the exponent bookkeeping used by the
-    straightening coefficients and the merge identities.
-    """
-    total = 0
-    for a, ma in upper.counts():
-        for b, mb in lower.counts():
-            if a > b:
-                total += ma * mb
-    return total
+
+class _Frozen:
+    """A value class whose fields are its ``__slots__``: set once, in
+    order, by ``__init__``, then compared, hashed, pickled and shown field
+    by field.  A subclass keeps its own typed ``__init__`` and validation;
+    a field that cannot be hashed makes the value unhashable."""
+
+    __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        # A subclass compares with its base both ways: the reflected call
+        # runs the base's check.
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------

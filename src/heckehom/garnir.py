@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
 from operator import sub
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
 from .combinat import (
@@ -65,6 +65,7 @@ from .combinat import (
     Multiset,
     Tableau,
     _count_vector,
+    _Frozen,
     _json_ints,
     as_composition,
     format_tableau_inline,
@@ -196,10 +197,7 @@ class LinComb:
 
     def to_text(self) -> str:
         """One term per line: (coefficient) * row / row / ..."""
-        if self.is_zero:
-            return "0"
-        return "\n".join(f"({coeff}) * {format_tableau_inline(tab)}"
-                         for tab, coeff in self.items())
+        return _terms_text(self.items())
 
     def to_json(self) -> dict:
         return {
@@ -265,6 +263,13 @@ class LinComb:
         return cls._raw(shape_c, type_c, terms)
 
 
+def _terms_text(terms: Iterable[tuple[Tableau, object]]) -> str:
+    """One line per (tableau, coefficient) term, (coefficient) * row / row
+    / ..., or "0" when there are none."""
+    return "\n".join(f"({coeff}) * {format_tableau_inline(tab)}"
+                     for tab, coeff in terms) or "0"
+
+
 def _require_same_size(shape: Composition, type_: Composition) -> None:
     # Checked after the terms: a term of the right shape and type has
     # both sizes, so this rejects only a combination with no terms.
@@ -277,7 +282,7 @@ def _require_same_size(shape: Composition, type_: Composition) -> None:
 # ---------------------------------------------------------------------------
 
 
-class GarnirDatum:
+class GarnirDatum(_Frozen):
     """Data for one two-row relation.
 
     ``fixed_top`` stays in the top row, ``fixed_bottom`` stays in the bottom
@@ -292,8 +297,7 @@ class GarnirDatum:
 
     def __init__(self, fixed_top: Multiset, pool: Multiset, fixed_bottom: Multiset,
                  top_len: int) -> None:
-        for name, value in zip(self.__slots__, (fixed_top, pool, fixed_bottom, top_len)):
-            object.__setattr__(self, name, value)
+        super().__init__(fixed_top, pool, fixed_bottom, top_len)
         if self.top_len < 1:
             raise ValueError(f"top row length must be positive, got {self.top_len}")
         if self.pool.size <= self.top_len:
@@ -307,30 +311,6 @@ class GarnirDatum:
             raise ValueError(
                 f"top row length {self.top_len} shorter than bottom "
                 f"row length {self.n - self.top_len}")
-
-    def _fields(self) -> tuple:
-        return self.fixed_top, self.pool, self.fixed_bottom, self.top_len
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return GarnirDatum, self._fields()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"GarnirDatum(fixed_top={self.fixed_top!r}, pool={self.pool!r}, "
-                f"fixed_bottom={self.fixed_bottom!r}, top_len={self.top_len!r})")
 
     @property
     def n(self) -> int:

@@ -16,13 +16,14 @@ n!/|Young subgroup| coordinates instead of the algebra's n!.
 * The map of a tableau C sends x T_d to image(C) T_d, which is its one
   image rule.  image(C) is the sum of the tabloids row-equivalent to C,
   each with coefficient 1: ``_image_words`` lists their words straight
-  from C's rows, ``_apply_hom`` applies the map to a packed vector, and
-  ``image_h3`` unpacks an image into a ``TabloidVector``.
+  from C's sorted row tuples, ``_apply_hom`` applies the map to a packed
+  vector, and ``image_h3`` unpacks an image into a ``TabloidVector``.
 * The Specht test (``specht_check``) and the four composition identities
   (``verify_composition_props``) run on that kernel.  Each identity is
   data, tableau maps composed on the left and a combination of them on
-  the right, for one evaluator, ``_identity_holds``.  A zero that its
-  width cannot certify restarts the computation wider.
+  the right, for one evaluator, ``_identity_holds``; every tableau there
+  is its sorted row tuples (``garnir.Rows``), never a ``Tableau``.  A
+  zero that its width cannot certify restarts the computation wider.
 * The one shortcut: the Specht test does not multiply by the alternating
   element y of the conjugate shape.  Since T_i y = -y for s_i in y's
   column group, x T_d y is 0 or ± x T_u y for u the column-sorted word of
@@ -48,6 +49,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -59,7 +61,7 @@ from .combinat import (
     Partition,
     Perm,
     Tableau,
-    cross_pairs,
+    _Frozen,
     identity_perm,
     iter_multisets,
     w_mu,
@@ -67,6 +69,7 @@ from .combinat import (
 from .garnir import (
     GarnirDatum,
     LinComb,
+    Rows,
     garnir_relation,
     iter_valid_data,
 )
@@ -395,12 +398,12 @@ def _arrangements(row: tuple[int, ...], s: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def _image_words(tab: Tableau, s: int) -> list[Word]:
-    """The image of a tableau's map, the image of the generator of the
-    permutation module of its shape, in the tabloid basis of its type's
-    module: the words of the tabloids row-equivalent to the tableau, each
-    with coefficient 1 (Dipper and James's definition of the map), with
-    s-bit labels.
+def _image_words(rows: Rows, s: int) -> list[Word]:
+    """The image of the map of a tableau with these sorted rows, the image
+    of the generator of the permutation module of its shape, in the tabloid
+    basis of its type's module: the words of the tabloids row-equivalent to
+    the tableau, each with coefficient 1 (Dipper and James's definition of
+    the map), with s-bit labels.
 
     The label at position p of such a word is the label, value - 1, in
     cell p of the shape's row-reading order of a filling whose rows
@@ -415,7 +418,7 @@ def _image_words(tab: Tableau, s: int) -> list[Word]:
     """
     words: list[Word] = [0]
     shift = 0
-    for row in tab.row_lists():
+    for row in rows:
         if row:
             arranged = _arrangements(row, s)
             if shift:
@@ -425,35 +428,38 @@ def _image_words(tab: Tableau, s: int) -> list[Word]:
     return words
 
 
-def _rep_of(word: Word, comp: Composition, s: int) -> Perm:
-    """The minimal coset representative with the given s-bit word: each
-    block of positions holds its values in increasing order."""
+def _rep_of(word: Word, sizes: Sequence[int], s: int) -> Perm:
+    """The minimal coset representative with the given s-bit word, over
+    blocks of these sizes: each block of positions holds its values in
+    increasing order."""
     mask = (1 << s) - 1
-    blocks: list[list[int]] = [[] for _ in comp.parts]
-    for v in range(1, comp.n + 1):
+    blocks: list[list[int]] = [[] for _ in sizes]
+    for v in range(1, sum(sizes) + 1):
         blocks[word & mask].append(v)
         word >>= s
     return tuple(v for block in blocks for v in block)
 
 
-def _apply_hom(vec: Packed, tab: Tableau, s: int, bits: int) -> tuple[Packed, int]:
-    """The map of tab on a packed vector of the permutation module of its
-    shape, landing in the module of its type, with s-bit words on both
-    sides; and the factor by which the map can raise a norm bound.
+def _apply_hom(vec: Packed, rows: Rows, s: int, bits: int) -> tuple[Packed, int]:
+    """The map of the tableau with these sorted rows on a packed vector of
+    the permutation module of its shape, landing in the module of its type,
+    with s-bit words on both sides; and the factor by which the map can
+    raise a norm bound.
 
-    The map sends the tabloid x T_d to image(tab) T_d, so the result is the
+    The map sends the tabloid x T_d to image(rows) T_d, so the result is the
     sum over the vector's words of the coefficient times the image
     multiplied, letter by letter, by a reduced word of the word's d.  Each
     letter at most triples a coordinate's norm (see ``_mul_gen``), so a
     bound B on the input's coordinates gives B times the sum over its words
     of 3**l(d) on the output's.
     """
-    image = dict.fromkeys(_image_words(tab, s), 1)
+    image = dict.fromkeys(_image_words(rows, s), 1)
+    sizes = tuple(map(len, rows))
     out: Packed = {}
     growth = 0
     for word, coeff in vec.items():
         term = image
-        letters = reduced_word(_rep_of(word, tab.shape, s))
+        letters = reduced_word(_rep_of(word, sizes, s))
         growth += 3 ** len(letters)
         for i in letters:
             term = _mul_gen(term, i, s, bits)
@@ -462,39 +468,19 @@ def _apply_hom(vec: Packed, tab: Tableau, s: int, bits: int) -> tuple[Packed, in
     return out, growth
 
 
-class TabloidVector:
+class TabloidVector(_Frozen):
     """An element of a permutation module written in the tabloid basis.
 
     coords maps each minimal coset representative d to its coefficient;
     the basis element at d is the composition's x element times the basis
     element of d.  ``image_h3`` returns one.  Its fields cannot be
-    reassigned.
+    reassigned, and it is not hashable.
     """
 
     __slots__ = ("composition", "coords")
 
     def __init__(self, composition: Composition, coords: dict[Perm, LaurentPoly]) -> None:
-        object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.composition, self.coords)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TabloidVector):
-            return NotImplemented
-        return (self.composition == other.composition
-                and self.coords == other.coords)
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(composition={self.composition!r}, "
-                f"coords={self.coords!r})")
+        super().__init__(composition, coords)
 
     @property
     def is_zero(self) -> bool:
@@ -511,8 +497,8 @@ def image_h3(tab: Tableau) -> TabloidVector:
     _require_within_cap(tab.n)
     comp = tab.type()
     s = _label_bits(len(comp.parts))
-    return TabloidVector(comp, {_rep_of(word, comp, s): _ONE
-                                for word in _image_words(tab, s)})
+    return TabloidVector(comp, {_rep_of(word, comp.parts, s): _ONE
+                                for word in _image_words(tab.row_lists(), s)})
 
 
 def _sorted_block(block: Word, size: int, s: int) -> tuple[int, int] | None:
@@ -646,7 +632,7 @@ def specht_check(comb: LinComb) -> bool:
     terms = comb.items()
     low = _lowest_exponent(coeff for _, coeff in terms)
     s = _label_bits(len(comb.type.parts))
-    images = [(_image_words(tab, s), coeff.shift(-low), _norm(coeff))
+    images = [(_image_words(tab.row_lists(), s), coeff.shift(-low), _norm(coeff))
               for tab, coeff in terms]
     # Called through the module global so that the tests can wrap it.
     return _widening(lambda bits: _packed_specht(images, shape, s, bits), _START_BITS)
@@ -690,10 +676,11 @@ class PropsReport:
 
 
 Instance = tuple[str, tuple]
-Terms = list[tuple[Tableau, LaurentPoly]]
-# An identity as data: the tableaux whose maps compose to its left-hand side,
-# its right-hand side as (tableau, coefficient) pairs, its failure message.
-Identity = tuple[list[Tableau], Terms, str]
+Terms = list[tuple[Rows, LaurentPoly]]
+# An identity as data: the sorted rows of the tableaux whose maps compose
+# to its left-hand side, its right-hand side as (rows, coefficient) pairs,
+# its failure message.
+Identity = tuple[list[Rows], Terms, str]
 
 
 def _iter_row_merge(n_cap: int, value_cap: int) -> Iterator[Instance]:
@@ -735,44 +722,34 @@ def _iter_garnir_factorization(n_cap: int, value_cap: int) -> Iterator[Instance]
                 datum.fixed_bottom.elements(), datum.top_len))
 
 
-def _tab(rows: Sequence[tuple[int, ...]]) -> Tableau:
-    """The tableau with these sorted rows of positive entries, unchecked;
-    trailing empty rows are dropped, as ``Tableau`` drops them."""
-    rows = tuple(rows)
-    while rows and not rows[-1]:
-        rows = rows[:-1]
-    return Tableau._raw(Composition(map(len, rows)), rows, None)
-
-
-def _merge_map(sizes: Sequence[int]) -> Tableau:
+def _merge_map(sizes: Sequence[int]) -> Rows:
     """The map that merges each consecutive pair of rows of a tableau with
     these row sizes: row k holds 2k + 1 sizes[2k] times, then 2k + 2
     sizes[2k + 1] times."""
-    return _tab([(2 * k + 1,) * a + (2 * k + 2,) * b
-                 for k, (a, b) in enumerate(zip(sizes[::2], sizes[1::2]))])
+    return tuple((2 * k + 1,) * a + (2 * k + 2,) * b
+                 for k, (a, b) in enumerate(zip(sizes[::2], sizes[1::2])))
 
 
-def _split_map(r: int, u: int, v: int, t: int) -> Tableau:
+def _split_map(r: int, u: int, v: int, t: int) -> Rows:
     """The map that splits the middle row of a tableau with row sizes
     (r, u + v, t) into rows of u and v entries."""
-    return _tab(((1,) * r, (2,) * u, (2,) * v, (3,) * t))
+    return ((1,) * r, (2,) * u, (2,) * v, (3,) * t)
 
 
-def _merge(rows: Sequence[tuple[int, ...]]) -> tuple[list[Tableau], Terms]:
+def _merge(rows: Rows) -> tuple[list[Rows], Terms]:
     """Merging each consecutive (upper, lower) pair of rows: the merge map
     followed by the map of these rows is a scalar times the map of the
-    merged rows.  The scalar is the product over the pairs of
-    q^cross_pairs(upper, lower) and, per value v of upper, the quantum
-    binomial [upper_v + lower_v choose upper_v]."""
+    merged rows.  The scalar is the product over the pairs of q to the
+    number of pairs a > b with a in upper and b in lower, and, per value v
+    of upper, the quantum binomial [upper_v + lower_v choose upper_v]."""
     scalar, merged = _ONE, []
     for upper, lower in zip(rows[::2], rows[1::2]):
-        up, low = Multiset(upper), Multiset(lower)
-        for v, count in up.counts():
-            scalar *= quantum_binomial(count + low.count(v), count)
-        scalar = scalar.shift(cross_pairs(up, low))
+        for v in dict.fromkeys(upper):
+            count = upper.count(v)
+            scalar *= quantum_binomial(count + lower.count(v), count)
+        scalar = scalar.shift(sum(bisect_left(lower, a) for a in upper))
         merged.append(tuple(sorted(upper + lower)))
-    return ([_merge_map([len(row) for row in rows]), _tab(rows)],
-            [(_tab(merged), scalar)])
+    return [_merge_map([len(row) for row in rows]), rows], [(tuple(merged), scalar)]
 
 
 def _row_merge(params: tuple) -> Identity:
@@ -790,9 +767,9 @@ def _row_split(params: tuple) -> Identity:
     of every way to split the middle row into u and w - u entries."""
     rows, u = params
     (r, w, t), middle = map(len, rows), Multiset(rows[1])
-    rhs = [(_tab((rows[0], part.elements(), (middle - part).elements(), rows[2])), _ONE)
+    rhs = [((rows[0], part.elements(), (middle - part).elements(), rows[2]), _ONE)
            for part in middle.sub_multisets(u)]
-    return ([_split_map(r, u, w - u, t), _tab(rows)], rhs,
+    return ([_split_map(r, u, w - u, t), rows], rhs,
             f"row split failed for rows {rows}, split size {u}")
 
 
@@ -802,8 +779,8 @@ def _garnir_factorization(params: tuple) -> Identity:
     top, pool, bottom, top_len = params
     datum = GarnirDatum(Multiset(top), Multiset(pool), Multiset(bottom), top_len)
     quad = (len(top), datum.take_size, datum.bottom_len - len(bottom), len(bottom))
-    maps = [_merge_map(quad), _split_map(*quad), _tab((top, pool, bottom))]
-    return (maps, garnir_relation(datum).items(),
+    maps = [_merge_map(quad), _split_map(*quad), (top, pool, bottom)]
+    return (maps, [(tab.row_lists(), c) for tab, c in garnir_relation(datum).items()],
             f"relation factorisation failed for {top}|{pool}|{bottom}, "
             f"top length {top_len}")
 
@@ -819,7 +796,7 @@ _IDENTITIES = {
 PROP_KINDS = tuple(_IDENTITIES)
 
 
-def _identity_vector(maps: list[Tableau], rhs: Terms, bits: int) -> tuple[Packed, int]:
+def _identity_vector(maps: list[Rows], rhs: Terms, bits: int) -> tuple[Packed, int]:
     """An identity's two sides subtracted at q = 2**bits, with a bound on
     the norm of each coordinate: the image of maps[0], carried through the
     map of each later tableau in turn, minus each right-hand coefficient
@@ -830,17 +807,17 @@ def _identity_vector(maps: list[Tableau], rhs: Terms, bits: int) -> tuple[Packed
     (see ``_apply_hom``) and then grows by the right-hand side's norms.
     Nothing is dropped on the way, so the bound covers every coordinate
     that the result leaves out as well."""
-    s = _label_bits(max(row[-1] for tab in maps for row in tab.row_lists() if row))
+    s = _label_bits(max(row[-1] for rows in maps for row in rows if row))
     diff = dict.fromkeys(_image_words(maps[0], s), 1)
     bound = 1
-    for tab in maps[1:]:
-        diff, growth = _apply_hom(diff, tab, s, bits)
+    for rows in maps[1:]:
+        diff, growth = _apply_hom(diff, rows, s, bits)
         bound *= growth
-    bound += _add_images(diff, [(_image_words(tab, s), -c, _norm(c)) for tab, c in rhs], bits)
+    bound += _add_images(diff, [(_image_words(rows, s), -c, _norm(c)) for rows, c in rhs], bits)
     return diff, bound
 
 
-def _identity_holds(maps: list[Tableau], rhs: Terms, bits: int) -> bool:
+def _identity_holds(maps: list[Rows], rhs: Terms, bits: int) -> bool:
     """Whether an identity holds at q = 2**bits (see ``_identity_vector``);
     raises _Widen when a zero cannot be certified at this width."""
     return _certified_zero(*_identity_vector(maps, rhs, bits), bits)

@@ -286,11 +286,11 @@ class LaurentPoly:
             m = cls._TERM_RE.match(piece)
             if not m or (m.group(1) is None and m.group(2) is None):
                 raise ParseError(f"bad polynomial term {piece!r} in {text!r}")
-            coeff = int(m.group(1)) if m.group(1) is not None else 1
-            if m.group(2) is None:
-                exp = 0
-            else:
-                exp = int(m.group(3)) if m.group(3) is not None else 1
+            try:
+                coeff = int(m.group(1) or 1)
+                exp = 0 if m.group(2) is None else int(m.group(3) or 1)
+            except ValueError as exc:  # only a number past the integer digit limit
+                raise ParseError(f"bad polynomial term: {exc}") from exc
             _add_into(acc, exp, sign * coeff)
         return cls._raw(acc)
 

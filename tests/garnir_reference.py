@@ -41,6 +41,10 @@ scanning the columns, and the widest top cut for each, found by counting.
 rows there, so the tests compare the library step with a datum built
 without prefix counts.
 
+``cross_pairs`` counts the pairs of entries, one from each of two
+multisets, that stand in decreasing order: the q-exponent of a split's
+coefficient here and of the merge scalar in ``tests/hecke_reference.py``.
+
 ``reference_from_json`` is the JSON reader that ``LinComb.from_json``
 replaced: every term read as a tableau JSON object of its own
 (``reference_tableau_from_json``, its shape checked again per term), then
@@ -69,9 +73,22 @@ from heckehom import (
     garnir_relation,
     quantum_binomial,
 )
-from heckehom.combinat import _json_ints, cross_pairs
+from heckehom.combinat import _json_ints
 from heckehom.garnir import Rows, _factor_table
 from heckehom.qcoeff import _packed_binomial
+
+
+def cross_pairs(upper: Multiset, lower: Multiset) -> int:
+    """Number of pairs (a, b) with a from upper, b from lower and a > b,
+    counted with multiplicity: the exponent bookkeeping of the relation's
+    coefficients here and of the merge scalar in tests/hecke_reference.py.
+    The library counts the same pairs on sorted row tuples instead."""
+    total = 0
+    for a, ma in upper.counts():
+        for b, mb in lower.counts():
+            if a > b:
+                total += ma * mb
+    return total
 
 
 def type_composition(content: Multiset) -> Composition:

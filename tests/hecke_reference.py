@@ -17,7 +17,9 @@ Two references share no arithmetic with the packed tabloid kernel in
   (``algebra_image``, ``image_h2``, ``image_h4``), coordinates in the
   tabloid basis read off and verified by reconstruction
   (``tabloid_coords``), maps applied to them (``apply_hom``), and the four
-  composition identities checked on those (``reference_check``).
+  composition identities checked on those (``reference_check``), the
+  merge scalar computed from ``Multiset``s and ``cross_pairs``
+  (``merge_scalar``), where the library counts it on row tuples.
 
 Both build images through the tableau's permutation 1A and the minimal
 coset representatives (``perm_1A``, ``coset_reps``), and so does
@@ -53,7 +55,7 @@ from heckehom import (
     garnir_relation,
     quantum_binomial,
 )
-from heckehom.combinat import as_composition, cross_pairs, identity_perm, w_mu
+from heckehom.combinat import as_composition, identity_perm, w_mu
 from heckehom.hecke_oracle import (
     HeckeElem,
     _add_into,
@@ -61,6 +63,8 @@ from heckehom.hecke_oracle import (
     reduced_word,
 )
 from heckehom.qcoeff import _Widen, _as_poly, _unpack, _wider
+
+from .garnir_reference import cross_pairs
 
 _Q_MINUS_1 = LaurentPoly.parse("q - 1")
 
@@ -466,6 +470,21 @@ def _constant_rows(sizes_and_values):
     return [Multiset([value] * size) for size, value in sizes_and_values]
 
 
+def merge_scalar(rows):
+    """The scalar of the merge identities for these rows, merged in
+    consecutive (upper, lower) pairs, from their ``Multiset``s: per pair,
+    q^cross_pairs(upper, lower) and, per value v of upper, the quantum
+    binomial [upper_v + lower_v choose upper_v].  The library's ``_merge``
+    counts the same scalar on the row tuples."""
+    scalar = LaurentPoly.one()
+    for upper_elems, lower_elems in zip(rows[::2], rows[1::2]):
+        upper, lower = Multiset(upper_elems), Multiset(lower_elems)
+        for v, count in upper.counts():
+            scalar = scalar * quantum_binomial(count + lower.count(v), count)
+        scalar = scalar.shift(cross_pairs(upper, lower))
+    return scalar
+
+
 def _check_row_merge(params):
     top_elems, bottom_elems, m = params
     top, bottom = Multiset(top_elems), Multiset(bottom_elems)
@@ -476,12 +495,7 @@ def _check_row_merge(params):
     merged = Tableau((m,), [top + bottom])
     coords = tabloid_coords(algebra_image(merge_b), xi)
     lhs = apply_hom(coords, tab_c)
-    scalar = LaurentPoly.one()
-    for v in top.support():
-        scalar = scalar * quantum_binomial(top.count(v) + bottom.count(v),
-                                           top.count(v))
-    scalar = scalar.shift(cross_pairs(top, bottom))
-    rhs = algebra_image(merged).scale(scalar)
+    rhs = algebra_image(merged).scale(merge_scalar((top_elems, bottom_elems)))
     if lhs != rhs:
         return f"row merge failed for rows {top_elems}/{bottom_elems}, m={m}"
     return None
@@ -498,16 +512,7 @@ def _check_pair_merge(params):
     merged = Tableau((r + u, v + t), [rows[0] + rows[1], rows[2] + rows[3]])
     coords = tabloid_coords(algebra_image(merge_b), quad)
     lhs = apply_hom(coords, tab_c)
-    scalar = LaurentPoly.one()
-    for v_ in rows[0].support():
-        scalar = scalar * quantum_binomial(
-            rows[0].count(v_) + rows[1].count(v_), rows[0].count(v_))
-    for v_ in rows[2].support():
-        scalar = scalar * quantum_binomial(
-            rows[2].count(v_) + rows[3].count(v_), rows[2].count(v_))
-    scalar = scalar.shift(cross_pairs(rows[0], rows[1])
-                          + cross_pairs(rows[2], rows[3]))
-    rhs = algebra_image(merged).scale(scalar)
+    rhs = algebra_image(merged).scale(merge_scalar(rows_elems))
     if lhs != rhs:
         return f"pair merge failed for rows {rows_elems}"
     return None

@@ -381,6 +381,26 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: bad tableau JSON: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("shape,coeff,rows", [
+        ("[1]", '"DIGITS"', "[[1]]"),
+        ("[1]", '"q^DIGITS"', "[[1]]"),
+        ("[DIGITS]", '"1"', "[[1]]"),
+        ("[1]", '"1"', "[[DIGITS]]"),
+    ])
+    def test_integer_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path,
+                                                           shape, coeff, rows):
+        # Python refuses to read an integer of more than 4300 digits from
+        # text, both in a coefficient and in the JSON reader.
+        text = ('{"shape": SHAPE, "type": [1], "terms": [{"coeff": COEFF, "rows": ROWS}]}'
+                .replace("SHAPE", shape).replace("COEFF", coeff).replace("ROWS", rows)
+                .replace("DIGITS", "1" * 5000))
+        path = tmp_path / "comb.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+
     def test_bad_json_exit_code(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))

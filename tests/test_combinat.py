@@ -20,14 +20,13 @@ from heckehom import (
 )
 from heckehom.combinat import (
     MAX_ENTRY,
-    cross_pairs,
     format_tableau_inline,
     iter_multisets,
     parse_multiset,
     w_mu,
 )
 
-from .garnir_reference import type_composition
+from .garnir_reference import cross_pairs, type_composition
 from .hecke_reference import inversions, length_1A, perm_1A, perm_inverse, perm_mul
 from .strategies import compositions, iter_compositions, multisets, tableaux
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from heckehom import (
     LaurentPoly,
     LinComb,
+    ParseError,
     parse_tableau,
     quantum_binomial,
     quantum_int,
@@ -86,6 +87,13 @@ class TestArithmetic:
     def test_parse_errors(self):
         for bad in ("q + + q", "2x", "", "q^"):
             with pytest.raises(ValueError):
+                LaurentPoly.parse(bad)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        # Past 4300 digits int() raises a plain ValueError of its own.
+        digits = "1" * 5000
+        for bad in (digits, f"q^{digits}", f"1 - {digits}q^2", f"q^-{digits}"):
+            with pytest.raises(ParseError, match="bad polynomial term"):
                 LaurentPoly.parse(bad)
 
     @given(laurent_polys(), laurent_polys(),
