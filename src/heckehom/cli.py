@@ -14,7 +14,9 @@ verification failure, 5 an invariant of the straightening engine failed (a
 bug, never bad input), 141 stdout was closed before the output was written.
 
 JSON output is written directly, in the same bytes as
-``json.dumps(..., indent=2)``.
+``json.dumps(..., indent=2)``.  With ``--q`` every specialised value is
+written in full, however many digits it has: the interpreter's limit on
+the digits of an int written in decimal does not end the command.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ def _parse_q(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a nonzero rational: {text!r}")
 
 
+def _rational_text(value: Fraction) -> str:
+    """str(value), also past the interpreter's limit on the digits of an int
+    written in decimal (4300 by default), which str raises ValueError at:
+    decimal writes an int of any size, and the limit stays as it is."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+
+        text = str(Decimal(value.numerator))
+        return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
 def _require_check_cap(check: int | None) -> None:
     # A cap below 1 would skip every check while reporting success.
     if check is not None and check < 1:
@@ -115,9 +130,9 @@ def _render_lincomb(comb: LinComb, fmt: str, q: Fraction | None) -> str:
             return _lincomb_json(comb, comb.items())
         return comb.to_text()
     pairs = [(tab, coeff.specialize(q)) for tab, coeff in comb.items()]
-    pairs = [(tab, value) for tab, value in pairs if value]
+    pairs = [(tab, _rational_text(value)) for tab, value in pairs if value]
     if fmt == "json":
-        return _lincomb_json(comb, pairs, str(q))
+        return _lincomb_json(comb, pairs, _rational_text(q))
     return _terms_text(pairs)
 
 

@@ -19,21 +19,27 @@ row, and its coefficient factorises over values: the quantum binomials
 power x_v * (sum of a_u over u > v) + (p_v - x_v) * (sum of b_u over u < v).
 So each pooled value gets one table indexed by its take x_v, holding that
 factor and its L1 norm (the value at q = 1); tables are cached on the
-value's counts and the fixed entries around it, which the builder keeps as
-running totals.  The splits are built level by level, one list
-comprehension per pooled value extending every partial split by each take
-it allows, largest first: no call per term and no multiset arithmetic.  No
-pool entry follows the last pooled value, so its take is forced, the
-number the split still needs: that level is one table lookup per split.
-A split carries no rows either, only one int: the caller gives an int
-piece per value, and each take x_v adds x_v times the value's piece
-(``_relation_terms``).  Both callers pack tableaux as one int, a field per
-row and per value that occurs (``_Packing``), with pieces that move one
-copy of a value up a row: ``garnir_relation`` starts at the key of (fixed
-top | everything else) and decodes each term's key, and the worklist in
-``straighten`` starts at minus the input's own split, so each sum is the
-change to its tableau.  A packing decodes each distinct row once: it
-memoizes rows on the bits of their groups for its own lifetime, one call.
+value's counts and the fixed entries around it.  The builder
+(``_relation_terms``) takes the relation as its levels, one per pooled
+value in increasing order: (a_v, p_v, b_v, above, below, piece), the
+value's counts, the fixed top entries above it, the fixed bottom entries
+below it, and its piece.  No level exists for a value that is not pooled.
+The worklist reads the levels straight off a window's prefix counts
+(``straighten._window_moves``); ``_relation_from_counts`` builds them from
+its count vectors (``_count_levels``).  The splits are built level by
+level, one list comprehension per level extending every partial split by
+each take it allows, largest first: no call per term and no multiset
+arithmetic.  No pool entry follows the last level, so its take is forced,
+the number the split still needs: that level reads one row of the cached
+table per split, as it is.  A split carries no rows either, only one int:
+each take x_v adds x_v times the level's piece.  Both callers pack
+tableaux as one int, a field per row and per value that occurs
+(``_Packing``), with pieces that move one copy of a value up a row:
+``garnir_relation`` starts at the key of (fixed top | everything else)
+and decodes each term's key, and the worklist in ``straighten`` starts at
+minus the input's own split, so each sum is the change to its tableau.  A
+packing decodes each distinct row once: it memoizes rows on the bits of
+their groups for its own lifetime, one call.
 
 Each factor is packed as one int, its value at q = 2**bits (see
 ``qcoeff``), shifted by bits times its exponent, so a term's coefficient is
@@ -375,41 +381,53 @@ def _factor_table(a_v: int, p_v: int, b_v: int, above: int, below: int,
                  for x in range(p_v, -1, -1))
 
 
-def _relation_terms(a: list[int], p: list[int], b: list[int], top_len: int, bits: int,
-                    pieces: list[int], start: int, sign: int) -> list[tuple[int, int, int]]:
-    """sign times the relation of the datum whose fixed top part, pool and
-    fixed bottom part have the count vectors a, p and b; trusted to be
-    valid.  Per term, in order: start plus x_v * pieces[v - 1] summed over
-    the pooled values v, where x_v is how many pooled v's the split sends
-    to the top row; its coefficient packed at q = 2**bits; and that
+def _relation_terms(levels: list[tuple[int, int, int, int, int, int]], need: int,
+                    bits: int, start: int, sign: int) -> list[tuple[int, int, int]]:
+    """sign times the relation of a datum given as its levels, one per
+    pooled value in increasing order: (a_v, p_v, b_v, above, below, piece),
+    the value's counts in the fixed top part, the pool and the fixed bottom
+    part, the fixed top entries above it and the fixed bottom entries below
+    it, and its piece; need is how many pool entries the top row takes.
+    Trusted to be valid.  Per term, in order: start plus x_v * piece summed
+    over the levels, where x_v is how many pooled v's the split sends to
+    the top row; its coefficient packed at q = 2**bits; and that
     coefficient's L1 norm."""
-    room = sum(p)  # pool entries at or after the current pooled value
-    above, below = sum(a), 0  # fixed top entries above it, bottom ones below
+    room = sum([level[1] for level in levels])  # pool entries at or after a level
     # Partial splits: (pool entries the top row still needs, piece sum,
     # packed coefficient, norm).
-    splits = [(top_len - above, start, sign, 1)]
-    for a_i, p_i, b_i, piece in zip(a, p, b, pieces):
-        above -= a_i
-        if p_i:
-            room -= p_i
-            table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm
-                     in _factor_table(a_i, p_i, b_i, above, below, bits)]
-            if not room:
-                # The last pooled value: its take is what the split still
-                # needs, one row of the table.
-                return [(total + part, coeff * factor, norm * factor_norm)
-                        for need, total, coeff, norm in splits
-                        for _, part, factor, factor_norm in [table[p_i - need]]]
-            # A split that still needs `need` entries takes x from
-            # min(p_i, need) down to max(0, need - room): rows p_i - x of
-            # table.
-            splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
-                      for need, total, coeff, norm in splits
-                      for x, part, factor, factor_norm
-                      in table[p_i - need if need < p_i else 0:
-                               p_i + 1 - need + room if need > room else p_i + 1]]
-        below += b_i
+    splits = [(need, start, sign, 1)]
+    for a_v, p_v, b_v, above, below, piece in levels:
+        room -= p_v
+        factors = _factor_table(a_v, p_v, b_v, above, below, bits)
+        if not room:
+            # The last level: its take is what the split still needs, one
+            # row of the factor table, read as it is.
+            return [(total + need * piece, coeff * factor, norm * factor_norm)
+                    for need, total, coeff, norm in splits
+                    for _, factor, factor_norm in [factors[p_v - need]]]
+        table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm in factors]
+        # A split that still needs `need` entries takes x from min(p_v, need)
+        # down to max(0, need - room): rows p_v - x of table.
+        splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
+                  for need, total, coeff, norm in splits
+                  for x, part, factor, factor_norm
+                  in table[p_v - need if need < p_v else 0:
+                           p_v + 1 - need + room if need > room else p_v + 1]]
     return [(start, sign, 1)]  # an empty pool has one split, the empty one
+
+
+def _count_levels(a: list[int], p: list[int], b: list[int],
+                  pieces: list[int]) -> list[tuple[int, int, int, int, int, int]]:
+    """The levels of ``_relation_terms`` for the datum whose parts have the
+    count vectors a, p and b, with pieces[v - 1] the piece of the value v."""
+    above, below = sum(a), 0
+    levels = []
+    for a_v, p_v, b_v, piece in zip(a, p, b, pieces):
+        above -= a_v
+        if p_v:
+            levels.append((a_v, p_v, b_v, above, below, piece))
+        below += b_v
+    return levels
 
 
 def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int,
@@ -427,7 +445,8 @@ def _relation_from_counts(a: list[int], p: list[int], b: list[int], top_len: int
     start = pack.key((tuple(chain.from_iterable(map(repeat, values, a))),
                       tuple(chain.from_iterable(map(repeat, values, map(sub, content, a))))))
     return {pack.rows(total): (coeff, norm) for total, coeff, norm
-            in _relation_terms(a, p, b, top_len, bits, pieces, start, sign)}
+            in _relation_terms(_count_levels(a, p, b, pieces), top_len - sum(a), bits,
+                               start, sign)}
 
 
 def iter_valid_data(n_cap: int, value_cap: int) -> Iterator[GarnirDatum]:
@@ -473,7 +492,7 @@ class _Packing:
     consecutive ones, so the entries below the value of rank k are those at
     most the value of rank k - 1, and the prefix counts by rank take the
     place of those by value everywhere: the column check, the cut and
-    the count vectors.  A count is at most the longest row, below
+    the levels.  A count is at most the longest row, below
     2**(w - 1), so the top bit of every field, its guard, is 0.  The
     weight, in the values themselves, sits at bit B, above one spare
     group: keys order by weight first, and the row part of a move, which
@@ -482,7 +501,7 @@ class _Packing:
     """
 
     __slots__ = ("shape", "type", "values", "width", "group", "weight_at", "guards",
-                 "shifted", "windows", "lifts", "decoded")
+                 "shifted", "windows", "lifts", "count_mask", "pair_fields", "decoded")
 
     def __init__(self, shape: Composition, type_: Composition):
         nrows = len(shape.stripped)
@@ -502,6 +521,12 @@ class _Packing:
         # the counts from rank k on grow by 1 in the upper group, shrink in
         # the lower one.
         self.lifts = [(ones >> at << at) * (1 - (1 << S)) for at in range(0, S, w)]
+        # A field's count, below its guard.
+        self.count_mask = (1 << w - 1) - 1
+        # The shifts that read both rows' prefix counts off a window's bits,
+        # shifted down to 0 (``straighten._window_moves``): each row's led by
+        # a shift past the window, which reads the leading 0.
+        self.pair_fields = [2 * S, *range(0, S, w), 2 * S, *range(S, 2 * S, w)]
         # The rows decoded so far, on the bits of their groups (see ``rows``).
         self.decoded: dict[int, tuple[int, ...]] = {}
 
@@ -530,7 +555,7 @@ class _Packing:
         """[0, entries at most the value of rank 1, ..., entries at most the
         value of rank V] of the row whose group is at the low end of bits:
         its prefix counts by rank."""
-        mask = (1 << self.width - 1) - 1
+        mask = self.count_mask
         return [0] + [bits >> at & mask for at in range(0, self.group, self.width)]
 
     def rows(self, key: int) -> Rows:

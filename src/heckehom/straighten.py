@@ -26,12 +26,13 @@ rows for a broken column.  A window's rewrite (``_window_moves``) is
 memoized on the window's bits as moves: an int to add to the key, which
 changes the two rows and the weight together, with the move's coefficient.
 The broken values at both ends are read off the lowest and the highest
-guard bit of the check that found the pair, the cut and the count vectors
-off the prefix counts, and the relation is built by
-``garnir._relation_terms`` summing one int per pooled value and take, the
-last pooled value's take being forced.  Only the pooled values get a
-piece.  Only the emitted keys are decoded into rows, each distinct row
-once per call.
+guard bit of the check that found the pair, and both rows' prefix counts
+off the window's bits in one pass.  The cut (``_window_cut``) comes from
+those counts, and so does one level per pooled value, with its piece: no
+per-value count vector is built.  ``garnir._relation_terms`` walks only
+those levels, summing one int per level and take, the last level's take
+being forced.  Only the emitted keys are decoded into rows, each distinct
+row once per call.
 ``two_row_straighten_step`` is the same rewrite on a two-row tableau, with
 each move's key decoded.
 
@@ -54,7 +55,7 @@ The pair rule picks the adjacent pair of rows and defaults to
 far fewer tableaux than ``"topmost"`` (README gives the counts).  The
 column rule picks the relation inside that pair.  A relation pools the
 lower row's entries up to a broken value s, one that some broken column
-spans, and the upper row's from some t >= s on (``_window_counts``).
+spans, and the upper row's from some t >= s on (``_window_cut``).
 ``"leftmost"``, the default, takes s the smallest broken value, the bottom
 entry of the leftmost broken column, and the largest t that keeps the pool
 larger than the upper row; at the bottom pair of rows it also tries s the
@@ -67,9 +68,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from itertools import compress
 from math import comb
-from operator import mul, sub
 from typing import Iterable
 
 from .combinat import Composition, Tableau, _breaks_columns
@@ -167,51 +166,39 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
     return _widening(run, _START_BITS)
 
 
-def _window_counts(upper: list[int], lower: list[int], low: int, high: int,
-                   column_rule: str, both_ends: bool
-                   ) -> tuple[int, list[int], list[int], list[int]]:
-    """The rank t at which the top row's pooled entries start, and the count
-    vectors a, p and b of the relation that rewrites a two-row window whose
-    columns break, from the prefix counts of its rows: upper[v] entries of
-    the top row are at most v, for v from 0 (none) to the largest value,
-    and lower[v] of the bottom row, by rank.  low and high are the smallest
-    and the largest broken rank.
+def _window_cut(upper: list[int], lower: list[int], low: int, high: int,
+                column_rule: str, both_ends: bool) -> tuple[int, int]:
+    """The cut (s, t) of the relation that rewrites a two-row window whose
+    columns break: the relation pools the bottom entries of rank at most s
+    and the top entries of rank at least t, and fixes the rest.  upper and
+    lower are the prefix counts of the rows by rank: upper[v] entries of
+    the top row are of rank at most v, for v from 0 (none) to the number
+    of values.  low and high are the smallest and the largest broken rank.
 
     The columns from upper[v - 1] + 1 to lower[v] (from 1) are those whose
     bottom entry is at most v and whose top entry is at least v, so v is a
     broken value, spanned by some broken column, when lower[v] > upper[v - 1].
-    A cut (t, s), s <= t, pools the bottom entries at most s and the top
-    entries at least t and fixes the rest, so a, p and b are slices of the
-    rows' counts per value.  It makes a valid relation whenever lower[s] >
-    upper[t - 1]: the pool is larger than the top row, the input's own
-    split, which sends every pooled top entry to the top, has coefficient
-    1, and every other split moves entries at most s up and entries at
-    least t down.  So s must be broken, and t at most bisect_left(upper,
-    lower[s]), which pools the fewest top entries.  "rightmost" cuts at
-    (high, high).  "leftmost" cuts at low with that widest t and, when
-    both_ends holds, also at high, keeping the cut with fewer splits
-    (comb(pool, lower[s]), low on ties).  The worklist asks for both ends
-    only at the bottom pair of rows: a cut at high pushes large entries
-    down, where they can break the pair below.
+    A cut s <= t makes a valid relation whenever lower[s] > upper[t - 1]:
+    the pool is larger than the top row, the input's own split, which
+    sends every pooled top entry to the top, has coefficient 1, and every
+    other split moves entries at most s up and entries at least t down.
+    So s must be broken, and t at most bisect_left(upper, lower[s]), which
+    pools the fewest top entries.  "rightmost" cuts at (high, high).
+    "leftmost" cuts at low with that widest t and, when both_ends holds,
+    also at high, keeping the cut with fewer splits (comb(pool, lower[s]),
+    low on ties).  The worklist asks for both ends only at the bottom pair
+    of rows: a cut at high pushes large entries down, where they can break
+    the pair below.
     """
     if column_rule == "rightmost":
-        s = t = high
-    else:
-        s, t = low, bisect_left(upper, lower[low])
-        if both_ends and high > low:
-            end = bisect_left(upper, lower[high])
-            if (comb(lower[high] + upper[-1] - upper[end - 1], lower[high])
-                    < comb(lower[low] + upper[-1] - upper[t - 1], lower[low])):
-                s, t = high, end
-    tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
-    # Top entries of rank below t are fixed, bottom ones above s too.
-    a = tops[:t - 1] + [0] * (len(tops) - t + 1)
-    b = [0] * s + bottoms[s:]
-    if s < t:
-        p = bottoms[:s] + [0] * (t - 1 - s) + tops[t - 1:]
-    else:
-        p = bottoms[:s - 1] + [bottoms[s - 1] + tops[s - 1]] + tops[s:]
-    return t, a, p, b
+        return high, high
+    t = bisect_left(upper, lower[low])
+    if both_ends and high > low:
+        end = bisect_left(upper, lower[high])
+        if (comb(lower[high] + upper[-1] - upper[end - 1], lower[high])
+                < comb(lower[low] + upper[-1] - upper[t - 1], lower[low])):
+            return high, end
+    return low, t
 
 
 def _window_moves(pack: _Packing, key: int, broken: int, r: int, column_rule: str,
@@ -219,32 +206,52 @@ def _window_moves(pack: _Packing, key: int, broken: int, r: int, column_rule: st
     """The rewrite of rows r and r + 1 (from 0) of a packed tableau whose
     column check gave broken, at q = 2**bits: per term other than the
     input's own, the change to the key, the packed coefficient and its L1
-    norm."""
+    norm.
+
+    The relation's levels (``garnir._relation_terms``) are read straight
+    off the rows' prefix counts, one per pooled rank, in one pass over the
+    cut (s, t) of ``_window_cut``.  Ranks up to s pool their lower row
+    entries and fix their upper row ones, of which upper[t - 1] - upper[v]
+    lie above rank v.  Ranks from t on pool their upper row entries and fix
+    their lower row ones, of which lower[v - 1] - lower[s] lie below rank
+    v.  At s = t that rank pools both.  No rank between s and t is pooled,
+    and no level or piece is built for it.
+    """
     at = r * pack.group
+    V = len(pack.values)
     # Rows r and r + 1 alone, shifted down: no field read shifts a wider int.
     pair = key >> at & pack.windows[0]
-    upper, lower = pack.prefixes(pair), pack.prefixes(pair >> pack.group)
+    counts = [pair >> shift & pack.count_mask for shift in pack.pair_fields]
+    upper, lower = counts[:V + 1], counts[V + 1:]
     # Row r's guard bits flag its broken ranks, rank k at bit k * w - 1.
     guards = broken >> at & (1 << pack.group) - 1
-    t, a, p, b = _window_counts(upper, lower, (guards & -guards).bit_length() // pack.width,
-                                guards.bit_length() // pack.width, column_rule,
-                                r + 1 == len(pack.windows))
-    # The cut and the count vectors are by rank, and so are the top entries
-    # that the input's own split pools, those of rank t on.
-    moved = list(map(sub, upper[t:], upper[t - 1:]))
+    s, t = _window_cut(upper, lower, (guards & -guards).bit_length() // pack.width,
+                       guards.bit_length() // pack.width, column_rule,
+                       r + 1 == len(pack.windows))
     # Moving a v up changes the rows by the lift of its rank and the weight
-    # by -v.  Only a pooled rank's piece is ever read, so only those are
-    # built, and the start sums only the ranks that move: a tall tableau of
-    # many values builds a key-wide int per pooled value, not per value.
-    weight_at = pack.weight_at
-    pieces = [(lift << at) - (v << weight_at) if n else 0
-              for n, v, lift in zip(p, pack.values, pack.lifts)]
-    start = -sum(map(mul, compress(moved, moved), compress(pieces[t - 1:], moved)))
-    # Started at minus the input's own split, the piece sum of each term is
-    # the change to the key; built negated, so that dropping the input's own
-    # term, -1, leaves the rewrite.  Called through module globals so that
-    # the tests can wrap it.
-    terms = _relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)
+    # by -v: the piece of a pooled rank.  Started at minus the input's own
+    # split, which pools every top entry of rank t on, the piece sum of each
+    # term is the change to the key; built negated, so that dropping the
+    # input's own term, -1, leaves the rewrite.
+    values, lifts, weight_at = pack.values, pack.lifts, pack.weight_at
+    fixed = upper[t - 1]
+    lower_levels = [(upper[v] - upper[v - 1], n, 0, fixed - upper[v], 0,
+                     (lifts[v - 1] << at) - (values[v - 1] << weight_at))
+                    for v in range(1, s + 1 if s < t else s)
+                    if (n := lower[v] - lower[v - 1])]
+    upper_levels = [(0, n, lower[v] - lower[v - 1], 0, lower[v - 1] - lower[s],
+                     (lifts[v - 1] << at) - (values[v - 1] << weight_at))
+                    for v in range(t if s < t else s + 1, V + 1)
+                    if (n := upper[v] - upper[v - 1])]
+    start = -sum([level[1] * level[5] for level in upper_levels])
+    if s == t:
+        # A cut at one rank pools the top entry of a broken column there.
+        n = upper[s] - upper[s - 1]
+        piece = (lifts[s - 1] << at) - (values[s - 1] << weight_at)
+        lower_levels.append((0, n + lower[s] - lower[s - 1], 0, 0, 0, piece))
+        start -= n * piece
+    # Called through module globals so that the tests can wrap it.
+    terms = _relation_terms(lower_levels + upper_levels, upper[-1] - fixed, bits, start, -1)
     moves = [term for term in terms if term[0]]
     # Norm 1 and value -1 pin the input's own term to -1 at any width.
     if len(moves) != len(terms) - 1 or (0, -1, 1) not in terms:

@@ -19,10 +19,18 @@ builder ``garnir._relation_from_counts`` replaced: one recursive call per
 node of the tree of takes, and every leaf's rows written again from the
 full count vectors.  The tests compare the two, key order included.
 
-``reference_relation_terms`` is the level-wise builder that ``garnir.
-_relation_terms`` replaced: the same levels, but every level, the last one
-included, slices its value's table, and the fixed entries above and below
-each pooled value are summed afresh.  The tests compare the two, term
+``reference_relation_terms`` is the level-wise builder that
+``vector_relation_terms`` replaced: the same levels, but every level, the
+last one included, slices its value's table, and the fixed entries above
+and below each pooled value are summed afresh.  The tests compare the two,
+and the library builder with it, term order included.
+
+``vector_relation_terms`` is the builder that ``garnir._relation_terms``
+replaced: the same levels, walked off full count vectors a, p and b with a
+piece per value, keeping running totals of the fixed entries around each
+value, every value visited.  The library builder takes only the pooled
+values' levels, each with its counts, its totals and its piece, and reads
+the last level's factor table as it is.  The tests compare the two, term
 order included.
 
 ``reference_step`` is the path ``two_row_straighten_step`` replaced: build
@@ -34,7 +42,7 @@ tableau, and the tests compare it with this one.
 
 ``cut_values`` is the library's cut rule read off the row tuples, where
 the library reads it off prefix counts and guard bits
-(``straighten._window_counts``): the broken values at the ends, the bottom
+(``straighten._window_cut``): the broken values at the ends, the bottom
 entry of the first broken column and the top entry of the last, found by
 scanning the columns, and the widest top cut for each, found by counting.
 ``pivot_cuts``, ``straightening_datum`` and ``reference_step`` cut the
@@ -411,3 +419,41 @@ def reference_relation_terms(a: list[int], p: list[int], b: list[int], top_len: 
                   in table[p_i - need if need < p_i else 0:
                            p_i + 1 - need + room if need > room else p_i + 1]]
     return [(total, coeff, norm) for _, total, coeff, norm in splits]
+
+
+def vector_relation_terms(a: list[int], p: list[int], b: list[int], top_len: int,
+                          bits: int, pieces: list[int], start: int,
+                          sign: int) -> list[tuple[int, int, int]]:
+    """sign times the relation of the datum whose fixed top part, pool and
+    fixed bottom part have the count vectors a, p and b; trusted to be
+    valid.  Per term, in order: start plus x_v * pieces[v - 1] summed over
+    the pooled values v, where x_v is how many pooled v's the split sends
+    to the top row; its coefficient packed at q = 2**bits; and that
+    coefficient's L1 norm."""
+    room = sum(p)  # pool entries at or after the current pooled value
+    above, below = sum(a), 0  # fixed top entries above it, bottom ones below
+    # Partial splits: (pool entries the top row still needs, piece sum,
+    # packed coefficient, norm).
+    splits = [(top_len - above, start, sign, 1)]
+    for a_i, p_i, b_i, piece in zip(a, p, b, pieces):
+        above -= a_i
+        if p_i:
+            room -= p_i
+            table = [(x, x * piece, factor, factor_norm) for x, factor, factor_norm
+                     in _factor_table(a_i, p_i, b_i, above, below, bits)]
+            if not room:
+                # The last pooled value: its take is what the split still
+                # needs, one row of the table.
+                return [(total + part, coeff * factor, norm * factor_norm)
+                        for need, total, coeff, norm in splits
+                        for _, part, factor, factor_norm in [table[p_i - need]]]
+            # A split that still needs `need` entries takes x from
+            # min(p_i, need) down to max(0, need - room): rows p_i - x of
+            # table.
+            splits = [(need - x, total + part, coeff * factor, norm * factor_norm)
+                      for need, total, coeff, norm in splits
+                      for x, part, factor, factor_norm
+                      in table[p_i - need if need < p_i else 0:
+                               p_i + 1 - need + room if need > room else p_i + 1]]
+        below += b_i
+    return [(start, sign, 1)]  # an empty pool has one split, the empty one

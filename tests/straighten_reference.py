@@ -22,18 +22,27 @@ window's rewrite (``tuple_step``) cuts its row tuples at the library's cut
 rows.  The tests compare it with the
 library, ``items()`` order included.
 
+``window_counts`` is how ``straighten._window_moves`` built a window's
+relation before it read the levels straight off the prefix counts: the
+cut and the full count vectors a, p and b of the datum, one entry per rank
+of the tableau, sliced and joined from the rows' counts per rank, for
+``garnir_reference.vector_relation_terms``.  The library keeps the cut
+(``straighten._window_cut``) and builds one level per pooled rank.  The
+tests compare the levels with these vectors.
+
 ``uncompressed_window_moves`` is the window rewrite before
 ``straighten._window_moves`` built pieces only for the pooled values: one
-key-wide piece for every value of the tableau, and the start summed over
-every rank from the top cut on.  The tests compare the two, move lists
-equal, order included.
+key-wide piece for every value of the tableau, the start summed over
+every rank from the top cut on, and the relation built from
+``window_counts``.  The tests compare the two, move lists equal, order
+included.
 
-``broken_value_window_counts`` and ``top_entry_window_counts`` are the
-two cut rules ``straighten._window_counts`` replaced, each a cut (k, k)
-that pools the top and the bottom entries around one value k.  The first
-took the smallest (or, under "rightmost", the largest) broken value; the
-one before it took the top entry of the column the column rule picks.  The
-library cuts at (t, s) with the widest top cut t for s, and at the bottom
+``broken_value_window_cut`` and ``top_entry_window_cut`` are the two cut
+rules ``straighten._window_cut`` replaced, each a cut (k, k) that pools
+the top and the bottom entries around one value k.  The first took the
+smallest (or, under "rightmost", the largest) broken value; the one
+before it took the top entry of the column the column rule picks.  The
+library cuts at (s, t) with the widest top cut t for s, and at the bottom
 pair of rows it may start from either end.  Patched into the library,
 either must give the same canonical forms, and each two-row step it
 changes must differ from the library's by a combination that vanishes on
@@ -45,6 +54,7 @@ library computes it only as part of a packed key (``garnir._Packing``).
 
 import heapq
 from bisect import bisect_left
+from math import comb
 from operator import mul, sub
 
 import heckehom.straighten
@@ -56,11 +66,11 @@ from heckehom import (
     Tableau,
     two_row_straighten_step,
 )
-from heckehom.garnir import _count_vector, _relation_from_counts, _relation_terms
+from heckehom.garnir import _count_vector, _relation_from_counts
 from heckehom.qcoeff import _norm, _pack, _unpack, _Widen, _widening, _wider
-from heckehom.straighten import _window_counts, embed_two_row, find_violating_window
+from heckehom.straighten import embed_two_row, find_violating_window
 
-from .garnir_reference import pivot_cuts
+from .garnir_reference import pivot_cuts, vector_relation_terms
 
 
 def weight(tab):
@@ -234,26 +244,44 @@ def tuple_worklist(comb, pair_rule, column_rule):
     return _widening(run, heckehom.straighten._START_BITS)
 
 
-def _counts_at(upper, lower, t, s):
-    """The window counts of ``straighten._window_counts`` for the cut (t, s)."""
+def window_counts(upper, lower, low, high, column_rule, both_ends):
+    """The rank t at which the top row's pooled entries start, and the count
+    vectors a, p and b of the relation that rewrites a two-row window whose
+    columns break, from the prefix counts of its rows by rank (upper and
+    lower), low and high being the smallest and the largest broken rank:
+    the cut of ``straighten._window_cut``, with every rank's counts sliced
+    out of the rows' counts per rank."""
+    if column_rule == "rightmost":
+        s = t = high
+    else:
+        s, t = low, bisect_left(upper, lower[low])
+        if both_ends and high > low:
+            end = bisect_left(upper, lower[high])
+            if (comb(lower[high] + upper[-1] - upper[end - 1], lower[high])
+                    < comb(lower[low] + upper[-1] - upper[t - 1], lower[low])):
+                s, t = high, end
     tops, bottoms = list(map(sub, upper[1:], upper)), list(map(sub, lower[1:], lower))
+    # Top entries of rank below t are fixed, bottom ones above s too.
     a = tops[:t - 1] + [0] * (len(tops) - t + 1)
     b = [0] * s + bottoms[s:]
-    p = [n + m - x - y for n, m, x, y in zip(tops, bottoms, a, b)]
+    if s < t:
+        p = bottoms[:s] + [0] * (t - 1 - s) + tops[t - 1:]
+    else:
+        p = bottoms[:s - 1] + [bottoms[s - 1] + tops[s - 1]] + tops[s:]
     return t, a, p, b
 
 
-def broken_value_window_counts(upper, lower, low, high, column_rule, both_ends):
-    """``straighten._window_counts`` with the cut (k, k) at the broken
-    value k the column rule picks, the smallest or the largest: the same
-    cut under "rightmost", a narrower one or the same under "leftmost"."""
+def broken_value_window_cut(upper, lower, low, high, column_rule, both_ends):
+    """``straighten._window_cut`` with the cut (k, k) at the broken value k
+    the column rule picks, the smallest or the largest: the same cut under
+    "rightmost", a narrower one or the same under "leftmost"."""
     k = low if column_rule == "leftmost" else high
-    return _counts_at(upper, lower, k, k)
+    return k, k
 
 
-def top_entry_window_counts(upper, lower, low, high, column_rule, both_ends):
-    """``straighten._window_counts`` with the cut (k, k) at the top entry k
-    of the picked broken column: the same cut under "rightmost", a narrower
+def top_entry_window_cut(upper, lower, low, high, column_rule, both_ends):
+    """``straighten._window_cut`` with the cut (k, k) at the top entry k of
+    the picked broken column: the same cut under "rightmost", a narrower
     one or the same under "leftmost"."""
     if column_rule == "leftmost":
         v, column = low, upper[low - 1] + 1
@@ -261,20 +289,21 @@ def top_entry_window_counts(upper, lower, low, high, column_rule, both_ends):
         v, column = high, lower[high]
     # upper is nondecreasing and upper[v - 1] < column.
     k = bisect_left(upper, column, v)
-    return _counts_at(upper, lower, k, k)
+    return k, k
 
 
 def uncompressed_window_moves(pack, key, broken, r, column_rule, bits):
     """``straighten._window_moves`` before it built pieces only for the
     pooled ranks, without its checks: a piece as wide as the key for every
-    value of the tableau."""
+    value of the tableau, and the relation built from the full count
+    vectors of ``window_counts``."""
     at = r * pack.group
     upper, lower = pack.prefixes(key >> at), pack.prefixes(key >> at + pack.group)
     guards = broken >> at & (1 << pack.group) - 1
-    t, a, p, b = _window_counts(upper, lower, (guards & -guards).bit_length() // pack.width,
-                                guards.bit_length() // pack.width, column_rule,
-                                r + 1 == len(pack.windows))
+    t, a, p, b = window_counts(upper, lower, (guards & -guards).bit_length() // pack.width,
+                               guards.bit_length() // pack.width, column_rule,
+                               r + 1 == len(pack.windows))
     pieces = [(lift << at) - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
     start = -sum(map(mul, map(sub, upper[t:], upper[t - 1:]), pieces[t - 1:]))
-    return [term for term in _relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)
+    return [term for term in vector_relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)
             if term[0]]

@@ -49,6 +49,34 @@ class TestStraighten:
         assert code == 0
         assert out.splitlines() == ["(-1) * 1 / 2"]
 
+    @pytest.mark.parametrize("q", ["1" + "0" * 1500, "1/1" + "0" * 1500, "1e1500", "1e5000"],
+                             ids=["integer", "reciprocal", "exponent", "q-past-the-limit"])
+    def test_value_past_the_digit_limit_is_written_in_full(self, capsys, q):
+        # At q = 10**1500, q^3 has 4501 digits, more than the interpreter
+        # writes in decimal by default; at 10**5000 q itself has more.  The
+        # values and q come out whole, in text and in JSON, and the limit is
+        # left as it was.
+        from decimal import Decimal
+
+        def exact(text):
+            return Fraction(*(int(Decimal(part)) for part in text.split("/")))
+
+        limit = sys.get_int_max_str_digits()
+        expected = [(tab, coeff.specialize(Fraction(q)))
+                    for tab, coeff in semistandardize(parse_tableau(WORKED)).items()]
+        assert max(len(str(Decimal(value.numerator))) + len(str(Decimal(value.denominator)))
+                   for _, value in expected) > 4500
+        code, out, err = run(capsys, "straighten", WORKED, "--q", q)
+        assert (code, err) == (0, "")
+        lines = [line[1:].split(") * ") for line in out.splitlines()]
+        assert [(parse_tableau(rows), exact(text)) for text, rows in lines] == expected
+        code, out, err = run(capsys, "straighten", WORKED, "--q", q, "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert exact(data["q"]) == Fraction(q)
+        assert [term["coeff"] for term in data["terms"]] == [text for text, _ in lines]
+        assert sys.get_int_max_str_digits() == limit
+
     def test_semistandard_echoes(self, capsys):
         code, out, err = run(capsys, "straighten", "1 1 / 2 2")
         assert code == 0

@@ -30,7 +30,7 @@ from heckehom import (
     two_row_straighten_step,
 )
 from heckehom.combinat import MAX_ENTRY
-from heckehom.garnir import _Packing, _relation_from_counts, _relation_terms
+from heckehom.garnir import _count_levels, _Packing, _relation_from_counts, _relation_terms
 from perfbench.workloads import two_row_base, w18_base
 
 from .garnir_reference import (
@@ -238,7 +238,8 @@ def _worklist_run(base):
     straightens a benchmark batch with the default rules, in order, the
     number of terms it emits, and the number of tableaux it pops with a
     nonzero coefficient: each is emitted or rewritten, after one column
-    check."""
+    check.  A call's arguments are the relation's levels, the pool entries
+    the top row takes, the width, the start and the sign."""
     calls, pops = [], [0]
     build, broken = heckehom.straighten._relation_terms, _Packing.broken
 
@@ -271,6 +272,31 @@ def worklist_runs():
     return run
 
 
+def level_data(levels, need):
+    """Count vectors a, p and b, a top row length and a piece per value of
+    a datum with the given levels.  Each level is a value of its own, after
+    a value that holds the fixed entries between it and the level before,
+    and a last value holds the fixed top entries above the last level.  A
+    fixed entry enters a relation only through the totals of the levels it
+    lies above or below, so its terms are those of the levels, in order.
+    Top entries below every level count in none: the first value holds
+    just enough of them that the top row is at least as long as the other."""
+    a, p, b, pieces = [], [], [], []
+    above, below = None, 0
+    for a_v, p_v, b_v, above_v, below_v, piece in levels:
+        a += [0 if above is None else above - a_v - above_v, a_v]
+        p += [0, p_v]
+        b += [below_v - below, b_v]
+        pieces += [0, piece]
+        above, below = above_v, below_v + b_v
+    a.append(above or 0)
+    p.append(0)
+    b.append(0)
+    pieces.append(0)
+    a[0] = max(0, sum(p) + sum(b) - 2 * need - sum(a))
+    return a, p, b, need + sum(a), pieces
+
+
 class TestLevelWiseBuilder:
     """The level-wise builder against the packed recursion it replaced:
     equal terms in equal order, for both signs at the edge width and at
@@ -279,15 +305,16 @@ class TestLevelWiseBuilder:
 
     @staticmethod
     def _core_args(a, p, b, top_len, bits, sign):
+        """The builder's arguments for the datum, and its pieces."""
         base = sum(a) + sum(p) + sum(b) + 1
         pieces = [base ** i for i in range(len(a))]
-        return (a, p, b, top_len, bits, pieces,
-                sum(n * piece for n, piece in zip(a, pieces)), sign)
+        return (_count_levels(a, p, b, pieces), top_len - sum(a), bits,
+                sum(n * piece for n, piece in zip(a, pieces)), sign), pieces
 
     @classmethod
     def _decoded_core(cls, a, p, b, top_len, bits, sign):
-        args = cls._core_args(a, p, b, top_len, bits, sign)
-        pieces, base = args[5], sum(a) + sum(p) + sum(b) + 1
+        args, pieces = cls._core_args(a, p, b, top_len, bits, sign)
+        base = sum(a) + sum(p) + sum(b) + 1
         values = range(1, len(a) + 1)
         terms = {}
         for total, coeff, norm in _relation_terms(*args):
@@ -321,29 +348,32 @@ class TestLevelWiseBuilder:
 
     @pytest.mark.parametrize("base", [w18_base, two_row_base])
     def test_matches_recursion_on_benchmark_batches(self, worklist_runs, base):
-        # The relations the worklist builds, with its own pieces.
+        # The relations the worklist builds, each as the datum of its levels.
         calls = worklist_runs(base)[0]
-        built = {(tuple(a), tuple(p), tuple(b), top_len): None
-                 for a, p, b, top_len, *_ in calls}
+        built = {}
+        for levels, need, *_ in calls:
+            a, p, b, top_len, _ = level_data(levels, need)
+            built[tuple(a), tuple(p), tuple(b), top_len] = None
         assert len(built) > 1000
         for a, p, b, top_len in built:
             self._assert_matches_recursion(list(a), list(p), list(b), top_len)
 
 
 class TestBuilderAgainstSlicingLevels:
-    """The builder against the one it replaced, which sliced every level's
-    table, the last included, and summed the fixed entries around each
-    pooled value afresh: equal (piece sum, coefficient, norm) lists, order
-    included."""
+    """The builder against the one before the count-vector builder, which
+    sliced every level's table, the last included, and summed the fixed
+    entries around each pooled value afresh: equal (piece sum,
+    coefficient, norm) lists, order included."""
 
     def test_matches_reference_on_valid_data(self):
         for datum in iter_valid_data(7, 4):
             a, p, b = count_vectors(datum)
             for sign in (1, -1):
                 for bits in (datum.n + 2, 64):
-                    args = TestLevelWiseBuilder._core_args(a, p, b, datum.top_len,
-                                                           bits, sign)
-                    assert _relation_terms(*args) == reference_relation_terms(*args), \
+                    args, pieces = TestLevelWiseBuilder._core_args(a, p, b, datum.top_len,
+                                                                   bits, sign)
+                    assert _relation_terms(*args) == reference_relation_terms(
+                        a, p, b, datum.top_len, bits, pieces, args[3], sign), \
                         (datum, bits, sign)
 
     @pytest.mark.parametrize("base", [w18_base, two_row_base])
@@ -351,8 +381,11 @@ class TestBuilderAgainstSlicingLevels:
         # Every relation the worklist builds, with its own pieces and start.
         calls = worklist_runs(base)[0]
         assert len(calls) > 1000
-        for args in calls:
-            assert _relation_terms(*args) == reference_relation_terms(*args), args[:5]
+        for levels, need, bits, start, sign in calls:
+            a, p, b, top_len, pieces = level_data(levels, need)
+            assert _relation_terms(levels, need, bits, start, sign) == \
+                reference_relation_terms(a, p, b, top_len, bits, pieces, start, sign), \
+                (levels, need, bits)
 
     def test_w18_counts(self, worklist_runs):
         # README's figures: the default rules pop 4693 tableaux of W18,

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import itertools
 from bisect import bisect_left
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,26 +33,33 @@ from heckehom import (
 
 from heckehom.cli import build_parser
 from heckehom.combinat import _breaks_columns
-from heckehom.garnir import _count_vector, _edge_bits, _Packing, _relation_terms
+from heckehom.garnir import (
+    _count_levels,
+    _count_vector,
+    _edge_bits,
+    _Packing,
+    _relation_terms,
+)
 from heckehom.qcoeff import MAX_EXPONENT_SPAN
 from heckehom.straighten import (
     COLUMN_RULES,
-    _window_counts,
+    _window_cut,
     _window_moves,
     embed_two_row,
     find_violating_window,
 )
 from perfbench.workloads import relabel_rows, relabelling, two_row_base, w18_base
 
-from .garnir_reference import cut_values, pivot_cuts
+from .garnir_reference import cut_values, pivot_cuts, vector_relation_terms
 from .straighten_reference import (
-    broken_value_window_counts,
+    broken_value_window_cut,
     laurent_worklist,
     memo_of_expansions,
-    top_entry_window_counts,
+    top_entry_window_cut,
     tuple_worklist,
     uncompressed_window_moves,
     weight,
+    window_counts,
 )
 from .strategies import tableaux, two_row_tableaux
 
@@ -401,15 +409,55 @@ def broken_ends(pack, key, r=0):
     return (guards & -guards).bit_length() // pack.width, guards.bit_length() // pack.width
 
 
+@contextlib.contextmanager
+def window_builds(both_ends=None):
+    """While open, each ``_window_moves`` call appends to the list yielded
+    the cut (s, t) it takes and the levels, need and start it hands
+    ``_relation_terms``, and builds no relation: it gets the input's own
+    term alone, so it returns no moves.  both_ends, when given, replaces
+    the worklist's choice of whether the cut may start from either end."""
+    builds = []
+    cut = heckehom.straighten._window_cut
+
+    def cut_recorded(upper, lower, low, high, column_rule, ends):
+        builds.append(cut(upper, lower, low, high, column_rule,
+                          ends if both_ends is None else both_ends))
+        return builds[-1]
+
+    def build_recorded(levels, need, bits, start, sign):
+        builds[-1] = (builds[-1], levels, need, start)
+        return [(0, -1, 1)]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heckehom.straighten, "_window_cut", cut_recorded)
+        patch.setattr(heckehom.straighten, "_relation_terms", build_recorded)
+        yield builds
+
+
+def vector_levels(a, p, b, pieces):
+    """The levels of the datum with the count vectors a, p and b, one per
+    pooled value, with the fixed entries around each summed afresh."""
+    return [(a[i], p[i], b[i], sum(a[i + 1:]), sum(b[:i]), pieces[i])
+            for i in range(len(p)) if p[i]]
+
+
+def rank_pieces(pack, r=0):
+    """The piece of every rank at rows r and r + 1: its lift there, and the
+    weight change of moving its value up."""
+    return [(lift << r * pack.group) - (v << pack.weight_at)
+            for v, lift in zip(pack.values, pack.lifts)]
+
+
 class TestPackedRows:
-    """The packed key, its column check, and the cut and count vectors
-    read from its prefix counts and guard bits, against the row tuples and
-    the cut rule that scans them, on every small two-row window.  The
-    packing has a field per value that occurs, so the cut and the count
-    vectors are by rank among those values."""
+    """The packed key, its column check, and the cut and levels read from
+    its prefix counts and guard bits, against the row tuples and the cut
+    rule that scans them, on every small two-row window.  The packing has
+    a field per value that occurs, so the cut and the levels are by rank
+    among those values."""
 
     def test_every_small_window(self):
-        checked = broken = 0
+        checked = 0
+        windows = []
         for tab in two_row_windows():
             pack = _Packing(tab.shape, tab.type())
             key = pack.key(tab.row_lists())
@@ -421,26 +469,32 @@ class TestPackedRows:
             checked += 1
             if not breaks:
                 continue
-            broken += 1
+            windows.append((tab, pack, key, rank_pieces(pack)))
             top, bottom = rows
-            upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
-            largest = pack.values[-1]
+            upper = pack.prefixes(key)
             assert len(upper) == len(pack.values) + 1
             # The guard bits flag the values that some broken column spans.
             spanned = [v for v in pack.values
                        if any(u <= v <= t for t, u in zip(top, bottom))]
             low, high = broken_ends(pack, key)
             assert (pack.values[low - 1], pack.values[high - 1]) == (spanned[0], spanned[-1])
-            for column_rule, both_ends in itertools.product(COLUMN_RULES, (False, True)):
-                t, a, p, b = _window_counts(upper, lower, low, high, column_rule, both_ends)
+        broken = len(windows)
+        for column_rule, both_ends in itertools.product(COLUMN_RULES, (False, True)):
+            with window_builds(both_ends) as builds:
+                for tab, pack, key, _ in windows:
+                    _window_moves(pack, key, pack.broken(key), 0, column_rule, _edge_bits(tab.n))
+            for (tab, pack, key, pieces), ((s, t), levels, need, _) in zip(windows, builds):
+                top, bottom = tab.row_lists()
+                largest = pack.values[-1]
                 cut_top, cut_bottom = pivot_cuts(top, bottom, column_rule, both_ends)
-                assert pack.values[t - 1] == cut_values(top, bottom, column_rule,
-                                                        both_ends)[0], (tab, column_rule)
+                assert (pack.values[t - 1], pack.values[s - 1]) == cut_values(
+                    top, bottom, column_rule, both_ends), (tab, column_rule)
                 by_rank = [[counts[v - 1] for v in pack.values] for counts in (
                     _count_vector(top[:cut_top], largest),
                     _count_vector(top[cut_top:] + bottom[:cut_bottom], largest),
                     _count_vector(bottom[cut_bottom:], largest))]
-                assert [a, p, b] == by_rank, (tab, column_rule, both_ends)
+                assert (levels, need) == (vector_levels(*by_rank, pieces), len(top) - cut_top), \
+                    (tab, column_rule, both_ends)
         assert broken > 10000 and checked - broken > 1000
 
     def test_fields_only_for_the_values_that_occur(self):
@@ -480,17 +534,19 @@ class TestPackedRows:
         tab = parse_tableau("2 4 5 5 5 / 3 3 4 5")
         pack = _Packing(tab.shape, tab.type())
         key = pack.key(tab.row_lists())
-        upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
         low, high = broken_ends(pack, key)
         # Ranks among the values 2, 3, 4 and 5.
         assert (pack.values[low - 1], pack.values[high - 1]) == (3, 5)
-        for both_ends in (False, True):
-            t, a, p, b = _window_counts(upper, lower, low, high, "leftmost", both_ends)
-            assert (pack.values[t - 1], a, p, b) == (4, [1, 0, 0, 0], [0, 2, 1, 3],
-                                                     [0, 0, 1, 1])
-        t, a, p, b = _window_counts(upper, lower, low, high, "rightmost", True)
-        assert (pack.values[t - 1], a, p, b) == (5, [1, 0, 1, 0], [0, 2, 1, 4],
-                                                 [0, 0, 0, 0])
+        pieces = rank_pieces(pack)
+        for column_rule, both_ends, want, a, p, b in (
+                ("leftmost", False, 4, [1, 0, 0, 0], [0, 2, 1, 3], [0, 0, 1, 1]),
+                ("leftmost", True, 4, [1, 0, 0, 0], [0, 2, 1, 3], [0, 0, 1, 1]),
+                ("rightmost", True, 5, [1, 0, 1, 0], [0, 2, 1, 4], [0, 0, 0, 0])):
+            with window_builds(both_ends) as builds:
+                _window_moves(pack, key, pack.broken(key), 0, column_rule, _edge_bits(tab.n))
+            (_, t), levels, need, _ = builds[0]
+            assert (pack.values[t - 1], levels, need) == (
+                want, vector_levels(a, p, b, pieces), len(tab.row_lists()[0]) - sum(a))
 
     def test_cut_at_the_largest_broken_value_when_it_has_fewer_splits(self):
         # "1 2 2 3 4 / 1 3 3 3" breaks at 1 and 3.  From 1 the cut pools
@@ -508,7 +564,7 @@ class TestPackedRows:
             upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
             low, high = broken_ends(pack, key)
             for both_ends, want in ((False, one_end), (True, both)):
-                t = _window_counts(upper, lower, low, high, "leftmost", both_ends)[0]
+                t = _window_cut(upper, lower, low, high, "leftmost", both_ends)[1]
                 assert pack.values[t - 1] == want, (text, both_ends)
                 assert cut_values(*tab.row_lists(), "leftmost", both_ends)[0] == want
 
@@ -525,7 +581,7 @@ def window_cuts(tab):
     upper, lower = pack.prefixes(key), pack.prefixes(key >> pack.group)
     tops = [top.count(v) for v in pack.values]
     bottoms = [bottom.count(v) for v in pack.values]
-    pieces = [lift - (v << pack.weight_at) for v, lift in zip(pack.values, pack.lifts)]
+    pieces = rank_pieces(pack)
     for s in range(1, len(pack.values) + 1):
         if lower[s] <= upper[s - 1]:
             continue
@@ -582,6 +638,43 @@ class TestCompressedWindow:
         assert sum(map(self._assert_same_moves, tabs)) > 100
 
 
+class TestWindowLevels:
+    """The levels the window rewrite reads off the prefix counts against
+    the count vectors it built before (``straighten_reference.
+    window_counts``), on every broken pair of rows under both column rules:
+    the same cut, one level per pooled rank, equal to the vectors' with the
+    fixed entries around it summed afresh, the same need and the same
+    start, and the same relation as the count-vector builder
+    (``garnir_reference.vector_relation_terms``) gives."""
+
+    @given(tableaux(max_n=16, max_value=8))
+    @settings(deadline=None)
+    def test_levels_match_count_vectors_up_to_degree_16(self, tab):
+        pack = _Packing(tab.shape, tab.type())
+        key = pack.key(tab.row_lists())
+        broken, bits = pack.broken(key), _edge_bits(tab.n)
+        for r in range(len(pack.windows)):
+            if not broken >> r * pack.group & (1 << pack.group) - 1:
+                continue
+            upper = pack.prefixes(key >> r * pack.group)
+            lower = pack.prefixes(key >> (r + 1) * pack.group)
+            low, high = broken_ends(pack, key, r)
+            pieces = rank_pieces(pack, r)
+            for column_rule in COLUMN_RULES:
+                with window_builds() as builds:
+                    _window_moves(pack, key, broken, r, column_rule, bits)
+                (_, t), levels, need, start = builds[0]
+                old_t, a, p, b = window_counts(upper, lower, low, high, column_rule,
+                                               r + 1 == len(pack.windows))
+                assert (t, levels, need, start) == (
+                    old_t, vector_levels(a, p, b, pieces), upper[-1] - sum(a),
+                    -sum(map(mul, map(sub, upper[t:], upper[t - 1:]), pieces[t - 1:]))), \
+                    (tab, r, column_rule)
+                assert (_relation_terms(levels, need, bits, start, -1)
+                        == vector_relation_terms(a, p, b, upper[-1], bits, pieces, start, -1)), \
+                    (tab, r, column_rule)
+
+
 class TestEveryBrokenValue:
     """Any cut (t, s) with s a broken value and t at most the widest top
     cut for s is a valid datum: the relation pooling the bottom entries at
@@ -605,7 +698,8 @@ class TestEveryBrokenValue:
                 continue
             valid += 1
             datum = count_datum(pack.values, a, p, b, len(top))
-            terms = _relation_terms(a, p, b, len(top), bits, pieces, start, -1)
+            terms = _relation_terms(_count_levels(a, p, b, pieces), len(top) - sum(a), bits,
+                                    start, -1)
             assert [term for term in terms if not term[0]] == [(0, -1, 1)], (tab, datum)
             for change, _, _ in terms:
                 if change:
@@ -635,18 +729,18 @@ class TestEveryBrokenValue:
 
 class TestTopEntryPivot:
     """The library's cut against the cut (k, k) at the broken value k that
-    it replaced (``straighten_reference.broken_value_window_counts``):
+    it replaced (``straighten_reference.broken_value_window_cut``):
     equal canonical forms under every rule, and two-row steps that differ
     only by a combination vanishing on the Specht module, under "leftmost"
     in ``changed`` of the 4620 small windows."""
 
-    reference = staticmethod(broken_value_window_counts)
+    reference = staticmethod(broken_value_window_cut)
     changed = 886
 
     @contextlib.contextmanager
     def _reference(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(heckehom.straighten, "_window_counts", self.reference)
+            patch.setattr(heckehom.straighten, "_window_cut", self.reference)
             yield
 
     @pytest.mark.parametrize("pair_rule,column_rule", RULES)
@@ -687,9 +781,9 @@ class TestTopEntryPivot:
 class TestTopEntryCut(TestTopEntryPivot):
     """The same against the rule before that, the cut (k, k) at the top
     entry k of the picked broken column
-    (``straighten_reference.top_entry_window_counts``)."""
+    (``straighten_reference.top_entry_window_cut``)."""
 
-    reference = staticmethod(top_entry_window_counts)
+    reference = staticmethod(top_entry_window_cut)
     changed = 1498
 
 
