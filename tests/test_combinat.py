@@ -1,6 +1,8 @@
 """Compositions, multisets, tableaux, permutations, and enumeration order."""
 
 import itertools
+import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -135,6 +137,75 @@ class TestMultiset:
         assert parse_multiset("").size == 0
         with pytest.raises(ParseError):
             parse_multiset("1 0")
+
+
+value_lists = st.lists(st.integers(min_value=1, max_value=5), max_size=7)
+count_maps = st.dictionaries(st.integers(min_value=1, max_value=5),
+                             st.integers(min_value=0, max_value=3), max_size=5)
+
+
+class TestMultisetAgainstCounter:
+    """Every query and operation of ``Multiset`` against
+    ``collections.Counter``, on multisets built from lists and from
+    mappings, and equality and hashing across every way of building one."""
+
+    @given(st.one_of(value_lists, count_maps))
+    def test_queries(self, values):
+        ms, ref = Multiset(values), +Counter(values)
+        for v in range(7):
+            assert ms.count(v) == ref[v]
+            assert (v in ms) == (v in ref)
+        assert ms.support() == tuple(sorted(ref))
+        assert ms.counts() == tuple(sorted(ref.items()))
+        assert ms.elements() == tuple(sorted(ref.elements()))
+        assert ms.size == sum(ref.values())
+        assert ms.max_value() == max(ref, default=0)
+
+    @given(st.one_of(value_lists, count_maps), st.one_of(value_lists, count_maps))
+    def test_add_and_sub(self, a, b):
+        ma, mb, ra, rb = Multiset(a), Multiset(b), +Counter(a), +Counter(b)
+        assert (ma + mb).counts() == tuple(sorted((ra + rb).items()))
+        if all(ra[v] >= m for v, m in rb.items()):
+            assert (ma - mb).counts() == tuple(sorted((ra - rb).items()))
+            return
+        with pytest.raises(ValueError) as info:
+            ma - mb
+        found = re.fullmatch(r"cannot remove (\d+) copies of (\d+): only (\d+) present",
+                             str(info.value))
+        assert found, info.value
+        m, v, have = map(int, found.groups())
+        assert (m, have) == (rb[v], ra[v]) and have < m
+
+    @given(value_lists, value_lists)
+    def test_every_construction_is_equal_and_hashes_alike(self, values, extra):
+        whole = Multiset(values + extra)
+        k = len(values) // 2
+        ref = Multiset(values)
+        built = [
+            Multiset(reversed(values)),
+            Multiset({**Counter(values), 6: 0}),
+            Multiset(values[:k]) + Multiset(values[k:]),
+            whole - Multiset(extra),
+            next(s for s in whole.sub_multisets(len(values)) if s == ref),
+            parse_multiset(" ".join(map(str, values))),
+            Tableau((k, len(values) - k), [values[:k], values[k:]]).content(),
+        ]
+        if values:
+            built.append(Tableau((len(values),), [values]).rows[0])
+            built.append(next(m for m in iter_multisets(len(values), max(values))
+                              if m.elements() == ref.elements()))
+        for ms in built:
+            assert ms == ref and ref == ms
+            assert hash(ms) == hash(ref)
+            assert ms.elements() == ref.elements() and repr(ms) == repr(ref)
+        assert Multiset(values + [1]) != ref
+
+    @given(st.one_of(value_lists, count_maps))
+    def test_sub_multisets_are_the_distinct_combinations(self, values):
+        ms = Multiset(values)
+        for k in range(-1, ms.size + 2):
+            want = sorted(set(itertools.combinations(ms.elements(), k))) if k >= 0 else []
+            assert [s.elements() for s in ms.sub_multisets(k)] == want
 
 
 class TestTableau:
