@@ -104,6 +104,20 @@ def _json_list(items: Iterable[str], indent: str) -> str:
     return f"[\n  {indent}{body}\n{indent}]" if body else "[]"
 
 
+def _rows_json(tab: Tableau, indent: str) -> str:
+    # A tableau's rows as a _json_list of lists.
+    return _json_list([_json_list(map(str, row), indent + "  ") for row in tab.row_lists()],
+                      indent)
+
+
+def _json_object(shape: Composition, type_: Composition, entries: str) -> str:
+    # The object of a shape, a type and then entries already written at
+    # indent 2, commas between them included, as json.dumps(indent=2)
+    # lays it out.
+    return (f'{{\n  "shape": {_json_list(map(str, shape.stripped), "  ")},\n'
+            f'  "type": {_json_list(map(str, type_.stripped), "  ")},\n{entries}\n}}')
+
+
 def _lincomb_json(comb: LinComb, terms: Iterable[tuple[Tableau, object]],
                   q: str | None = None) -> str:
     """The text json.dumps(data, indent=2) writes for LinComb.to_json's
@@ -113,15 +127,10 @@ def _lincomb_json(comb: LinComb, terms: Iterable[tuple[Tableau, object]],
     json.dumps skips its C encoder whenever indent is set; on the
     benchmark's two-row answers this takes under half its time."""
     quote = json.encoder.encode_basestring_ascii
-    entries = []
-    for tab, coeff in terms:
-        rows = _json_list([_json_list(map(str, row), "        ")
-                           for row in tab.row_lists()], "      ")
-        entries.append(f'{{\n      "coeff": {quote(str(coeff))},\n      "rows": {rows}\n    }}')
+    entries = [f'{{\n      "coeff": {quote(str(coeff))},\n'
+               f'      "rows": {_rows_json(tab, "      ")}\n    }}' for tab, coeff in terms]
     q_line = "" if q is None else f'  "q": {quote(q)},\n'
-    return (f'{{\n  "shape": {_json_list(map(str, comb.shape.stripped), "  ")},\n'
-            f'  "type": {_json_list(map(str, comb.type.stripped), "  ")},\n'
-            f'{q_line}  "terms": {_json_list(entries, "  ")}\n}}')
+    return _json_object(comb.shape, comb.type, f'{q_line}  "terms": {_json_list(entries, "  ")}')
 
 
 def _render_lincomb(comb: LinComb, fmt: str, q: Fraction | None) -> str:
@@ -183,12 +192,8 @@ def _cmd_basis(args: argparse.Namespace) -> int:
                     for text, label in ((args.shape, "shape"), (args.type, "type")))
     tabs = enumerate_semistandard(shape, type_)
     if args.format == "json":
-        data = {
-            "shape": list(shape.stripped),
-            "type": list(type_.stripped),
-            "tableaux": [list(map(list, t.row_lists())) for t in tabs],
-        }
-        print(json.dumps(data, indent=2))
+        tableaux = _json_list([_rows_json(t, "    ") for t in tabs], "  ")
+        print(_json_object(shape, type_, f'  "tableaux": {tableaux}'))
     else:
         print("\n\n".join(format_tableau_inline(t) for t in tabs))
     return 0

@@ -7,22 +7,30 @@ Conventions used throughout the package:
   form as tuples: ``w[k-1]`` is the image of k.  Products compose left to
   right: v then w sends k to w(v(k)).
 * A tableau of shape mu and type lam holds lam_i copies of the value i,
-  with row r holding exactly mu_r entries.  Rows are multisets, stored as
-  tuples of their entries in weakly increasing order; the ``Multiset`` view
-  of each row is built only when asked for.
+  with row r holding exactly mu_r entries.  Rows are multisets.  A
+  ``Multiset`` is held only as the tuple of its elements in weakly
+  increasing order, and a ``Tableau`` only as the tuple of such row tuples;
+  ``Tableau.rows`` wraps them as ``Multiset`` views when asked.
 * The row-reading filling of a shape places 1..n left to right along
   successive rows; the column-reading filling (partitions only) places 1..n
   down successive columns.
 
-Text read from the command line is checked once, where it is split: a
-tableau's rows by ``_split_rows``, any other list of integers by
-``_parse_ints``.  A tableau's type is counted from its own sorted rows.
+Each value is checked once, at the public edge.  The public constructors
+read every integer with ``operator.index`` (a float raises TypeError) and
+check its range; each class's ``_raw`` takes parts that are valid by
+construction and checks nothing, and the enumerators (``iter_multisets``,
+``iter_fillings``, ``enumerate_semistandard``) build through it.  Text
+read from the command line is checked where it is split: a tableau's rows
+by ``_split_rows``, any other list of integers by ``_parse_ints``.  A
+tableau's type is counted from its own sorted rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
+from operator import index
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError
@@ -45,7 +53,7 @@ class Composition:
     __slots__ = ("_parts", "_stripped")
 
     def __init__(self, parts: Iterable[int]):
-        t = tuple(int(p) for p in parts)
+        t = tuple(map(index, parts))
         if any(p < 0 for p in t):
             raise ValueError(f"composition parts must be nonnegative, got {t}")
         self._parts = t
@@ -140,32 +148,31 @@ MAX_ENTRY = 10**6
 
 
 class Multiset:
-    """An immutable multiset of integers from 1 to ``MAX_ENTRY``."""
+    """An immutable multiset of integers from 1 to ``MAX_ENTRY``.
 
-    __slots__ = ("_counts", "_elements")
+    Its one piece of state is the tuple of its elements in ascending order:
+    equality, hashing and every query read that tuple.
+    """
+
+    __slots__ = ("_elements",)
 
     def __init__(self, values: Iterable[int] | Mapping[int, int] = ()):
-        counts: dict[int, int] = {}
+        entries: list[int] = []
         pairs = values.items() if isinstance(values, Mapping) else zip(values, itertools.repeat(1))
         for v, m in pairs:
-            v, m = int(v), int(m)
+            v, m = index(v), index(m)
             if m < 0:
                 raise ValueError(f"negative multiplicity for {v}")
             if not 1 <= v <= MAX_ENTRY:
                 raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {v}")
-            if m:
-                counts[v] = counts.get(v, 0) + m
-        self._counts = counts
-        self._elements = _sorted_elements(counts)
+            entries += [v] * m
+        self._elements = tuple(sorted(entries))
 
     @classmethod
-    def _raw(cls, counts: dict[int, int],
-             elements: tuple[int, ...] | None = None) -> "Multiset":
-        # internal: trusted counts, values >= 1 with positive multiplicities,
-        # and their elements in ascending order if the caller has them
+    def _raw(cls, elements: tuple[int, ...]) -> "Multiset":
+        # internal: a trusted tuple of entries from 1 to MAX_ENTRY, ascending
         ms = object.__new__(cls)
-        ms._counts = counts
-        ms._elements = _sorted_elements(counts) if elements is None else elements
+        ms._elements = elements
         return ms
 
     @property
@@ -173,47 +180,44 @@ class Multiset:
         return len(self._elements)
 
     def count(self, value: int) -> int:
-        return self._counts.get(value, 0)
+        return self._elements.count(value)
 
     def support(self) -> tuple[int, ...]:
         """Distinct values present, ascending."""
-        return tuple(sorted(self._counts))
+        return tuple(dict.fromkeys(self._elements))
 
     def counts(self) -> tuple[tuple[int, int], ...]:
         """(value, multiplicity) pairs, ascending by value."""
-        return tuple(sorted(self._counts.items()))
+        elements = self._elements
+        return tuple((v, elements.count(v)) for v in dict.fromkeys(elements))
 
     def elements(self) -> tuple[int, ...]:
         """All elements with multiplicity, ascending."""
         return self._elements
 
     def max_value(self) -> int:
-        return max(self._counts) if self._counts else 0
+        return self._elements[-1] if self._elements else 0
 
     def __contains__(self, value: int) -> bool:
-        return value in self._counts
+        return value in self._elements
 
     def __add__(self, other: "Multiset") -> "Multiset":
         if not isinstance(other, Multiset):
             return NotImplemented
-        acc = dict(self._counts)
-        for v, m in other._counts.items():
-            acc[v] = acc.get(v, 0) + m
-        return Multiset._raw(acc)
+        return Multiset._raw(tuple(sorted(self._elements + other._elements)))
 
     def __sub__(self, other: "Multiset") -> "Multiset":
         if not isinstance(other, Multiset):
             return NotImplemented
-        acc = dict(self._counts)
-        for v, m in other._counts.items():
-            have = acc.get(v, 0)
+        rest = list(self._elements)
+        for v, m in other.counts():
+            # the run of v's copies in the sorted rest
+            i = bisect_left(rest, v)
+            have = bisect_right(rest, v, i) - i
             if have < m:
                 raise ValueError(f"cannot remove {m} copies of {v}: only {have} present")
-            if have == m:
-                del acc[v]
-            else:
-                acc[v] = have - m
-        return Multiset._raw(acc)
+            del rest[i:i + m]
+        return Multiset._raw(tuple(rest))
 
     def sub_multisets(self, size: int) -> Iterator["Multiset"]:
         """All sub-multisets of a given size.
@@ -228,33 +232,25 @@ class Multiset:
             suffix[i] = suffix[i + 1] + items[i][1]
 
         # Values are visited in ascending order, so the chosen elements
-        # grow already sorted.
-        def rec(idx: int, remaining: int, chosen: list[tuple[int, int]],
-                elements: tuple[int, ...]) -> Iterator[Multiset]:
+        # grow already sorted; remaining never exceeds suffix[idx].
+        def rec(idx: int, remaining: int, elements: tuple[int, ...]) -> Iterator[Multiset]:
             if remaining == 0:
-                yield Multiset._raw(dict(chosen), elements)
-                return
-            if idx == len(items):
+                yield Multiset._raw(elements)
                 return
             value, avail = items[idx]
             hi = min(avail, remaining)
             lo = max(0, remaining - suffix[idx + 1])
             for take in range(hi, lo - 1, -1):
-                if take:
-                    chosen.append((value, take))
-                yield from rec(idx + 1, remaining - take, chosen,
-                               elements + (value,) * take)
-                if take:
-                    chosen.pop()
+                yield from rec(idx + 1, remaining - take, elements + (value,) * take)
 
         if not 0 <= size <= self.size:
             return iter(())
-        return rec(0, size, [], ())
+        return rec(0, size, ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Multiset):
             return NotImplemented
-        return self._counts == other._counts
+        return self._elements == other._elements
 
     def __hash__(self) -> int:
         return hash(self._elements)
@@ -263,15 +259,17 @@ class Multiset:
         return f"Multiset({list(self._elements)})"
 
 
-def _sorted_elements(counts: dict[int, int]) -> tuple[int, ...]:
-    return tuple(sorted(itertools.chain.from_iterable(
-        itertools.repeat(v, m) for v, m in counts.items())))
+def _ascending_tuples(size: int, max_value: int) -> Iterator[tuple[int, ...]]:
+    """Every ascending tuple of size entries from 1 to max_value."""
+    if size and max_value > MAX_ENTRY:
+        # the error of the first entry above the limit
+        raise ValueError(f"multiset values must be from 1 to {MAX_ENTRY}, got {MAX_ENTRY + 1}")
+    return itertools.combinations_with_replacement(range(1, max_value + 1), size)
 
 
 def iter_multisets(size: int, max_value: int) -> Iterator[Multiset]:
     """All multisets of the given size over values 1..max_value."""
-    for combo in itertools.combinations_with_replacement(range(1, max_value + 1), size):
-        yield Multiset(combo)
+    return map(Multiset._raw, _ascending_tuples(size, max_value))
 
 
 def _count_vector(values: Iterable[int], top: int) -> list[int]:
@@ -337,42 +335,41 @@ class Tableau:
     The shape is normalized by stripping trailing zero parts (together with
     the corresponding empty rows), so equality and hashing see only the
     meaningful rows.  Internal zero parts are kept: they matter for shapes
-    like (0, 2).  Rows are held as sorted tuples of entries; the stripped
+    like (0, 2).  The rows are held only as sorted tuples of entries, and
+    ``rows`` wraps them as ``Multiset`` views when asked; the stripped
     shape is their tuple of lengths, so the rows alone decide equality.
     """
 
-    __slots__ = ("_shape", "_row_tuples", "_rows", "_type", "_hash")
+    __slots__ = ("_shape", "_row_tuples", "_type", "_hash")
 
     def __init__(self, shape: IntoComposition, rows: Iterable[Iterable[int] | Multiset]):
         shape = as_composition(shape)
-        row_ms = tuple(r if isinstance(r, Multiset) else Multiset(r) for r in rows)
+        row_tuples = tuple((r if isinstance(r, Multiset) else Multiset(r))._elements
+                           for r in rows)
         parts = shape.stripped
-        if len(row_ms) < len(parts):
-            raise ValueError(f"shape {parts} needs {len(parts)} rows, got {len(row_ms)}")
-        for extra in row_ms[len(parts):]:
-            if extra.size:
-                raise ValueError("nonempty row beyond the last nonzero shape part")
-        row_ms = row_ms[: len(parts)]
-        for i, (width, row) in enumerate(zip(parts, row_ms)):
-            if row.size != width:
+        if len(row_tuples) < len(parts):
+            raise ValueError(f"shape {parts} needs {len(parts)} rows, got {len(row_tuples)}")
+        if any(row_tuples[len(parts):]):
+            raise ValueError("nonempty row beyond the last nonzero shape part")
+        row_tuples = row_tuples[: len(parts)]
+        for i, (width, row) in enumerate(zip(parts, row_tuples)):
+            if len(row) != width:
                 raise ValueError(
-                    f"row {i + 1} has {row.size} entries but shape part is {width}")
+                    f"row {i + 1} has {len(row)} entries but shape part is {width}")
         self._shape = Composition(parts)
-        self._row_tuples = tuple(r.elements() for r in row_ms)
-        self._rows: tuple[Multiset, ...] | None = row_ms
+        self._row_tuples = row_tuples
         self._type: Composition | None = None
         self._hash: int | None = None
 
     @classmethod
     def _raw(cls, shape: Composition, rows: tuple[tuple[int, ...], ...],
              type_: Composition | None) -> "Tableau":
-        # internal: trusted sorted rows of positive entries that fill the
-        # already-stripped shape, and the type of their content (None: work
-        # it out when first asked)
+        # internal: trusted sorted rows of entries from 1 to MAX_ENTRY that
+        # fill the already-stripped shape, and the type of their content
+        # (None: work it out when first asked)
         tab = object.__new__(cls)
         tab._shape = shape
         tab._row_tuples = rows
-        tab._rows = None
         tab._type = type_
         tab._hash = None
         return tab
@@ -383,9 +380,7 @@ class Tableau:
 
     @property
     def rows(self) -> tuple[Multiset, ...]:
-        if self._rows is None:
-            self._rows = tuple(Multiset(r) for r in self._row_tuples)
-        return self._rows
+        return tuple(map(Multiset._raw, self._row_tuples))
 
     @property
     def nrows(self) -> int:
@@ -396,7 +391,7 @@ class Tableau:
         return self._shape.n
 
     def content(self) -> Multiset:
-        return Multiset(itertools.chain.from_iterable(self._row_tuples))
+        return Multiset._raw(tuple(sorted(itertools.chain.from_iterable(self._row_tuples))))
 
     def type(self) -> Composition:
         if self._type is None:
@@ -500,16 +495,18 @@ def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> li
         return []
     pool = Multiset({v: m for v, m in enumerate(type_.parts, start=1) if m})
     parts = shape.stripped
+    shape, type_ = Composition(parts), Composition(type_.stripped)
     out: list[Tableau] = []
 
-    def rec(idx: int, remaining: Multiset, rows: list[Multiset]) -> None:
+    def rec(idx: int, remaining: Multiset, rows: list[tuple[int, ...]]) -> None:
         if idx == len(parts):
-            out.append(Tableau(shape, list(rows)))
+            out.append(Tableau._raw(shape, tuple(rows), type_))
             return
         for choice in remaining.sub_multisets(parts[idx]):
-            if rows and _breaks_columns(rows[-1].elements(), choice.elements()):
+            row = choice._elements
+            if rows and _breaks_columns(rows[-1], row):
                 continue
-            rows.append(choice)
+            rows.append(row)
             rec(idx + 1, remaining - choice, rows)
             rows.pop()
 
@@ -519,10 +516,9 @@ def enumerate_semistandard(shape: IntoComposition, type_: IntoComposition) -> li
 
 def iter_fillings(shape: IntoComposition, max_value: int) -> Iterator[Tableau]:
     """All tableaux of the given shape with entries bounded by max_value."""
-    shape = as_composition(shape)
-    parts = shape.stripped
-    for rows in itertools.product(*(iter_multisets(p, max_value) for p in parts)):
-        yield Tableau(shape, rows)
+    shape = Composition(as_composition(shape).stripped)
+    for rows in itertools.product(*(_ascending_tuples(p, max_value) for p in shape.parts)):
+        yield Tableau._raw(shape, rows, None)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
-from operator import sub
+from operator import index, sub
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
@@ -303,7 +303,7 @@ class GarnirDatum(_Frozen):
 
     def __init__(self, fixed_top: Multiset, pool: Multiset, fixed_bottom: Multiset,
                  top_len: int) -> None:
-        super().__init__(fixed_top, pool, fixed_bottom, top_len)
+        super().__init__(fixed_top, pool, fixed_bottom, index(top_len))
         if self.top_len < 1:
             raise ValueError(f"top row length must be positive, got {self.top_len}")
         if self.pool.size <= self.top_len:

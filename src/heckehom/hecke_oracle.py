@@ -74,7 +74,6 @@ from .garnir import (
     iter_valid_data,
 )
 from .qcoeff import (
-    _START_BITS,
     MAX_EXPONENT_SPAN,
     IntoPoly,
     LaurentPoly,
@@ -635,7 +634,7 @@ def specht_check(comb: LinComb) -> bool:
     images = [(_image_words(tab.row_lists(), s), coeff.shift(-low), _norm(coeff))
               for tab, coeff in terms]
     # Called through the module global so that the tests can wrap it.
-    return _widening(lambda bits: _packed_specht(images, shape, s, bits), _START_BITS)
+    return _widening(lambda bits: _packed_specht(images, shape, s, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +765,7 @@ def _row_split(params: tuple) -> Identity:
     """The split map followed by the map of the rows is the sum of the maps
     of every way to split the middle row into u and w - u entries."""
     rows, u = params
-    (r, w, t), middle = map(len, rows), Multiset(rows[1])
+    (r, w, t), middle = map(len, rows), Multiset._raw(rows[1])
     rhs = [((rows[0], part.elements(), (middle - part).elements(), rows[2]), _ONE)
            for part in middle.sub_multisets(u)]
     return ([_split_map(r, u, w - u, t), rows], rhs,
@@ -777,7 +776,7 @@ def _garnir_factorization(params: tuple) -> Identity:
     """The merge map, then the split map, then the map of (fixed top | pool
     | fixed bottom) is the two-row relation of the datum."""
     top, pool, bottom, top_len = params
-    datum = GarnirDatum(Multiset(top), Multiset(pool), Multiset(bottom), top_len)
+    datum = GarnirDatum(*map(Multiset._raw, (top, pool, bottom)), top_len)
     quad = (len(top), datum.take_size, datum.bottom_len - len(bottom), len(bottom))
     maps = [_merge_map(quad), _split_map(*quad), (top, pool, bottom)]
     return (maps, [(tab.row_lists(), c) for tab, c in garnir_relation(datum).items()],
@@ -826,8 +825,8 @@ def _identity_holds(maps: list[Rows], rhs: Terms, bits: int) -> bool:
 def _check_instance(item: Instance) -> tuple[str, str | None]:
     kind, params = item
     maps, rhs, message = _IDENTITIES[kind][1](params)
-    # Both looked up as module globals, which the tests wrap and narrow.
-    holds = _widening(lambda bits: _identity_holds(maps, rhs, bits), _START_BITS)
+    # Looked up as a module global, which the tests wrap.
+    holds = _widening(lambda bits: _identity_holds(maps, rhs, bits))
     return kind, None if holds else message
 
 

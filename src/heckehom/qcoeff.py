@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar, Union
 
 from .errors import ParseError
@@ -69,7 +70,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
-            _add_into(acc, exp, coeff)
+            _add_into(acc, index(exp), index(coeff))
         self._terms = acc
 
     @classmethod
@@ -90,6 +91,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
         """The single term coeff * q**exponent."""
+        exponent, coeff = index(exponent), index(coeff)
         return cls._raw({exponent: coeff} if coeff else {})
 
     # -- queries ----------------------------------------------------------
@@ -190,6 +192,7 @@ class LaurentPoly:
 
     def shift(self, exponent: int) -> "LaurentPoly":
         """Multiply by q**exponent."""
+        exponent = index(exponent)
         if exponent == 0:
             return self
         return LaurentPoly._raw({e + exponent: c for e, c in self._terms.items()})
@@ -321,7 +324,8 @@ def quantum_int(n: int) -> LaurentPoly:
     return LaurentPoly._raw({i: 1 for i in range(n)})
 
 
-@lru_cache(maxsize=_BINOMIAL_CACHE_SIZE)
+# typed: a float equal to a cached int must not find the int's entry
+@lru_cache(maxsize=_BINOMIAL_CACHE_SIZE, typed=True)
 def quantum_binomial(n: int, r: int) -> LaurentPoly:
     """The quantum binomial coefficient, computed without division.
 
@@ -332,6 +336,7 @@ def quantum_binomial(n: int, r: int) -> LaurentPoly:
     >>> str(quantum_binomial(4, 2))
     '1 + q + 2q^2 + q^3 + q^4'
     """
+    n, r = index(n), index(r)
     if n < 0:
         raise ValueError(f"quantum_binomial needs n >= 0, got {n}")
     if r < 0 or r > n:
@@ -392,10 +397,10 @@ class _Widen(Exception):
 _T = TypeVar("_T")
 
 
-def _widening(run: Callable[[int], _T], start: int) -> _T:
-    """run(bits) at width start, restarted at the width each _Widen asks
-    for until it finishes."""
-    bits = start
+def _widening(run: Callable[[int], _T]) -> _T:
+    """run(bits) at width _START_BITS, restarted at the width each _Widen
+    asks for until it finishes."""
+    bits = _START_BITS
     while True:
         try:
             return run(bits)

@@ -75,7 +75,6 @@ from .combinat import Composition, Tableau, _breaks_columns
 from .errors import StraighteningError
 from .garnir import LinComb, Rows, _edge_bits, _Packing, _relation_terms
 from .qcoeff import (
-    _START_BITS,
     LaurentPoly,
     _lowest_exponent,
     _norm,
@@ -163,7 +162,7 @@ def _straighten(terms: Iterable[tuple[Tableau, LaurentPoly]], shape: Composition
             Tableau._raw(shape, rows, type_): _unpack(coeff, bits).shift(low)
             for rows, coeff in out.items()})
 
-    return _widening(run, _START_BITS)
+    return _widening(run)
 
 
 def _window_cut(upper: list[int], lower: list[int], low: int, high: int,

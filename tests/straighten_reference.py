@@ -241,7 +241,7 @@ def tuple_worklist(comb, pair_rule, column_rule):
             Tableau._raw(shape, rows, type_): _unpack(coeff, bits).shift(low)
             for rows, coeff in out.items()})
 
-    return _widening(run, heckehom.straighten._START_BITS)
+    return _widening(run)
 
 
 def window_counts(upper, lower, low, high, column_rule, both_ends):

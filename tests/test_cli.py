@@ -306,6 +306,24 @@ class TestBasis:
         data = json.loads(out)
         assert data["tableaux"] == [[[1, 1], [2, 3]]]
 
+    @pytest.mark.parametrize("shape,type_,count", [
+        ("2 2", "2 1 1", 1),
+        ("3 2 1", "2 2 1 1", 4),
+        ("4", "1 1 1 1", 1),
+        ("2 1 1", "1 1 1 1", 3),
+        ("1 1", "2", 0),
+        ("2 1", "2 1 0 0", 1),
+        ("0", "0", 1),
+    ])
+    def test_json_is_the_json_module_layout(self, capsys, shape, type_, count):
+        code, out, err = run(capsys, "basis", "--shape", shape, "--type", type_,
+                             "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["tableaux"]) == count
+        assert out == json.dumps(data, indent=2) + "\n"
+        assert data["type"] == [int(v) for v in type_.split()][:len(data["type"])]
+
     def test_bad_shape_exit_code(self, capsys):
         code, out, err = run(capsys, "basis", "--shape", "x",
                              "--type", "1")

@@ -139,6 +139,29 @@ class TestMultiset:
             parse_multiset("1 0")
 
 
+class TestNonIntegers:
+    """A float where an integer belongs raises TypeError, as int's own
+    constructors do, instead of being truncated."""
+
+    def test_composition(self):
+        for parts in ([2.5], [1, 2.0]):
+            with pytest.raises(TypeError):
+                Composition(parts)
+            with pytest.raises(TypeError):
+                Partition(parts)
+
+    @pytest.mark.parametrize("values", [[1.5], [1, 2.0], {1.5: 1}, {1: 1.5}, ["1"]])
+    def test_multiset(self, values):
+        with pytest.raises(TypeError):
+            Multiset(values)
+
+    @pytest.mark.parametrize("shape,rows", [((2,), [[1.5, 2]]), ((2.0,), [[1, 2]]),
+                                            ((1, 1), [[1], [2.5]])])
+    def test_tableau(self, shape, rows):
+        with pytest.raises(TypeError):
+            Tableau(shape, rows)
+
+
 value_lists = st.lists(st.integers(min_value=1, max_value=5), max_size=7)
 count_maps = st.dictionaries(st.integers(min_value=1, max_value=5),
                              st.integers(min_value=0, max_value=3), max_size=5)
@@ -350,6 +373,34 @@ class TestEnumeration:
         # one tableau per (multiset for row 1, multiset for row 2)
         assert len(tabs) == 6 * 3
         assert len(set(tabs)) == len(tabs)
+
+    @pytest.mark.parametrize("tabs", [
+        lambda: enumerate_semistandard(Partition((3, 2, 1)), Composition((2, 2, 1, 1, 0))),
+        lambda: enumerate_semistandard(Composition((2, 2, 0)), Composition((1, 0, 2, 1))),
+        lambda: enumerate_semistandard((), ()),
+        lambda: list(iter_fillings(Composition((2, 0, 1, 0)), 3)),
+        lambda: list(iter_fillings(Partition((2, 2)), 2)),
+    ])
+    def test_trusted_tableaux_match_public(self, tabs):
+        # The enumerators build through the trusted constructor; every
+        # field reads as the public constructor's.
+        tabs = tabs()
+        assert tabs
+        for tab in tabs:
+            public = Tableau(tab.shape, tab.row_lists())
+            assert tab == public and hash(tab) == hash(public)
+            assert tab.shape.parts == public.shape.parts
+            assert tab.type().parts == public.type().parts
+            assert tab.rows == public.rows and repr(tab) == repr(public)
+
+    def test_enumerators_check_the_largest_value_at_once(self):
+        message = f"^multiset values must be from 1 to {MAX_ENTRY}, got {MAX_ENTRY + 1}$"
+        with pytest.raises(ValueError, match=message):
+            iter_multisets(1, MAX_ENTRY + 1)
+        with pytest.raises(ValueError, match=message):
+            next(iter_fillings((1, 1), MAX_ENTRY + 1))
+        assert [m.elements() for m in iter_multisets(0, MAX_ENTRY + 1)] == [()]
+        assert list(iter_multisets(1, MAX_ENTRY))[-1] == Multiset([MAX_ENTRY])
 
     @given(tableaux(max_n=5))
     def test_enumeration_finds_every_tableau(self, tab):

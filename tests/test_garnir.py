@@ -87,6 +87,13 @@ class TestDatumValidation:
         with pytest.raises(ValueError):
             GarnirDatum(Multiset(()), Multiset((1, 2, 2)), Multiset((1, 1)), 2)
 
+    def test_float_top_length_is_rejected(self):
+        # A float length would fail later, on a slice index in the relation.
+        with pytest.raises(TypeError):
+            GarnirDatum(Multiset([]), Multiset([1, 1, 2]), Multiset([2]), 2.0)
+        datum = GarnirDatum(Multiset([]), Multiset([1, 1, 2]), Multiset([2]), 2)
+        assert len(garnir_relation(datum).items()) == 2
+
     def test_shape_pinned(self):
         datum = GarnirDatum(Multiset((1,)), Multiset((2, 2, 3, 3)), Multiset(()), 3)
         assert datum.shape == Composition((3, 2))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import heckehom.hecke_oracle
+import heckehom.qcoeff
 from heckehom import (
     Composition,
     GarnirDatum,
@@ -903,7 +904,7 @@ class TestPackedSpecht:
         assert verdicts == {True, False}
 
     def test_narrow_start_restarts_with_identical_verdicts(self, monkeypatch, widths):
-        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 2)
         calls = 0
 
         @given(packed_specht_cases())
@@ -920,7 +921,7 @@ class TestPackedSpecht:
     def test_packed_zero_is_not_trusted(self, monkeypatch, widths):
         # q - 4 is 0 at q = 2**2, but its norm, 5, is too large to prove it
         # zero at that width.
-        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 2)
         comb = LinComb.single(parse_tableau("1 1 / 2"), LaurentPoly.parse("q - 4"))
         assert specht_check(comb) is False
         assert widths[0] == 2 and len(widths) > 1
@@ -938,7 +939,7 @@ class TestPackedSpecht:
         datum = GarnirDatum(Multiset(), Multiset([1, 1, 1, 2]), Multiset([2, 2]), 3)
         rel = garnir_relation(datum).scale(scale)
         assert specht_check(rel) is True
-        assert widths[0] == heckehom.hecke_oracle._START_BITS and len(widths) > 1
+        assert widths[0] == heckehom.qcoeff._START_BITS and len(widths) > 1
         assert 10**30 < 2 ** (widths[-1] - 1)
 
     def test_exponent_span_is_bounded(self):
@@ -967,7 +968,7 @@ class TestPackedSpecht:
     def test_benchmark_combinations_from_two_bits(self, monkeypatch, widths):
         # At q = 2**2 every benchmark combination's values are tiny, so a
         # zero there is a true zero only if the scalar bound says so.
-        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 2)
         restarts = 0
         for case in ORACLE_CASES:
             widths.clear()
@@ -1209,7 +1210,7 @@ class TestCompositionProps:
             return holds(maps, rhs, bits)
 
         monkeypatch.setattr(heckehom.hecke_oracle, "_identity_holds", recorded)
-        monkeypatch.setattr(heckehom.hecke_oracle, "_START_BITS", 2)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 2)
         narrow = verify_composition_props(4, value_cap=3)
         assert narrow == wide and narrow.ok
         tasks = sum(narrow.checked.values())

@@ -108,6 +108,32 @@ class TestArithmetic:
             LaurentPoly.monomial(-1).specialize(Fraction(0))
 
 
+class TestNonIntegers:
+    """A float where an integer belongs raises TypeError, as int's own
+    constructors do, instead of being kept or truncated."""
+
+    @pytest.mark.parametrize("terms", [{0: 1.5}, {0.5: 1}, [(0, 2.0)]])
+    def test_laurent_poly(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+        assert LaurentPoly({0: True, 1: 2}) == poly("1 + 2q")
+
+    def test_monomial_and_shift(self):
+        for args in ((0.5,), (1, 1.5), (1, 0.0)):
+            with pytest.raises(TypeError):
+                LaurentPoly.monomial(*args)
+        # A q^0.5 would fail later, where the engine packs it.
+        for exponent in (0.5, 0.0):
+            with pytest.raises(TypeError):
+                poly("1 + q").shift(exponent)
+
+    @pytest.mark.parametrize("n,r", [(2.5, 1), (2.0, 1), (2, 1.0)])
+    def test_quantum_binomial(self, n, r):
+        assert quantum_binomial(2, 1) == poly("1 + q")
+        with pytest.raises(TypeError):
+            quantum_binomial(n, r)
+
+
 class TestQuantumNumbers:
     def test_quantum_int_pinned(self):
         assert quantum_int(0) == LaurentPoly.zero()

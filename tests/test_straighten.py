@@ -9,6 +9,7 @@ from operator import mul, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import heckehom.qcoeff
 import heckehom.straighten
 from heckehom import (
     Composition,
@@ -284,7 +285,7 @@ class TestPackedWorklist:
         comb = LinComb.single(tabs[0], LaurentPoly.parse("3q^-2 - 5"))
         want = [semistandardize(tab) for tab in tabs] + [semistandardize_lincomb(comb)]
         widths.clear()
-        monkeypatch.setattr(heckehom.straighten, "_START_BITS", 2)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 2)
         got = [semistandardize(tab) for tab in tabs] + [semistandardize_lincomb(comb)]
         assert got == want
         assert widths[0] == 2 and len(widths) > len(got)
@@ -297,7 +298,7 @@ class TestPackedWorklist:
         # 30 bits, every one above 2**5.
         want = laurent_worklist(comb, heckehom.straighten.DEFAULT_PAIR_RULE, "leftmost")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(heckehom.straighten, "_START_BITS", start)
+            patch.setattr(heckehom.qcoeff, "_START_BITS", start)
             assert semistandardize_lincomb(comb) == want
 
     def test_tightening_keeps_the_narrow_width(self, monkeypatch, widths):
@@ -309,7 +310,7 @@ class TestPackedWorklist:
         unpack = heckehom.straighten._unpack
         monkeypatch.setattr(heckehom.straighten, "_unpack",
                             lambda *args: unpacked.append(args) or unpack(*args))
-        monkeypatch.setattr(heckehom.straighten, "_START_BITS", 24)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 24)
         widths.clear()
         assert [semistandardize(tab) for tab in tabs] == want
         assert set(widths) == {24}
@@ -321,7 +322,7 @@ class TestPackedWorklist:
         want = semistandardize(tab).scale(coeff)
         widths.clear()
         assert semistandardize_lincomb(LinComb.single(tab, coeff)) == want
-        assert widths[0] == heckehom.straighten._START_BITS and len(widths) > 1
+        assert widths[0] == heckehom.qcoeff._START_BITS and len(widths) > 1
         assert 10**30 < 2 ** (widths[-1] - 1)
 
 
@@ -378,7 +379,7 @@ class TestTupleWorklist:
         self._assert_same(comb, pair_rule, column_rule)
 
     def test_narrow_start_restarts_with_identical_answers(self, monkeypatch, widths):
-        monkeypatch.setattr(heckehom.straighten, "_START_BITS", 2)
+        monkeypatch.setattr(heckehom.qcoeff, "_START_BITS", 2)
         tabs = benchmark_tableaux(w18_base, None)[::3]
         combs = [LinComb.single(tab) for tab in tabs]
         combs.append(LinComb.single(tabs[0], LaurentPoly.parse("3q^-2 - 5")))
