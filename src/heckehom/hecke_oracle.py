@@ -27,15 +27,18 @@ n!/|Young subgroup| coordinates instead of the algebra's n!.
 * The one shortcut: the Specht test does not multiply by the alternating
   element y of the conjugate shape.  Since T_i y = -y for s_i in y's
   column group, x T_d y is 0 or ± x T_u y for u the column-sorted word of
-  d, and those are independent, so ``_fold_columns`` decides whether the
-  product vanishes in one pass over the words.
+  d, and those are independent.  The test multiplies by the letters of
+  w_mu in turn and folds each column block onto its sorted words as soon
+  as no later letter touches it (``_fold_plan``, ``_fold_columns``), which
+  keeps the support far below the module's dimension.
 
 ``HeckeElem``, an algebra element in the standard basis, is not used by
 any library or command-line path.  The standard-basis model that the tests
 compare this module with is ``tests/hecke_reference.py``; it also keeps the
-generator-by-generator product by y that the fold replaced.
+generator-by-generator product by y that the fold replaced, and the
+one-pass fold after all of w_mu that the staged folds replaced.
 
-Apart from the fold, every step applies the algebra's defining rules one
+Apart from the folds, every step applies the algebra's defining rules one
 generator at a time.  The fast combinatorial straightening in the other
 modules is verified against this model at small sizes.
 
@@ -257,16 +260,24 @@ class HeckeElem:
 
 # One oracle benchmark pass asks for 9 distinct words, one per shape, and
 # verify --props 5 --values 3 for 55.  The tests' reference walk over all
-# 71715 tableaux to degree 7 asks for more than the limit, which then only
-# caps memory.
+# 71715 tableaux to degree 7 asks for 4586, more than the limit, which then
+# only caps memory.
 @lru_cache(maxsize=4096)
 def reduced_word(w: Perm) -> tuple[int, ...]:
-    """A reduced word for w, found by repeatedly stripping a right descent.
+    """A reduced word for w, found by repeatedly stripping a right descent,
+    the largest first.
 
     If the value i appears after i+1 in one-line form, then w ends with the
     i-th generator; stripping it shortens w by one.  The collected letters,
     reversed, multiply out to w, and their count is the Coxeter length of
     w, its number of pairs i < j with w(i) > w(j).
+
+    The largest descent is stripped first because then, in the word of
+    ``w_mu``, the letters that touch each column block of the conjugate
+    shape end no later than those of the next block (the tests check every
+    partition up to degree 8).  The Specht test folds each block right
+    after its last letter (``_fold_plan``), so the blocks fold early and
+    from left to right.
     """
     letters: list[int] = []
     cur = list(w)
@@ -275,7 +286,7 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     for p, v in enumerate(cur):
         pos[v] = p
     while True:
-        descent = next((i for i in range(1, n) if pos[i] > pos[i + 1]), None)
+        descent = next((i for i in range(n - 1, 0, -1) if pos[i] > pos[i + 1]), None)
         if descent is None:
             break
         letters.append(descent)
@@ -512,22 +523,33 @@ def _sorted_block(block: Word, size: int, s: int) -> tuple[int, int] | None:
     return ordered - block, odd
 
 
-def _fold_columns(vec: Packed, conj: Composition, s: int) -> tuple[Packed, int]:
-    """A packed vector that is 0 exactly when vec times the y element of
-    conj is: each word folded onto its column-sorted word.  Also the largest
-    number of words folded onto one column-sorted word.
+Block = tuple[int, int]
 
-    For s_i in the column group, T_i y = -y.  If two positions of one block
-    of conj hold equal labels, move them next to each other by swaps of
-    distinct labels (below); at that pair, x T_d T_i = q x T_d, so
-    (1 + q) x T_d y = 0, and x T_d y = 0 because the module is free.  A
-    swap of distinct labels at positions i, i + 1 of one block turns d
-    into d s_i or back, and T_i y = -y then negates x T_d y.  So
-    x T_d y = ±x T_u y, where u is d's word with every block sorted and the
-    sign is the parity of that sort.  Each x T_u y has x T_u with
-    coefficient 1 and its support in u's orbit under the column group, so
-    the x T_u y are independent, and vec times y is zero exactly when
-    every signed sum collected at a u is.
+
+def _column_blocks(conj: Composition) -> list[Block]:
+    """The blocks of positions of conj that hold two or more, as 0-based
+    ranges [lo, hi)."""
+    cuts = list(itertools.accumulate(conj.parts, initial=0))
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+
+
+def _fold_columns(vec: Packed, blocks: Sequence[Block], s: int) -> tuple[Packed, int]:
+    """vec with each word folded onto its word with these blocks sorted,
+    and the largest number of words folded onto one word.
+
+    Let y be the alternating element of a column group whose blocks
+    include these, and T_rest the product of the letters of w_mu still to
+    come, none of which touches these blocks.  Then every letter of T_rest
+    commutes with every generator s_i of these blocks, so
+    T_i T_rest y = T_rest T_i y = -T_rest y.  If two positions of a block
+    hold equal labels, move them next to each other by swaps of distinct
+    labels (below); at that pair, x T_d T_i = q x T_d, so
+    (1 + q) x T_d T_rest y = 0, which makes x T_d T_rest y = 0 because the
+    module is free.  A swap of distinct labels at positions i, i + 1 of a
+    block turns d into d s_i or back, so x T_d T_rest y =
+    -x T_(d s_i) T_rest y.  Hence x T_d T_rest y = ±x T_u T_rest y, where u
+    is d's word with these blocks sorted and the sign is the parity of that
+    sort, and the folded vector times T_rest y equals vec times T_rest y.
 
     A word with a repeated label in a block is dropped, which is exact;
     every other word adds ±its value at its u, so a coordinate's norm is at
@@ -535,17 +557,15 @@ def _fold_columns(vec: Packed, conj: Composition, s: int) -> tuple[Packed, int]:
     memoised per block size, since a block's int alone does not tell
     (1, 0) from (1, 0, 0).
     """
-    cuts = list(itertools.accumulate(conj.parts, initial=0))
     memos: dict[int, dict[Word, tuple[int, int] | None]] = {}
-    blocks = [(s * lo, (1 << s * (hi - lo)) - 1, hi - lo,
-               memos.setdefault(hi - lo, {}))
-              for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+    cases = [(s * lo, (1 << s * (hi - lo)) - 1, hi - lo,
+              memos.setdefault(hi - lo, {})) for lo, hi in blocks]
     out: Packed = {}
     landed: list[Word] = []
     for word, coeff in vec.items():
         folded = word
         odd = 0
-        for shift, mask, size, memo in blocks:
+        for shift, mask, size, memo in cases:
             block = word >> shift & mask
             try:
                 hit = memo[block]
@@ -575,19 +595,53 @@ def _add_images(vec: Packed, images: Iterable[Image], bits: int) -> int:
     return total
 
 
+# One plan per shape; one oracle benchmark pass asks for 9.
+@lru_cache(maxsize=64)
+def _fold_plan(shape: Composition) -> tuple[tuple[int, ...], tuple[tuple[Block, ...], ...]]:
+    """The Specht test's plan for a partition shape: the reduced word of
+    w_mu, and for each k from 0 to its length the column blocks of the
+    conjugate shape to fold right after its first k letters.
+
+    Letter i swaps the 1-based positions i and i + 1, so it touches the
+    block [lo, hi) when lo <= i <= hi.  Each block of two or more positions
+    is folded after the last letter that touches it, or before any letter
+    when none does; every later letter then commutes with the block's
+    generators, which is what ``_fold_columns`` needs.
+    """
+    letters = reduced_word(w_mu(shape))
+    folds: list[list[Block]] = [[] for _ in range(len(letters) + 1)]
+    for lo, hi in _column_blocks(Partition(shape.stripped).conjugate()):
+        folds[max((k for k, i in enumerate(letters, 1) if lo <= i <= hi),
+                  default=0)].append((lo, hi))
+    return letters, tuple(map(tuple, folds))
+
+
 def _specht_vector(images: list[Image], shape: Composition, s: int,
                    bits: int) -> tuple[Packed, int]:
     """The Specht test's folded vector at q = 2**bits on images for
-    _add_images, with a bound on the norm of each of its coordinates: the
-    images' norms, times 3 per letter of w_mu (see ``_mul_gen``), times the
-    most words the fold collects at one column-sorted word."""
+    _add_images, with a bound on the norm of each of its coordinates.
+
+    The image sum is multiplied by the letters of w_mu in turn, and each
+    column block is folded as soon as no later letter touches it
+    (``_fold_plan``).  Each fold leaves the product by the rest of w_mu and
+    then by y unchanged (``_fold_columns``).  After the last letter every
+    block is sorted, so the vector is the sum over column-sorted words u of
+    its values times x T_u y.  Each x T_u y has x T_u with coefficient 1
+    and its support in u's orbit under the column group, so those are
+    independent, and the product by y is zero exactly when every value of
+    the vector is.  The bound is the images' norms, times 3 per letter (see
+    ``_mul_gen``), times, per fold, the most words it collects at one word.
+    """
     total: Packed = {}
-    norm = _add_images(total, images, bits)
-    letters = reduced_word(w_mu(shape))
-    for i in letters:
-        total = _mul_gen(total, i, s, bits)
-    folded, most = _fold_columns(total, Partition(shape.stripped).conjugate(), s)
-    return folded, norm * 3 ** len(letters) * most
+    bound = _add_images(total, images, bits)
+    letters, folds = _fold_plan(shape)
+    for k, blocks in enumerate(folds):
+        if k:
+            total = _mul_gen(total, letters[k - 1], s, bits)
+        if blocks:
+            total, most = _fold_columns(total, blocks, s)
+            bound *= most
+    return total, bound * 3 ** len(letters)
 
 
 def _packed_specht(images: list[Image], shape: Composition, s: int, bits: int) -> bool:
@@ -608,17 +662,19 @@ def specht_check(comb: LinComb) -> bool:
     coordinates.  The product by y is never formed: a word with a repeated
     label in one column block contributes 0, every other word contributes
     ± the y-multiple of its column-sorted word, and those multiples are
-    independent, so the test folds each word onto its column-sorted word
-    with the sign of the sort and asks whether every sum is zero (see
-    ``_fold_columns``).
+    independent.  So the test folds each column block of each word onto
+    its sorted order, with the sign of the sort, as soon as no later letter
+    of w_mu touches that block, and asks whether every sum is zero (see
+    ``_specht_vector``).
 
     The coefficients, shifted by their smallest exponent, are packed at
     q = 2**bits.  Evaluation there is a ring map, so a value left nonzero
-    proves the answer False at any width.  Nothing is dropped before the
-    fold, so the fold sees every word of the true support, and one scalar
-    bound covers the norm of every folded coordinate: when every value is
-    0 and that bound is below 2**(bits - 1), the answer is True; otherwise
-    the test restarts at a wider width.  A span of exponents above
+    proves the answer False at any width.  Only the folds drop words, and
+    only words that contribute 0, so each fold sees every word of the true
+    support, and one scalar bound covers the norm of every coordinate of
+    the result: when every value is 0 and that bound is below
+    2**(bits - 1), the answer is True; otherwise the test restarts at a
+    wider width.  A span of exponents above
     ``MAX_EXPONENT_SPAN`` raises ValueError before anything is packed.
     """
     shape = comb.shape

@@ -36,6 +36,12 @@ on it: it multiplies a packed vector by the y element through its
 descending generator chains, the product the library's Specht test ran
 before it folded words onto column-sorted ones (``_fold_columns``).
 
+The library's Specht test folds each column block as soon as the letters
+of w_mu leave it.  The test it replaced, which multiplies by all of w_mu
+and then folds every block in one pass, is kept here
+(``one_pass_specht_vector``), and so is a Specht test that multiplies by
+y through ``mul_y_chains`` instead of folding (``chains_specht_check``).
+
 ``word_of``, ``int_word``, ``tuple_word``, ``int_vector``,
 ``tuple_values`` and ``vector_of_packed`` translate between the library's
 keys (block-label words packed into ints) and the coordinates here.
@@ -58,7 +64,11 @@ from heckehom import (
 from heckehom.combinat import as_composition, identity_perm, w_mu
 from heckehom.hecke_oracle import (
     HeckeElem,
+    _add_images,
     _add_into,
+    _column_blocks,
+    _fold_columns,
+    _mul_gen,
     _require_within_cap,
     reduced_word,
 )
@@ -777,6 +787,50 @@ def mul_y_chains(vec, comp, bits):
             vec = total
         offset += size
     return vec
+
+
+# ---------------------------------------------------------------------------
+# the Specht test before its folds were staged
+# ---------------------------------------------------------------------------
+
+
+def w_mu_product(images, shape, s, bits):
+    """The sum of images (as ``heckehom.hecke_oracle._add_images`` takes
+    them) at q = 2**bits, times every letter of w_mu of a partition shape,
+    with s-bit int words; and the bound on the norm of each coordinate:
+    the images' norms times 3 per letter."""
+    total = {}
+    norm = _add_images(total, images, bits)
+    letters = reduced_word(w_mu(shape))
+    for i in letters:
+        total = _mul_gen(total, i, s, bits)
+    return total, norm * 3 ** len(letters)
+
+
+def one_pass_specht_vector(images, shape, s, bits):
+    """The Specht test's folded vector as the library computed it before it
+    folded in stages: ``w_mu_product``, then every column block folded in
+    one pass, with the bound times the most words folded onto one."""
+    total, bound = w_mu_product(images, shape, s, bits)
+    conj = Partition(shape.stripped).conjugate()
+    folded, most = _fold_columns(total, _column_blocks(conj), s)
+    return folded, bound * most
+
+
+def chains_specht_check(images, shape, s, bits):
+    """The Specht test with y multiplied out: ``w_mu_product`` in the tuple
+    kernel, each word with the product's bound, times y through
+    ``mul_y_chains``, at q = 2**bits; raises _Widen when a zero cannot be
+    certified at this width."""
+    total, bound = w_mu_product(images, shape, s, bits)
+    vec = {tuple_word(word, s, shape.n): (coeff, bound) for word, coeff in total.items()}
+    out = mul_y_chains(vec, Partition(shape.stripped).conjugate(), bits)
+    if any(coeff for coeff, _ in out.values()):
+        return False
+    widest = max((bound for _, bound in out.values()), default=0)
+    if widest >> (bits - 1):
+        raise _Widen(_wider(bits, widest))
+    return True
 
 
 def image_vector(tab):

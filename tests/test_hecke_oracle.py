@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import math
 import os
 import pickle
 import pkgutil
@@ -45,6 +46,7 @@ from heckehom.hecke_oracle import (
     HeckeElem,
     PropsReport,
     _apply_hom,
+    _column_blocks,
     _fold_columns,
     _identity_vector,
     _image_words,
@@ -56,7 +58,7 @@ from heckehom.hecke_oracle import (
     oracle_cap,
     reduced_word,
 )
-from heckehom.qcoeff import _Widen, _norm, _pack, _unpack
+from heckehom.qcoeff import _Widen, _norm, _pack, _unpack, _widening
 from heckehom.straighten import embed_two_row, find_violating_window
 
 from . import hecke_reference
@@ -66,6 +68,7 @@ from .hecke_reference import (
     TabloidMembershipError,
     algebra_image,
     apply_hom,
+    chains_specht_check,
     coset_reps,
     image_h2,
     image_h4,
@@ -78,6 +81,7 @@ from .hecke_reference import (
     mul_x_blocks,
     mul_y_blocks,
     mul_y_chains,
+    one_pass_specht_vector,
     perm_1A,
     perm_mul,
     reference_check,
@@ -98,6 +102,7 @@ from .hecke_reference import (
     young_subgroup,
 )
 from .strategies import iter_compositions, tableaux
+from .test_acceptance import SEED, every_filling
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.monomial(1)
@@ -540,7 +545,8 @@ class TestFoldColumns:
         def agree(case):
             vec, conj = case
             chains = mul_y_chains(vec, conj, 64)
-            fold = tuple_values(_fold_columns(int_vector(vec, 2), conj, 2)[0], 2, conj.n)
+            fold = tuple_values(_fold_columns(int_vector(vec, 2), _column_blocks(conj), 2)[0],
+                                2, conj.n)
             assert bool(chains) == bool(fold)
             shift = 64 * sum(s * (s - 1) // 2 for s in conj.parts)
             for word, coeff in fold.items():
@@ -552,9 +558,10 @@ class TestFoldColumns:
 
     def test_repeated_label_in_a_column_is_dropped(self):
         conj = Composition((2, 1))
-        assert _fold_columns({int_word((0, 0, 1), 1): 5}, conj, 1) == ({}, 0)
+        blocks = _column_blocks(conj)
+        assert _fold_columns({int_word((0, 0, 1), 1): 5}, blocks, 1) == ({}, 0)
         assert _fold_columns({int_word((1, 0, 0), 1): 5, int_word((0, 1, 0), 1): 3},
-                             conj, 1) == ({int_word((0, 1, 0), 1): -2}, 2)
+                             blocks, 1) == ({int_word((0, 1, 0), 1): -2}, 2)
 
 
 @st.composite
@@ -603,7 +610,7 @@ def assert_kernels_agree(vec, s, bits, conj):
             continue
         got = tuple_values(_mul_gen(packed, i, s, bits), s, n)
         assert got == {word: coeff for word, (coeff, _) in expect.items()}, i
-    folded, most = _fold_columns(packed, conj, s)
+    folded, most = _fold_columns(packed, _column_blocks(conj), s)
     assert most == most_per_sorted_word(list(vec), conj)
     try:
         expect = tuple_fold_columns(vec, conj, bits)
@@ -666,6 +673,28 @@ class TestCertificate:
         diff, bound = _identity_vector(maps, rhs, 64)
         assert not any(diff.values()) and bound == 1 * (3 ** 0 + 3 ** 1) + 1
 
+    def test_bound_has_one_factor_per_fold(self, monkeypatch, specht_runs):
+        # Each benchmark combination's bound: its images' norms, times 3
+        # per letter of w_mu, times the count of every staged fold.
+        runs = benchmark_runs(specht_runs)
+        mosts = []
+        fold_columns = heckehom.hecke_oracle._fold_columns
+
+        def recorded(*args):
+            folded, most = fold_columns(*args)
+            mosts.append(most)
+            return folded, most
+
+        monkeypatch.setattr(heckehom.hecke_oracle, "_fold_columns", recorded)
+        several = 0
+        for images, shape, s, bits in runs:
+            mosts.clear()
+            _, bound = _specht_vector(images, shape, s, bits)
+            norm = sum(norm for _, _, norm in images)
+            assert bound == norm * 3 ** len(reduced_word(w_mu(shape))) * math.prod(mosts)
+            several += sum(most > 1 for most in mosts) > 1
+        assert several
+
     def test_generator_runs_up_to_degree_5(self):
         # Runs from each tabloid that go up and back down, so that words
         # and their swaps meet: 3**k after k letters, and the most words
@@ -684,29 +713,21 @@ class TestCertificate:
                             vec = _mul_gen(vec, i, s, 64)
                             assert_bound_covers(vec, 3 ** k, 64)
                             most = max(most, len(vec))
-                        folded, per_word = _fold_columns(vec, Composition((n,)), s)
+                        folded, per_word = _fold_columns(vec, [(0, n)], s)
                         assert_bound_covers(folded, 3 ** len(letters[n]) * per_word, 64)
         assert most > 10
 
-    def test_packed_specht_cases(self, monkeypatch):
+    def test_packed_specht_cases(self, specht_runs):
         # Each check's arguments as specht_check builds them, rerun wide.
-        runs = []
-        packed_specht = heckehom.hecke_oracle._packed_specht
-
-        def recorded(*args):
-            runs.append(args[:-1])
-            return packed_specht(*args)
-
-        monkeypatch.setattr(heckehom.hecke_oracle, "_packed_specht", recorded)
         nonzero = 0
 
         @given(packed_specht_cases())
         @settings(max_examples=60, deadline=None)
         def covered(comb):
             nonlocal nonzero
-            runs.clear()
+            specht_runs.clear()
             specht_check(comb)
-            for args in runs[:1]:
+            for *args, _ in specht_runs[:1]:
                 _, bound = _specht_vector(*args, 64)
                 bits = bound.bit_length() + 64
                 folded, same = _specht_vector(*args, bits)
@@ -977,6 +998,152 @@ class TestPackedSpecht:
             assert widths.count(2) == 1 and widths[0] == 2, case
             restarts += len(widths) - 1
         assert restarts
+
+
+@pytest.fixture
+def specht_runs(monkeypatch):
+    """The arguments of every run of the packed Specht test while the test
+    runs, as specht_check builds them."""
+    runs = []
+    packed_specht = heckehom.hecke_oracle._packed_specht
+
+    def recorded(*args):
+        runs.append(args)
+        return packed_specht(*args)
+
+    monkeypatch.setattr(heckehom.hecke_oracle, "_packed_specht", recorded)
+    return runs
+
+
+def benchmark_runs(specht_runs):
+    """The packed Specht test's arguments for every stored combination of
+    the oracle benchmark."""
+    for case in ORACLE_CASES:
+        specht_check(LinComb.from_json(case["comb"]))
+    return list(specht_runs)
+
+
+GARNIR_DATA_7 = list(iter_valid_data(7, 4))
+
+
+@st.composite
+def degree_7_combinations(draw):
+    """Relations and straightening differences at degree <= 7, values <= 4,
+    sometimes with one term dropped."""
+    if draw(st.booleans()):
+        comb = garnir_relation(draw(st.sampled_from(GARNIR_DATA_7)))
+    else:
+        tab = draw(tableaux(max_n=7, max_value=4))
+        comb = LinComb.single(tab) - semistandardize(tab)
+    if not comb.is_zero and draw(st.booleans()):
+        tab, coeff = draw(st.sampled_from(comb.items()))
+        comb = comb.add_term(tab, -coeff)
+    return comb
+
+
+def nonzero_values(vec):
+    return {word: value for word, value in vec.items() if value}
+
+
+class TestStagedFold:
+    """The Specht test folds each column block right after the last letter
+    of w_mu that touches it; the one-pass fold after all of w_mu that it
+    replaced is ``one_pass_specht_vector`` in tests/hecke_reference.py."""
+
+    @staticmethod
+    def assert_agrees(runs, comb):
+        # The coordinates of the product by y in the independent x T_u y
+        # are unique, so both folds give the same nonzero values.
+        runs.clear()
+        verdict = specht_check(comb)
+        for images, shape, s, bits in runs[:1]:
+            staged, _ = _specht_vector(images, shape, s, bits)
+            one_pass, _ = one_pass_specht_vector(images, shape, s, bits)
+            assert nonzero_values(staged) == nonzero_values(one_pass), comb.to_text()
+            chains = _widening(lambda wide: chains_specht_check(images, shape, s, wide))
+            assert verdict is chains, comb.to_text()
+        return verdict
+
+    def test_matches_one_pass_fold_on_benchmark_combinations(self, specht_runs):
+        verdicts = [self.assert_agrees(specht_runs, LinComb.from_json(case["comb"]))
+                    for case in ORACLE_CASES]
+        assert verdicts == [case["expect_exit"] == 0 for case in ORACLE_CASES]
+
+    def test_matches_one_pass_fold_on_criterion_3_sample(self, specht_runs):
+        small = list(every_filling(1, 4, 4))
+        sample = small + random.Random(SEED).sample(list(every_filling(5, 7, 4)), 250)
+        for tab in sample:
+            assert self.assert_agrees(specht_runs, LinComb.single(tab) - semistandardize(tab))
+
+    def test_matches_one_pass_fold_up_to_degree_7(self, specht_runs):
+        verdicts = set()
+
+        @given(degree_7_combinations())
+        @settings(max_examples=150, deadline=None)
+        def agree(comb):
+            verdicts.add(self.assert_agrees(specht_runs, comb))
+
+        agree()
+        assert verdicts == {True, False}
+
+    def test_fewer_words_reach_the_generators(self, monkeypatch, specht_runs):
+        runs = benchmark_runs(specht_runs)
+        words = 0
+        mul_gen = heckehom.hecke_oracle._mul_gen
+
+        def counted(vec, *args):
+            nonlocal words
+            words += len(vec)
+            return mul_gen(vec, *args)
+
+        for module in (heckehom.hecke_oracle, hecke_reference):
+            monkeypatch.setattr(module, "_mul_gen", counted)
+        counts = []
+        for vector in (_specht_vector, one_pass_specht_vector):
+            words = 0
+            for args in runs:
+                vector(*args)
+            counts.append(words)
+        staged, one_pass = counts
+        assert staged < 0.8 * one_pass, counts
+
+    def test_each_block_folds_after_its_last_letter(self, monkeypatch):
+        oracle = heckehom.hecke_oracle
+        events = []
+        mul_gen, fold_columns = oracle._mul_gen, oracle._fold_columns
+
+        def letter(vec, i, s, bits):
+            events.append(i)
+            return mul_gen(vec, i, s, bits)
+
+        def fold(vec, blocks, s):
+            events.append(tuple(blocks))
+            return fold_columns(vec, blocks, s)
+
+        monkeypatch.setattr(oracle, "_mul_gen", letter)
+        monkeypatch.setattr(oracle, "_fold_columns", fold)
+        for n in range(1, 9):
+            for parts in iter_partitions(n):
+                shape = Composition(parts)
+                letters = reduced_word(w_mu(shape))
+                events.clear()
+                _specht_vector([], shape, 1, 64)
+                assert [e for e in events if isinstance(e, int)] == list(letters)
+                folded_at = {}
+                for k, event in enumerate(events):
+                    for block in () if isinstance(event, int) else event:
+                        assert block not in folded_at, shape
+                        folded_at[block] = sum(isinstance(e, int) for e in events[:k])
+                cuts = list(itertools.accumulate(Partition(parts).conjugate().parts,
+                                                 initial=0))
+                expect = {(lo, hi): max((k for k, i in enumerate(letters, 1)
+                                         if lo <= i <= hi), default=0)
+                          for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1}
+                assert folded_at == expect, shape
+                # With the largest descent stripped first, the blocks
+                # become final from left to right.
+                order = [expect[block] for block in sorted(expect)]
+                assert order == sorted(order), shape
 
 
 class TestValueClasses:
